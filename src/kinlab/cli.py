@@ -21,12 +21,13 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kinetic_limits, observables
 from .geometry import (
     ConservationMode,
     ManifoldSpec,
@@ -34,6 +35,7 @@ from .geometry import (
 )
 from .kinetic_limits import (
     LimitParams,
+    check_time,
     fpe_moment_flow,
     landau_moment_flow,
     maxwellian_eval,
@@ -56,8 +58,8 @@ from .observables import (
     moment_series,
     radial_ks_statistic,
 )
-from .spectral import gap_scan, lambda1_bound, rayleigh_quotient_mc, \
-    spectrum_table, standard_trial_function
+from .spectral import check_mc_budget, check_scan_n_list, gap_scan, \
+    lambda1_bound, rayleigh_quotient_mc, spectrum_table, standard_trial_function
 
 
 class ConfigError(ValueError):
@@ -76,22 +78,6 @@ def _parse_int(s):
     return int(s, 0)
 
 
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_str(s):
-    return s
-
-
-def _parse_bool(s):
-    if s.lower() in ("true", "1", "yes"):
-        return True
-    if s.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def _parse_vec3(s):
     parts = [float(x) for x in s.split(",")]
     if len(parts) != 3:
@@ -107,6 +93,30 @@ def _parse_float_list(s):
     return [float(x) for x in s.split(",")]
 
 
+def _one_of(choices):
+    def parse(s):
+        if s not in choices:
+            raise ValueError(f"use one of {', '.join(choices)}")
+        return s
+    return parse
+
+
+_C1, _C4 = ConservationMode.ENERGY_ONLY, ConservationMode.ENERGY_MOMENTUM
+_MODES = {"energy": _C1, "energy-only": _C1, "c1": _C1, "energy-momentum": _C4, "c4": _C4}
+# init name -> sampler factory of init_strength; the factories are looked up
+# at call time, so a caller may replace them on this module
+_INITS = {
+    "uniform": lambda s: uniform_sampler,
+    "shift": lambda s: shifted_sampler([s, 0.0, 0.0]),
+    "shear": lambda s: sheared_sampler(s),
+    "tagged-shift": lambda s: tagged_shift_sampler([s, 0.0, 0.0]),
+}
+_FLOWS = {
+    "fpe": lambda lim: partial(fpe_moment_flow, lim),
+    "landau": lambda lim: partial(landau_moment_flow, KernelSpec(0.0)),
+}
+
+
 @dataclass
 class Field:
     parse: object
@@ -116,20 +126,20 @@ class Field:
 
 _MANIFOLD = {
     "n_particles": Field(_parse_int, required=True),
-    "mode": Field(_parse_str, default="energy-momentum"),
-    "eps": Field(_parse_float, default=1.0),
+    "mode": Field(_one_of(_MODES), default="energy-momentum"),
+    "eps": Field(float, default=1.0),
     "u": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
 }
 _SIM = {
     **_MANIFOLD,
-    "dt": Field(_parse_float, required=True),
-    "t_end": Field(_parse_float, required=True),
+    "dt": Field(float, required=True),
+    "t_end": Field(float, required=True),
     "n_replicas": Field(_parse_int, default=1024),
     "record_every": Field(_parse_int, default=1),
-    "observables": Field(_parse_str, default="energy_per_particle"),
-    "init": Field(_parse_str, default="uniform"),
-    "init_strength": Field(_parse_float, default=0.0),
-    "fit_observable": Field(_parse_str, default=""),
+    "observables": Field(str, default="energy_per_particle"),
+    "init": Field(_one_of(_INITS), default="uniform"),
+    "init_strength": Field(float, default=0.0),
+    "fit_observable": Field(str, default=""),
     "entropy_times": Field(_parse_float_list, default=[]),
     "entropy_bins": Field(_parse_int, default=20),
     "seed": Field(_parse_int, default=12345),
@@ -141,24 +151,24 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "sample": {**_MANIFOLD, "n_samples": Field(_parse_int, default=1000),
                "seed": Field(_parse_int, default=12345)},
     "sim-sphere": dict(_SIM),
-    "sim-bp": {**_SIM, "gamma": Field(_parse_float, required=True),
-               "cutoff": Field(_parse_float, default=-1.0)},
+    "sim-bp": {**_SIM, "gamma": Field(float, required=True),
+               "cutoff": Field(float, default=-1.0)},
     "rayleigh": {"n_particles": Field(_parse_int, required=True),
-                 "gamma": Field(_parse_float, default=-3.0),
+                 "gamma": Field(float, default=-3.0),
                  "n_samples": Field(_parse_int, default=100000),
                  "seed": Field(_parse_int, default=12345)},
     "gap-scan": {"n_list": Field(_parse_int_list, required=True),
-                 "gamma": Field(_parse_float, default=-3.0),
+                 "gamma": Field(float, default=-3.0),
                  "n_samples": Field(_parse_int, default=100000),
                  "seed": Field(_parse_int, default=12345)},
     "marginal-compare": {"n_particles": Field(_parse_int, required=True),
-                         "eps": Field(_parse_float, default=1.0),
+                         "eps": Field(float, default=1.0),
                          "n_samples": Field(_parse_int, default=1000000),
                          "n_list": Field(_parse_int_list, default=[8, 32, 128]),
                          "radial_points": Field(_parse_int, default=512),
                          "seed": Field(_parse_int, default=12345)},
-    "fpe-moments": {"flow": Field(_parse_str, default="fpe"),
-                    "eps0": Field(_parse_float, default=1.0),
+    "fpe-moments": {"flow": Field(_one_of(_FLOWS), default="fpe"),
+                    "eps0": Field(float, default=1.0),
                     "u": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
                     "m0": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
                     "s0_diag": Field(_parse_vec3, default=[1.0, 1.0, 1.0]),
@@ -166,10 +176,10 @@ SCHEMAS: dict[str, dict[str, Field]] = {
                     "t_list": Field(_parse_float_list, required=True),
                     "seed": Field(_parse_int, default=12345)},
     "chaos": {"n_list": Field(_parse_int_list, default=[8, 32, 128]),
-              "eps": Field(_parse_float, default=1.0),
-              "gamma": Field(_parse_float, default=-3.0),
-              "dt": Field(_parse_float, default=0.004),
-              "t_end": Field(_parse_float, default=0.4),
+              "eps": Field(float, default=1.0),
+              "gamma": Field(float, default=-3.0),
+              "dt": Field(float, default=0.004),
+              "t_end": Field(float, default=0.4),
               "pair_samples": Field(_parse_int, default=1000000),
               "bins": Field(_parse_int, default=16),
               "component": Field(_parse_int, default=1),
@@ -181,10 +191,13 @@ _COMMANDS = sorted(SCHEMAS)
 
 @dataclass
 class ExperimentPlan:
-    """Validated experiment: command kind plus typed parameters."""
+    """Validated experiment: command kind, typed parameters, and the run
+    objects built from them (manifold spec, kernel, sim config, observable
+    functions, sampler, ...), which ``run`` uses as they are."""
 
     command: str
     params: dict = field(default_factory=dict)
+    objects: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {"command": self.command, "params": self.params}
@@ -251,59 +264,108 @@ def parse_config(text: str, command: str | None = None) -> ExperimentPlan:
         else:
             params[key] = fld.default
 
-    if not violations:
-        violations.extend(_cross_validate(command, params, seen))
+    objects = _build_objects(command, params, seen, violations)
     if violations:
         raise ConfigError(violations)
-    return ExperimentPlan(command=command, params=params)
+    return ExperimentPlan(command=command, params=params, objects=objects)
 
 
-def _mode_of(params) -> ConservationMode:
-    mode = params.get("mode", "energy-momentum")
-    if mode in ("energy", "energy-only", "c1"):
-        return ConservationMode.ENERGY_ONLY
-    if mode in ("energy-momentum", "c4"):
-        return ConservationMode.ENERGY_MOMENTUM
-    raise ValueError(f"unknown mode {mode!r} (use 'energy' or 'energy-momentum')")
+def _cite(keys, lines) -> str:
+    cited = sorted((lines[k], k) for k in keys if k in lines)
+    return ", ".join(f"line {n} ({k})" for n, k in cited)
 
 
-def _spec_of(params) -> ManifoldSpec:
-    return ManifoldSpec(params["n_particles"], _mode_of(params),
-                        eps=params["eps"], u=np.asarray(params["u"]))
+def _build_objects(command, p, lines, violations) -> dict:
+    """Build the objects that ``run`` needs from the parsed params.
 
+    Each ValueError a constructor raises is appended to ``violations`` once,
+    citing the lines of the keys that fed the object. An object is skipped
+    when one of its keys failed to parse or an object it needs failed.
+    """
 
-def _cross_validate(command, params, lines) -> list[str]:
-    out = []
-
-    def where(key):
-        return f"line {lines[key]}: " if key in lines else ""
-
-    if {"n_particles", "mode", "eps", "u"} <= params.keys():
+    def build(keys, make, *needs):
+        if any(k not in p for k in keys) or any(n is None for n in needs):
+            return None
         try:
-            _spec_of(params)
+            return make()
         except ValueError as exc:
-            out.append(f"{where('eps')}invalid manifold: {exc}")
+            msg = f"{_cite(keys, lines)}: {exc}"
+            if msg not in violations:
+                violations.append(msg)
+            return None
+
+    schema = SCHEMAS[command]
+    o: dict = {}
+    if "gamma" in schema:
+        o["kernel"] = build(
+            [k for k in ("gamma", "cutoff") if k in schema],
+            lambda: KernelSpec(p["gamma"],
+                               None if p.get("cutoff", -1.0) < 0 else p["cutoff"]))
+    if command in ("spectrum", "sample", "sim-sphere", "sim-bp"):
+        o["spec"] = build(("n_particles", "mode", "eps", "u"), lambda: ManifoldSpec(
+            p["n_particles"], _MODES[p["mode"]], eps=p["eps"], u=np.asarray(p["u"])))
+
     if command in ("sim-sphere", "sim-bp"):
-        if params["dt"] <= 0:
-            out.append(f"{where('dt')}dt must be positive")
-        elif params["t_end"] != 0 and params["t_end"] < params["dt"]:
-            out.append(f"{where('t_end')}t_end must be >= dt or exactly 0")
-        if params["init"] not in ("uniform", "shift", "shear", "tagged-shift"):
-            out.append(f"{where('init')}unknown init {params['init']!r}")
-    if command == "sim-bp" and not params["gamma"] > -5.0:
-        out.append(f"{where('gamma')}kernel exponent must satisfy gamma > -5")
-    if command in ("rayleigh", "gap-scan") and params["n_samples"] < 1000:
-        out.append(f"{where('n_samples')}n_samples must be >= 1000")
-    if command == "gap-scan" and len(params["n_list"]) < 3:
-        out.append(f"{where('n_list')}need at least 3 N values")
-    if command == "fpe-moments":
-        if params["flow"] not in ("fpe", "landau"):
-            out.append(f"{where('flow')}flow must be 'fpe' or 'landau'")
-        if params["eps0"] <= 0:
-            out.append(f"{where('eps0')}eps0 must be positive")
-        if any(t < 0 for t in params["t_list"]):
-            out.append(f"{where('t_list')}times must be >= 0")
-    return out
+        pair = command == "sim-bp"
+        o["config"] = build(
+            ("dt", "t_end", "n_replicas", "record_every", "seed"),
+            lambda: SimConfig(dt=p["dt"], t_end=p["t_end"],
+                              n_replicas=p["n_replicas"], seed=p["seed"],
+                              process="pair" if pair else "sphere",
+                              kernel=o.get("kernel"),
+                              record_every=p["record_every"]),
+            *((o["kernel"],) if pair else ()))
+        names = [n.strip() for n in p["observables"].split(",") if n.strip()]
+        o["observables"] = build(("observables",), lambda: {
+            name: observables.get_observable(name) for name in names})
+        o["sampler"] = build(("init", "init_strength"),
+                             lambda: _INITS[p["init"]](p["init_strength"]))
+        build(("entropy_times", "dt", "t_end"),
+              lambda: o["config"].snapshot_steps(p["entropy_times"]), o["config"])
+        if p.get("entropy_times") and o["spec"] is not None:
+            o["limit"] = LimitParams(eps0=o["spec"].eps0, u=o["spec"].u)
+            o["entropy_edges"] = build(("entropy_bins",), lambda: (
+                kinetic_limits.entropy_grid_edges(o["limit"], bins=p["entropy_bins"])))
+        fit = p["fit_observable"]
+        if fit and fit not in names:
+            violations.append(f"{_cite(('fit_observable', 'observables'), lines)}: "
+                              f"fit_observable {fit!r} is not one of {names}")
+    elif command == "rayleigh":
+        o["spec"] = build(("n_particles",),
+                          lambda: ManifoldSpec(p["n_particles"], _C4, eps=1.0))
+        o["trial"] = build(("n_particles",),
+                           lambda: standard_trial_function(p["n_particles"]), o["spec"])
+        build(("n_samples",), lambda: check_mc_budget(p["n_samples"]))
+    elif command == "gap-scan":
+        build(("n_list",), lambda: check_scan_n_list(p["n_list"]))
+        for n in p.get("n_list", []):
+            build(("n_list",), lambda n=n: ManifoldSpec(n, _C4, eps=1.0))
+        build(("n_samples",), lambda: check_mc_budget(p["n_samples"]))
+    elif command == "marginal-compare":
+        o["spec"] = build(("n_particles", "eps"),
+                          lambda: ManifoldSpec(p["n_particles"], _C1, eps=p["eps"]))
+        o["specs"] = [build(("n_list", "eps"),
+                            lambda n=n: ManifoldSpec(n, _C1, eps=p["eps"]))
+                      for n in p.get("n_list", [])]
+        o["limit"] = build(("eps",), lambda: LimitParams(eps0=p["eps"]), o["spec"])
+    elif command == "fpe-moments":
+        lim = build(("eps0", "u"), lambda: LimitParams(p["eps0"], u=np.asarray(p["u"])))
+        o["flow"] = build(("flow",), lambda: _FLOWS[p["flow"]](lim), lim)
+        for t in p.get("t_list", []):
+            build(("t_list",), lambda t=t: check_time(t))
+    elif command == "chaos":
+        o["specs"], o["configs"] = [], []
+        for i, n in enumerate(p.get("n_list", [])):
+            spec = build(("n_list", "eps"), lambda n=n: ManifoldSpec(n, _C4, eps=p["eps"]))
+            o["specs"].append(spec)
+            o["configs"].append(build(
+                ("n_list", "pair_samples", "dt", "t_end", "seed"),
+                lambda i=i, n=n: SimConfig(
+                    dt=p["dt"], t_end=p["t_end"],
+                    n_replicas=max(8, int(math.ceil(p["pair_samples"] / (n * (n - 1))))),
+                    seed=p["seed"] + i, process="pair", kernel=o["kernel"]),
+                spec, o["kernel"]))
+    return o
 
 
 # ---------------------------------------------------------------------------
@@ -383,45 +445,20 @@ def _maybe_plot(out_dir: Path, result, names, stem: str):
 # command runners (each returns (tables, extras); tables: name -> (header, rows))
 
 
-def _init_sampler(params):
-    kind = params["init"]
-    s = params["init_strength"]
-    if kind == "uniform":
-        return uniform_sampler
-    if kind == "shift":
-        return shifted_sampler([s, 0.0, 0.0])
-    if kind == "shear":
-        return sheared_sampler(s)
-    return tagged_shift_sampler([s, 0.0, 0.0])
-
-
 def _run_sim(plan: ExperimentPlan, seed: int):
-    params = plan.params
-    spec = _spec_of(params)
-    kernel = None
-    if plan.command == "sim-bp":
-        cutoff = params["cutoff"]
-        kernel = KernelSpec(params["gamma"], None if cutoff < 0 else cutoff)
-    config = SimConfig(dt=params["dt"], t_end=params["t_end"],
-                       n_replicas=params["n_replicas"], seed=seed,
-                       process="sphere" if plan.command == "sim-sphere" else "pair",
-                       kernel=kernel, record_every=params["record_every"])
-    names = [n.strip() for n in params["observables"].split(",") if n.strip()]
-    result = run_ensemble(spec, config, names,
-                          initial_sampler=_init_sampler(params),
+    params, o = plan.params, plan.objects
+    names = list(o["observables"])
+    result = run_ensemble(o["spec"], replace(o["config"], seed=seed), o["observables"],
+                          initial_sampler=o["sampler"],
                           snapshot_times=params["entropy_times"])
     header, rows = _series_rows(result, names)
     tables = {"series": (header, rows)}
     extras = {}
     if params["entropy_times"]:
-        from .kinetic_limits import (entropy_grid_edges, relative_entropy,
-                                     velocity_histogram3d)
-        lim = LimitParams(eps0=spec.eps0, u=spec.u)
-        edges = entropy_grid_edges(lim, bins=params["entropy_bins"])
         ent_rows = []
         for snap in result.snapshots:
-            h = velocity_histogram3d(snap.velocities, edges)
-            ent_rows.append([snap.time, relative_entropy(h, lim)])
+            h = kinetic_limits.velocity_histogram3d(snap.velocities, o["entropy_edges"])
+            ent_rows.append([snap.time, kinetic_limits.relative_entropy(h, o["limit"])])
         tables["entropy"] = (["time", "relative_entropy"], ent_rows)
     fit_name = params["fit_observable"]
     if fit_name and result.series[fit_name].times.size >= 2:
@@ -435,13 +472,13 @@ def _run_sim(plan: ExperimentPlan, seed: int):
 
 
 def _cmd_spectrum(plan, seed, rng):
-    table = spectrum_table(_spec_of(plan.params), plan.params["j_max"])
+    table = spectrum_table(plan.objects["spec"], plan.params["j_max"])
     rows = [[j, unscaled, scaled, limit] for j, unscaled, scaled, limit in table.rows]
     return {"spectrum": (["j", "unscaled", "scaled", "limit"], rows)}, {}
 
 
 def _cmd_sample(plan, seed, rng):
-    spec = _spec_of(plan.params)
+    spec = plan.objects["spec"]
     n = plan.params["n_samples"]
     rows = []
     max_ratio = 0.0
@@ -462,11 +499,10 @@ def _cmd_sample(plan, seed, rng):
 
 
 def _cmd_rayleigh(plan, seed, rng):
-    p = plan.params
-    n = p["n_particles"]
-    spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-    est, err = rayleigh_quotient_mc(spec, standard_trial_function(n),
-                                    KernelSpec(p["gamma"]), p["n_samples"], rng)
+    o = plan.objects
+    n = o["spec"].n_particles
+    est, err = rayleigh_quotient_mc(o["spec"], o["trial"], o["kernel"],
+                                    plan.params["n_samples"], rng)
     rows = [[n, est, err, lambda1_bound(n)]]
     return {"rayleigh": (["N", "estimate", "stderr", "bound"], rows)}, \
         {"estimate": est, "stderr": err}
@@ -474,7 +510,7 @@ def _cmd_rayleigh(plan, seed, rng):
 
 def _cmd_gap_scan(plan, seed, rng):
     p = plan.params
-    res = gap_scan(p["n_list"], KernelSpec(p["gamma"]), p["n_samples"], rng)
+    res = gap_scan(p["n_list"], plan.objects["kernel"], p["n_samples"], rng)
     rows = [[n, e, s, b] for n, e, s, b in
             zip(res.n_values, res.estimates, res.stderrs, res.bounds)]
     extras = {"exponent": res.exponent, "exponent_stderr": res.exponent_stderr}
@@ -482,21 +518,20 @@ def _cmd_gap_scan(plan, seed, rng):
 
 
 def _cmd_marginal_compare(plan, seed, rng):
-    p = plan.params
-    spec = ManifoldSpec(p["n_particles"], ConservationMode.ENERGY_ONLY, eps=p["eps"])
+    p, o = plan.params, plan.objects
+    spec = o["spec"]
     n_states = max(1, p["n_samples"] // spec.n_particles)
     velocities = sample_uniform_batch(spec, n_states, rng)
     ks, pooled = radial_ks_statistic(velocities, spec)
     ks_rows = [[pooled, ks, ks_quantile_99(pooled)]]
     sup_rows = []
-    for n in p["n_list"]:
-        s = ManifoldSpec(n, ConservationMode.ENERGY_ONLY, eps=p["eps"])
+    for s in o["specs"]:
         r = np.linspace(0.0, s.radius, p["radial_points"])
         v = np.zeros((len(r), 1, 3))
         v[:, 0, 0] = r
         fstat = stationary_marginal_eval(s, 1, v)
-        fm = maxwellian_eval(LimitParams(eps0=p["eps"]), v[:, 0, :])
-        sup_rows.append([n, float(np.max(np.abs(fstat - fm)))])
+        fm = maxwellian_eval(o["limit"], v[:, 0, :])
+        sup_rows.append([s.n_particles, float(np.max(np.abs(fstat - fm)))])
     return {
         "ks": (["n_pooled", "ks_statistic", "ks_quantile_99"], ks_rows),
         "supnorm": (["N", "supnorm_distance_to_maxwellian"], sup_rows),
@@ -505,7 +540,6 @@ def _cmd_marginal_compare(plan, seed, rng):
 
 def _cmd_fpe_moments(plan, seed, rng):
     p = plan.params
-    lim = LimitParams(eps0=p["eps0"], u=np.asarray(p["u"]))
     s0 = np.diag(p["s0_diag"]).astype(float)
     off = p["s0_offdiag"]
     s0[0, 1] = s0[1, 0] = off[0]
@@ -515,10 +549,7 @@ def _cmd_fpe_moments(plan, seed, rng):
     second0 = s0 + np.outer(m0, m0)
     rows = []
     for t in p["t_list"]:
-        if p["flow"] == "fpe":
-            st = fpe_moment_flow(lim, m0, second0, t)
-        else:
-            st = landau_moment_flow(KernelSpec(0.0), m0, second0, t)
+        st = plan.objects["flow"](m0, second0, t)
         c = st.centered
         rows.append([t, *st.mean, c[0, 0], c[1, 1], c[2, 2],
                      c[0, 1], c[0, 2], c[1, 2]])
@@ -527,24 +558,19 @@ def _cmd_fpe_moments(plan, seed, rng):
 
 
 def _cmd_chaos(plan, seed, rng):
-    p = plan.params
+    p, o = plan.params, plan.objects
     rows = []
     sigma = math.sqrt(2.0 * p["eps"] / 3.0)
     edges = np.linspace(-4 * sigma, 4 * sigma, p["bins"] + 1)
     component = p["component"] - 1
-    for i, n in enumerate(p["n_list"]):
-        spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=p["eps"])
-        n_replicas = max(8, int(math.ceil(p["pair_samples"] / (n * (n - 1)))))
-        config = SimConfig(dt=p["dt"], t_end=p["t_end"], n_replicas=n_replicas,
-                           seed=seed + i, process="pair",
-                           kernel=KernelSpec(p["gamma"]))
-        result = run_ensemble(spec, config, ["energy_per_particle"],
-                              snapshot_times=[p["t_end"]])
+    for i, (spec, config) in enumerate(zip(o["specs"], o["configs"])):
+        result = run_ensemble(spec, replace(config, seed=seed + i),
+                              ["energy_per_particle"], snapshot_times=[p["t_end"]])
         snap = result.snapshots[-1]
         h2 = marginal_histogram(snap, 2, edges, component=component,
                                 max_pairs=p["pair_samples"], rng=rng)
         h1 = marginal_histogram(snap, 1, edges, component=component)
-        rows.append([n, p["t_end"], chaos_distance(h2, h1), h2.n_samples])
+        rows.append([spec.n_particles, p["t_end"], chaos_distance(h2, h1), h2.n_samples])
     return {"chaos": (["N", "t", "l1_distance", "n_pairs"], rows)}, {}
 
 

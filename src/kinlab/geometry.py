@@ -27,10 +27,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import gammaln
 
-# Relative tolerance a state must satisfy to count as "on the manifold", and
-# the tighter tolerance guaranteed after renormalize().
+# Relative tolerance a state must satisfy to count as "on the manifold".
 FEASIBILITY_RTOL = 1e-9
-RESTORED_RTOL = 1e-12
 
 # Pairs closer than CUTOFF_SCALE * sqrt(eps) have an ill-defined separation
 # direction and are skipped by diffusion steps.
@@ -105,9 +103,7 @@ class ManifoldSpec:
 
     @property
     def radius_sq(self) -> float:
-        """Squared sphere radius: 2*N*eps (C=1) or 2*N*eps0 (C=4)."""
-        if self.mode is ConservationMode.ENERGY_ONLY:
-            return 2.0 * self.n_particles * self.eps
+        """Squared sphere radius 2*N*eps0 (eps0 = eps in ENERGY_ONLY mode)."""
         return 2.0 * self.n_particles * self.eps0
 
     @property

@@ -140,6 +140,8 @@ def stationary_radial_pdf(spec: ManifoldSpec, r) -> np.ndarray:
 
 def entropy_grid_edges(p: LimitParams, bins: int = 24, half_width: float = 5.0):
     """Per-axis cubic-bin edges over [u - 5 sigma, u + 5 sigma]^3."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     h = half_width * p.sigma
     return tuple(np.linspace(p.u[i] - h, p.u[i] + h, bins + 1) for i in range(3))
 
@@ -182,14 +184,19 @@ def relative_entropy(hist: MarginalHistogram, p: LimitParams) -> float:
 # moment flows
 
 
+def check_time(t: float) -> None:
+    """Moment flows run forward in time only."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+
+
 def fpe_moment_flow(p: LimitParams, m0, second0, t: float) -> MomentState:
     """Exact moment solution of the limiting linear Fokker-Planck flow.
 
     m(t) = u + (m0 - u) exp(-3t/(2 eps0));
     S(t) = (2 eps0/3) I + (S0 - (2 eps0/3) I) exp(-3t/eps0), S = M2 - m m.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    check_time(t)
     m0 = np.asarray(m0, dtype=float).reshape(3)
     second0 = np.asarray(second0, dtype=float).reshape(3, 3)
     kappa = 1.5 / p.eps0
@@ -209,8 +216,7 @@ def landau_moment_flow(kernel: KernelSpec, m0, second0, t: float) -> MomentState
     """
     if kernel.gamma != 0.0:
         raise ValueError("moment closure requires gamma = 0")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    check_time(t)
     m0 = np.asarray(m0, dtype=float).reshape(3)
     second0 = np.asarray(second0, dtype=float).reshape(3, 3)
     s0 = second0 - np.outer(m0, m0)
@@ -245,15 +251,14 @@ def finite_n_marginal_rates(spec: ManifoldSpec) -> list[MarginalRate]:
     pinned at u (rate 0). Limit rates are those of the limiting
     Fokker-Planck equation.
     """
-    eps_eff = spec.eps if spec.mode is ConservationMode.ENERGY_ONLY else spec.eps0
     rows = []
     if spec.mode is ConservationMode.ENERGY_ONLY:
         rows.append(MarginalRate("mean_component", 1,
                                  eigenvalue_scaled(spec, 1),
-                                 limit_eigenvalue(1, eps_eff)))
+                                 limit_eigenvalue(1, spec.eps0)))
     else:
         rows.append(MarginalRate("mean_component", None, 0.0, 0.0))
     for name in ("offdiag_second_moment", "diagonal_difference_second_moment"):
         rows.append(MarginalRate(name, 2, eigenvalue_scaled(spec, 2),
-                                 limit_eigenvalue(2, eps_eff)))
+                                 limit_eigenvalue(2, spec.eps0)))
     return rows

@@ -27,18 +27,16 @@ test polynomials and is the oracle for the weak-consistency tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import observables as obs_mod
 from .geometry import (
-    ConservationMode,
     ManifoldSpec,
     VelocityState,
-    renormalize,
     renormalize_batch,
     sample_uniform_batch,
     tangent_project_batch,
@@ -74,8 +72,8 @@ class SimConfig:
     """Ensemble run parameters.
 
     dt > 0; t_end must be a multiple of dt (t_end = 0 is the degenerate
-    "no records" case); process is "sphere" or "pair" (the latter requires
-    a kernel).
+    "no records" case), and n_steps = t_end / dt is set on construction;
+    process is "sphere" or "pair" (the latter requires a kernel).
     """
 
     dt: float
@@ -85,6 +83,7 @@ class SimConfig:
     process: str = SPHERE_DIFFUSION
     kernel: KernelSpec | None = None
     record_every: int = 1
+    n_steps: int = field(init=False)
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -99,13 +98,22 @@ class SimConfig:
             raise ValueError(f"unknown process {self.process!r}")
         if self.process == PAIR_DIFFUSION and self.kernel is None:
             raise ValueError("pair diffusion requires a kernel")
-
-    @property
-    def n_steps(self) -> int:
         n = int(round(self.t_end / self.dt))
         if abs(n * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
-        return n
+        object.__setattr__(self, "n_steps", n)
+
+    def snapshot_steps(self, times: Sequence[float]) -> dict[int, float]:
+        """Map each snapshot time to its step; every time must be a step
+        multiple within the run."""
+        steps = {}
+        for t in times:
+            s = int(round(t / self.dt))
+            if (abs(s * self.dt - t) > 1e-9 * max(self.dt, 1.0)
+                    or not 0 <= s <= self.n_steps):
+                raise ValueError(f"snapshot time {t} is not a step of the run")
+            steps[s] = t
+        return steps
 
 
 @dataclass
@@ -115,10 +123,6 @@ class EnsembleSnapshot:
     time: float
     spec: ManifoldSpec
     velocities: np.ndarray
-
-    @property
-    def states(self) -> list[VelocityState]:
-        return [VelocityState(self.spec, v.ravel()) for v in self.velocities]
 
 
 @dataclass
@@ -430,28 +434,27 @@ def tagged_shift_sampler(delta: Sequence[float], tagged: int = 0) -> Sampler:
 
 
 def run_ensemble(spec: ManifoldSpec, config: SimConfig,
-                 observables: Sequence[str], *,
+                 observables: Sequence[str] | Mapping[str, Callable], *,
                  initial_sampler: Sampler | None = None,
                  snapshot_times: Sequence[float] = ()) -> SimResult:
     """Evolve n_replicas independent states and record observable series.
+
+    ``observables`` names catalog entries, or maps names to functions of
+    (R, N, 3) states, as ``observables.get_observable`` returns them.
 
     Fully deterministic given config.seed: a single PCG64 stream drives
     sampling, schedules and noise in a fixed order, so identical configs
     give bit-identical results regardless of thread count. Ensemble means
     are reported with standard errors (std/sqrt(R), ddof=1).
     """
-    fns = {name: obs_mod.get_observable(name) for name in observables}
+    fns = observables if isinstance(observables, Mapping) else {
+        name: obs_mod.get_observable(name) for name in observables}
+    snap_steps = config.snapshot_steps(snapshot_times)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     sampler = initial_sampler if initial_sampler is not None else uniform_sampler
     states = np.array(sampler(spec, config.n_replicas, rng), dtype=float)
 
     n_steps = config.n_steps
-    snap_steps = {}
-    for t in snapshot_times:
-        s = int(round(t / config.dt))
-        if abs(s * config.dt - t) > 1e-9 * max(config.dt, 1.0) or not 0 <= s <= n_steps:
-            raise ValueError(f"snapshot time {t} is not a step multiple within the run")
-        snap_steps[s] = t
 
     times: list[float] = []
     records: dict[str, list[tuple[float, float]]] = {name: [] for name in fns}
@@ -460,7 +463,7 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     def record(step: int):
         times.append(step * config.dt)
         for name, fn in fns.items():
-            vals = np.asarray(fn(states, spec), dtype=float)
+            vals = np.asarray(fn(states), dtype=float)
             mean = float(vals.mean())
             err = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
             records[name].append((mean, err))

@@ -40,53 +40,57 @@ class ObservableSeries:
 
 
 # ---------------------------------------------------------------------------
-# observable catalog: name -> fn(states (R, N, 3), spec) -> (R,)
+# observable catalog: name -> entry whose fn maps velocities (..., N, 3) to (...)
 
 
-def _sum_component(sigma):
-    return lambda v, spec: v[:, :, sigma].sum(axis=1)
+@dataclass(frozen=True)
+class Observable:
+    """A catalog entry. ``degree`` is j when fn is a symmetric sum sum_k p(v_k)
+    of a harmonic polynomial p of degree j, an exact eigenfunction of the
+    sphere Laplacian (the per-particle means scale p by 1/N); it is None for
+    every other entry."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    degree: int | None = None
+
+    def is_constant_on(self, spec: ManifoldSpec) -> bool:
+        # Degree-1 sums equal N*u_sigma on momentum-conserving manifolds.
+        return self.degree == 1 and spec.mode is ConservationMode.ENERGY_MOMENTUM
 
 
-def _sum_product(sigma, tau):
-    return lambda v, spec: (v[:, :, sigma] * v[:, :, tau]).sum(axis=1)
-
-
-def _tagged(sigma):
-    return lambda v, spec: v[:, 0, sigma]
-
-
-def _momentum_pp(sigma):
-    return lambda v, spec: v[:, :, sigma].mean(axis=1)
-
-
-OBSERVABLES: dict[str, Callable[[np.ndarray, ManifoldSpec], np.ndarray]] = {
-    "sum_v1": _sum_component(0),
-    "sum_v2": _sum_component(1),
-    "sum_v3": _sum_component(2),
-    "sum_v1v2": _sum_product(0, 1),
-    "sum_v1v3": _sum_product(0, 2),
-    "sum_v2v3": _sum_product(1, 2),
-    "sum_v1sq_minus_v2sq":
-        lambda v, spec: (v[:, :, 0] ** 2 - v[:, :, 1] ** 2).sum(axis=1),
-    # the axial quadrupole v1^2 + v2^2 - 2 v3^2 summed over particles
-    "sum_axial_quadrupole":
-        lambda v, spec: (v[:, :, 0] ** 2 + v[:, :, 1] ** 2
-                         - 2.0 * v[:, :, 2] ** 2).sum(axis=1),
-    "mean_v1v2": lambda v, spec: (v[:, :, 0] * v[:, :, 1]).mean(axis=1),
-    "tagged_v1": _tagged(0),
-    "tagged_v2": _tagged(1),
-    "tagged_v3": _tagged(2),
-    "energy_per_particle":
-        lambda v, spec: 0.5 * (v * v).sum(axis=(1, 2)) / v.shape[1],
-    "momentum_per_particle_1": _momentum_pp(0),
-    "momentum_per_particle_2": _momentum_pp(1),
-    "momentum_per_particle_3": _momentum_pp(2),
+OBSERVABLES: dict[str, Observable] = {
+    "sum_v1": Observable(lambda v: v[..., 0].sum(-1), 1),
+    "sum_v2": Observable(lambda v: v[..., 1].sum(-1), 1),
+    "sum_v3": Observable(lambda v: v[..., 2].sum(-1), 1),
+    "sum_v1v2": Observable(lambda v: (v[..., 0] * v[..., 1]).sum(-1), 2),
+    "sum_v1v3": Observable(lambda v: (v[..., 0] * v[..., 2]).sum(-1), 2),
+    "sum_v2v3": Observable(lambda v: (v[..., 1] * v[..., 2]).sum(-1), 2),
+    "sum_v1sq_minus_v2sq": Observable(
+        lambda v: (v[..., 0] ** 2 - v[..., 1] ** 2).sum(-1), 2),
+    "sum_v2sq_minus_v3sq": Observable(
+        lambda v: (v[..., 1] ** 2 - v[..., 2] ** 2).sum(-1), 2),
+    # the axial quadrupole v1^2 + v2^2 - 2 v3^2 (harmonic but NOT constant
+    # on the energy sphere: it equals 2 N eps - 3 sum_k v_{k,3}^2)
+    "sum_axial_quadrupole": Observable(
+        lambda v: (v[..., 0] ** 2 + v[..., 1] ** 2 - 2.0 * v[..., 2] ** 2).sum(-1), 2),
+    "sum_v1v2v3": Observable(lambda v: (v[..., 0] * v[..., 1] * v[..., 2]).sum(-1), 3),
+    "sum_v1_v2sq_minus_v3sq": Observable(
+        lambda v: (v[..., 0] * (v[..., 1] ** 2 - v[..., 2] ** 2)).sum(-1), 3),
+    "mean_v1v2": Observable(lambda v: (v[..., 0] * v[..., 1]).mean(-1), 2),
+    "tagged_v1": Observable(lambda v: v[..., 0, 0]),
+    "tagged_v2": Observable(lambda v: v[..., 0, 1]),
+    "tagged_v3": Observable(lambda v: v[..., 0, 2]),
+    "energy_per_particle": Observable(
+        lambda v: 0.5 * (v * v).sum(axis=(-2, -1)) / v.shape[-2]),
+    "momentum_per_particle_1": Observable(lambda v: v[..., 0].mean(-1), 1),
+    "momentum_per_particle_2": Observable(lambda v: v[..., 1].mean(-1), 1),
+    "momentum_per_particle_3": Observable(lambda v: v[..., 2].mean(-1), 1),
 }
 
 
-def get_observable(name: str):
+def get_observable(name: str) -> Callable[[np.ndarray], np.ndarray]:
     try:
-        return OBSERVABLES[name]
+        return OBSERVABLES[name].fn
     except KeyError:
         raise ValueError(f"unknown observable {name!r}; "
                          f"catalog: {sorted(OBSERVABLES)}") from None
@@ -239,14 +243,13 @@ def pooled_speeds(velocities: np.ndarray, spec: ManifoldSpec) -> np.ndarray:
 def radial_ks_statistic(velocities: np.ndarray, spec: ManifoldSpec) -> tuple[float, int]:
     """KS distance between pooled speeds and the exact stationary radial law.
 
-    Under the uniform measure, s = r^2 / (2 N eps_eff) follows a
+    Under the uniform measure, s = r^2 / (2 N eps0) follows a
     Beta(3/2, (3N-3)/2) law, which gives the radial CDF in closed form.
     Returns (statistic, pooled sample count).
     """
     n = spec.n_particles
-    eps_eff = spec.eps if spec.mode is ConservationMode.ENERGY_ONLY else spec.eps0
     r = np.sort(pooled_speeds(velocities, spec))
-    s = np.clip(r ** 2 / (2.0 * n * eps_eff), 0.0, 1.0)
+    s = np.clip(r ** 2 / (2.0 * n * spec.eps0), 0.0, 1.0)
     cdf = betainc(1.5, 1.5 * (n - 1), s)
     m = len(r)
     grid = np.arange(1, m + 1) / m
@@ -262,6 +265,36 @@ def ks_quantile_99(n_samples: int) -> float:
 
 # ---------------------------------------------------------------------------
 # decay-rate fits
+
+
+def weighted_log_linear_fit(x: np.ndarray, values: np.ndarray,
+                            stderrs: np.ndarray) -> tuple[float, float, float]:
+    """Weighted least squares of ln|values| against x.
+
+    Weights are the inverse variances of ln|values| propagated from the
+    standard errors, floored at 1e-6 of the smallest positive one. When
+    every standard error is zero the points are weighted equally and the
+    slope error comes from the residuals. Returns (slope, stderr, R^2).
+    """
+    y = np.log(np.abs(values))
+    var_y = (stderrs / np.abs(values)) ** 2
+    known_sigma = bool(np.any(var_y > 0))
+    w = 1.0 / np.maximum(var_y, var_y[var_y > 0].min() * 1e-6) \
+        if known_sigma else np.ones_like(y)
+    wsum = w.sum()
+    x_bar = (w * x).sum() / wsum
+    y_bar = (w * y).sum() / wsum
+    s_xx = (w * (x - x_bar) ** 2).sum()
+    slope = (w * (x - x_bar) * (y - y_bar)).sum() / s_xx
+    resid = y - (y_bar + slope * (x - x_bar))
+    if known_sigma:
+        var_slope = 1.0 / s_xx
+    else:
+        dof = max(len(x) - 2, 1)
+        var_slope = (resid ** 2).sum() / dof / ((x - x_bar) ** 2).sum()
+    ss_tot = (w * (y - y_bar) ** 2).sum()
+    r2 = 1.0 if ss_tot == 0 else 1.0 - (w * resid ** 2).sum() / ss_tot
+    return float(slope), math.sqrt(var_slope), float(r2)
 
 
 @dataclass
@@ -283,10 +316,9 @@ def decay_rate_fit(series: ObservableSeries,
 
     The default window keeps points with |mean| > min_snr * stderr
     (trimming the noise floor); the mean must be sign-constant there.
-    Weights are the inverse variances of ln|mean| propagated from the
-    standard errors; the returned rate is the negated slope with a 95%
-    confidence interval. A weighted R^2 below 0.9 sets
-    ``low_r2_warning`` (profile not exponential) rather than failing.
+    The fit is ``weighted_log_linear_fit``; the returned rate is the
+    negated slope with a 95% confidence interval. A weighted R^2 below 0.9
+    sets ``low_r2_warning`` (profile not exponential) rather than failing.
 
     The interval treats the points as independent; ensemble-mean series
     share replicas across times, so the true rate spread is somewhat
@@ -302,31 +334,9 @@ def decay_rate_fit(series: ObservableSeries,
         raise ValueError("fewer than 2 usable points in the fit window")
     if not (np.all(m > 0) or np.all(m < 0)):
         raise ValueError("mean changes sign on the fit window")
-    y = np.log(np.abs(m))
-    var_y = (e / np.abs(m)) ** 2
-    if np.all(var_y == 0):
-        w = np.ones_like(y)
-        known_sigma = False
-    else:
-        floor = var_y[var_y > 0].min() * 1e-6
-        w = 1.0 / np.maximum(var_y, floor)
-        known_sigma = True
-    wsum = w.sum()
-    t_bar = (w * t).sum() / wsum
-    y_bar = (w * y).sum() / wsum
-    s_tt = (w * (t - t_bar) ** 2).sum()
-    slope = (w * (t - t_bar) * (y - y_bar)).sum() / s_tt
-    resid = y - (y_bar + slope * (t - t_bar))
-    if known_sigma:
-        var_slope = 1.0 / s_tt
-    else:
-        dof = max(len(t) - 2, 1)
-        var_slope = (resid ** 2).sum() / dof / ((t - t_bar) ** 2).sum()
-    ss_tot = (w * (y - y_bar) ** 2).sum()
-    r2 = 1.0 if ss_tot == 0 else 1.0 - (w * resid ** 2).sum() / ss_tot
-    se = math.sqrt(var_slope)
+    slope, se, r2 = weighted_log_linear_fit(t, m, e)
     rate = -slope
     return DecayFit(rate=rate, rate_stderr=se,
                     ci_low=rate - 1.96 * se, ci_high=rate + 1.96 * se,
-                    r_squared=float(r2), low_r2_warning=bool(r2 < 0.9),
+                    r_squared=r2, low_r2_warning=bool(r2 < 0.9),
                     n_points=len(t), window=(float(t[0]), float(t[-1])))

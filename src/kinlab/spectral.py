@@ -4,7 +4,8 @@ the variational spectral-gap machinery for the pairwise diffusion.
 Eigenvalues: the unit D-sphere Laplacian has spectrum j(j + D - 1); on our
 manifolds (D = 3N-1 or 3N-4, radius^2 = 2N eps or 2N eps0) the scaled
 eigenvalues are j(j + 3N - 2)/(2N eps) and j(j + 3N - 5)/(2N eps0), with the
-N -> infinity limit 3j/(2 eps_eff): the harmonic-oscillator ladder.
+N -> infinity limit 3j/(2 eps0) (eps0 = eps on the energy-only sphere): the
+harmonic-oscillator ladder.
 
 The variational side evaluates the quadratic form of the pairwise generator
 on the mean-field trial function psi = A (sum_i v_{i,1}^2 / 2 - C) by Monte
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .geometry import (
     sample_uniform_batch,
 )
 from .master_sim import KernelSpec
+from .observables import OBSERVABLES, Observable, weighted_log_linear_fit
 
 
 # ---------------------------------------------------------------------------
@@ -72,78 +74,35 @@ class SpectrumTable:
     """Rows (j, unscaled, scaled, limit) for j = 0..j_max."""
 
     spec: ManifoldSpec
-    eps_eff: float
     rows: list[tuple[int, float, float, float]]
 
 
 def spectrum_table(spec: ManifoldSpec, j_max: int) -> SpectrumTable:
-    eps_eff = spec.eps if spec.mode is ConservationMode.ENERGY_ONLY else spec.eps0
     rows = [
         (j, eigenvalue_unscaled(spec, j), eigenvalue_scaled(spec, j),
-         limit_eigenvalue(j, eps_eff))
+         limit_eigenvalue(j, spec.eps0))
         for j in range(j_max + 1)
     ]
-    return SpectrumTable(spec=spec, eps_eff=eps_eff, rows=rows)
+    return SpectrumTable(spec=spec, rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # symmetric eigenfunction observables
 
 
-@dataclass(frozen=True)
-class EigenfunctionFamily:
-    """A symmetric sum sum_k p(v_k) of a harmonic polynomial p of given degree."""
-
-    name: str
-    degree: int
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def is_constant_on(self, spec: ManifoldSpec) -> bool:
-        # Degree-1 sums equal N*u_sigma on momentum-conserving manifolds.
-        return self.degree == 1 and spec.mode is ConservationMode.ENERGY_MOMENTUM
-
-
-def _family(name, degree, fn):
-    return name, EigenfunctionFamily(name, degree, fn)
-
-
-FAMILIES: dict[str, EigenfunctionFamily] = dict([
-    _family("deg1_1", 1, lambda v: v[..., :, 0].sum(-1)),
-    _family("deg1_2", 1, lambda v: v[..., :, 1].sum(-1)),
-    _family("deg1_3", 1, lambda v: v[..., :, 2].sum(-1)),
-    _family("deg2_12", 2, lambda v: (v[..., :, 0] * v[..., :, 1]).sum(-1)),
-    _family("deg2_13", 2, lambda v: (v[..., :, 0] * v[..., :, 2]).sum(-1)),
-    _family("deg2_23", 2, lambda v: (v[..., :, 1] * v[..., :, 2]).sum(-1)),
-    _family("deg2_11m22", 2,
-            lambda v: (v[..., :, 0] ** 2 - v[..., :, 1] ** 2).sum(-1)),
-    _family("deg2_22m33", 2,
-            lambda v: (v[..., :, 1] ** 2 - v[..., :, 2] ** 2).sum(-1)),
-    # the axial quadrupole v1^2 + v2^2 - 2 v3^2 (harmonic but NOT constant
-    # on the energy sphere: it equals 2 N eps - 3 sum_k v_{k,3}^2)
-    _family("deg2_axial", 2,
-            lambda v: (v[..., :, 0] ** 2 + v[..., :, 1] ** 2
-                       - 2.0 * v[..., :, 2] ** 2).sum(-1)),
-    _family("deg3_123", 3,
-            lambda v: (v[..., :, 0] * v[..., :, 1] * v[..., :, 2]).sum(-1)),
-    _family("deg3_1_22m33", 3,
-            lambda v: (v[..., :, 0]
-                       * (v[..., :, 1] ** 2 - v[..., :, 2] ** 2)).sum(-1)),
-])
-
-
-def get_family(name: str) -> EigenfunctionFamily:
-    try:
-        return FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown eigenfunction family {name!r}; "
-                         f"catalog: {sorted(FAMILIES)}") from None
+def get_family(name: str) -> Observable:
+    """The observable-catalog entry ``name``, which must carry a degree."""
+    entry = OBSERVABLES.get(name)
+    if entry is None or entry.degree is None:
+        raise ValueError(f"{name!r} is not an observable with a harmonic degree")
+    return entry
 
 
 def symmetric_eigenfunction(state: VelocityState, family: str) -> float:
     """Evaluate a symmetric eigenfunction sum on one state.
 
     Raises ValueError when the family is constant on the state's manifold
-    (degree-1 families on momentum-conserving manifolds).
+    (degree-1 sums on momentum-conserving manifolds).
     """
     fam = get_family(family)
     if fam.is_constant_on(state.spec):
@@ -210,8 +169,10 @@ def trial_eval(tf: TrialFunction, state: VelocityState) -> float:
     return tf.a_const * (0.5 * (p[:, 0] ** 2).sum() - tf.c_const)
 
 
-def _trial_eval_batch(tf: TrialFunction, velocities: np.ndarray) -> np.ndarray:
-    return tf.a_const * (0.5 * (velocities[:, :, 0] ** 2).sum(axis=1) - tf.c_const)
+def check_mc_budget(n_samples: int) -> None:
+    """The Rayleigh estimator needs at least 1000 samples."""
+    if n_samples < 1000:
+        raise ValueError("n_samples must be >= 1000")
 
 
 def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
@@ -227,8 +188,7 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
     _require_standard(spec)
     if tf.n_particles != spec.n_particles:
         raise ValueError("trial function and manifold have different N")
-    if n_samples < 1000:
-        raise ValueError("n_samples must be >= 1000")
+    check_mc_budget(n_samples)
     n = spec.n_particles
     cutoff = kernel.resolve_cutoff(spec)
     total = 0.0
@@ -297,6 +257,12 @@ class GapScanResult:
     exponent_stderr: float
 
 
+def check_scan_n_list(n_list: Sequence[int]) -> None:
+    """A gap scan needs at least 3 strictly ascending N values."""
+    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("need at least 3 strictly ascending N values")
+
+
 def gap_scan(n_list: Sequence[int], kernel: KernelSpec, n_samples: int,
              rng: np.random.Generator) -> GapScanResult:
     """Rayleigh estimates across N plus a weighted log-log power-law fit.
@@ -304,8 +270,7 @@ def gap_scan(n_list: Sequence[int], kernel: KernelSpec, n_samples: int,
     Standard case (u=0, eps=1) at every N. Requires >= 3 ascending N.
     """
     n_list = list(n_list)
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("need at least 3 strictly ascending N values")
+    check_scan_n_list(n_list)
     est, err, bnd = [], [], []
     for n in n_list:
         spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
@@ -316,20 +281,13 @@ def gap_scan(n_list: Sequence[int], kernel: KernelSpec, n_samples: int,
         bnd.append(lambda1_bound(n))
     est = np.asarray(est)
     err = np.asarray(err)
-    x = np.log(np.asarray(n_list, dtype=float))
-    y = np.log(est)
-    var_y = (err / est) ** 2
-    w = 1.0 / np.maximum(var_y, var_y[var_y > 0].min() * 1e-6) \
-        if np.any(var_y > 0) else np.ones_like(y)
-    x_bar = (w * x).sum() / w.sum()
-    y_bar = (w * y).sum() / w.sum()
-    s_xx = (w * (x - x_bar) ** 2).sum()
-    slope = (w * (x - x_bar) * (y - y_bar)).sum() / s_xx
+    slope, slope_stderr, _ = weighted_log_linear_fit(
+        np.log(np.asarray(n_list, dtype=float)), est, err)
     return GapScanResult(
         n_values=n_list,
         estimates=est,
         stderrs=err,
         bounds=np.asarray(bnd),
-        exponent=float(slope),
-        exponent_stderr=float(math.sqrt(1.0 / s_xx)),
+        exponent=slope,
+        exponent_stderr=slope_stderr,
     )

@@ -180,3 +180,54 @@ def test_chaos_command_small(tmp_path):
     lines = (tmp_path / "chaos.csv").read_text().strip().splitlines()
     assert lines[0] == "N,t,l1_distance,n_pairs"
     assert len(lines) == 4
+
+
+SIM = [("n_particles", "4"), ("mode", "energy"), ("dt", "0.01"),
+       ("t_end", "0.05"), ("n_replicas", "8"), ("observables", "sum_v1")]
+
+
+def _with(base, **changes):
+    keys = [k for k, _ in base]
+    return [(k, changes.get(k, v)) for k, v in base] + \
+        [(k, v) for k, v in changes.items() if k not in keys]
+
+
+# (command, config lines, one key per expected violation)
+INVALID_CONFIGS = {
+    "record_every_zero": ("sim-sphere", _with(SIM, record_every="0"), ["record_every"]),
+    "no_replicas": ("sim-sphere", _with(SIM, n_replicas="0"), ["n_replicas"]),
+    "t_end_off_grid": ("sim-sphere", _with(SIM, t_end="0.055"), ["t_end"]),
+    "unknown_observable": ("sim-sphere", _with(SIM, observables="sum_v1,nope"),
+                           ["observables"]),
+    "entropy_time_off_grid": ("sim-sphere", _with(SIM, entropy_times="0,0.015"),
+                              ["entropy_times"]),
+    "fit_not_recorded": ("sim-sphere", _with(SIM, fit_observable="tagged_v1"),
+                         ["fit_observable"]),
+    "entropy_bins_zero": ("sim-sphere", _with(SIM, entropy_times="0.05", entropy_bins="0"),
+                          ["entropy_bins"]),
+    "mode_unknown": ("sim-sphere", _with(SIM, mode="bogus"), ["mode"]),
+    "rayleigh_gamma": ("rayleigh", [("n_particles", "8"), ("gamma", "-6")], ["gamma"]),
+    "gap_scan_descending": ("gap-scan", [("n_list", "16,8,4"), ("n_samples", "1000")],
+                            ["n_list"]),
+    "chaos_single_particle": ("chaos", [("n_list", "1,8"), ("t_end", "0.04")], ["n_list"]),
+    "marginal_single_particle": ("marginal-compare",
+                                 [("n_particles", "8"), ("n_list", "1,8")], ["n_list"]),
+    "two_bad_objects": ("sim-sphere", _with(SIM, record_every="0", observables="nope"),
+                        ["record_every", "observables"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+def test_invalid_config_exits_2_before_output(case, tmp_path, capsys):
+    command, lines, keys = INVALID_CONFIGS[case]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert len(violations) == len(keys)
+    line_of = {k: n for n, (k, _) in enumerate(lines, start=1)}
+    for key in keys:
+        cites = (f"line {line_of[key]} ({key})", f"line {line_of[key]}: bad value for {key!r}")
+        assert any(c in v for v in violations for c in cites), violations
+    assert not out.exists()

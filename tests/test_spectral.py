@@ -12,7 +12,6 @@ from kinlab.geometry import (
 )
 from kinlab.master_sim import KernelSpec
 from kinlab.spectral import (
-    FAMILIES,
     conserved_quadratic_form_mc,
     eigenvalue_scaled,
     eigenvalue_unscaled,
@@ -88,10 +87,10 @@ def test_symmetric_eigenfunction_values(spec_c1):
     p[0] = [2.0, 1.0, 0.0]
     p[1] = [0.0, 1.0, 3.0]
     v = VelocityState(spec_c1, p.ravel())
-    assert symmetric_eigenfunction(v, "deg1_1") == pytest.approx(2.0)
-    assert symmetric_eigenfunction(v, "deg2_12") == pytest.approx(2.0)
-    assert symmetric_eigenfunction(v, "deg3_123") == pytest.approx(0.0)
-    assert symmetric_eigenfunction(v, "deg2_axial") == pytest.approx(
+    assert symmetric_eigenfunction(v, "sum_v1") == pytest.approx(2.0)
+    assert symmetric_eigenfunction(v, "sum_v1v2") == pytest.approx(2.0)
+    assert symmetric_eigenfunction(v, "sum_v1v2v3") == pytest.approx(0.0)
+    assert symmetric_eigenfunction(v, "sum_axial_quadrupole") == pytest.approx(
         (4 + 1) + (1 - 18))
 
 
@@ -99,8 +98,8 @@ def test_degree1_constant_on_momentum_manifold(rng):
     spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
     v = sample_uniform(spec, rng)
     with pytest.raises(ValueError):
-        symmetric_eigenfunction(v, "deg1_1")
-    assert get_family("deg1_1").is_constant_on(spec)
+        symmetric_eigenfunction(v, "sum_v1")
+    assert get_family("sum_v1").is_constant_on(spec)
     # the constraint pins the sum at N*u exactly
     assert v.particles[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -110,11 +109,11 @@ def test_axial_quadrupole_not_constant(spec_c1, rng):
     # energy sphere (it equals 2 N eps - 3 sum_k v3^2), though it IS a
     # degree-2 harmonic eigenfunction.
     batch = sample_uniform_batch(spec_c1, 20000, rng)
-    vals = get_family("deg2_axial").fn(batch)
+    vals = get_family("sum_axial_quadrupole").fn(batch)
     assert vals.std() > 0.5
     alt = 2 * 8 * 1.0 - 3 * (batch[:, :, 2] ** 2).sum(axis=1)
     np.testing.assert_allclose(vals, alt, rtol=1e-10)
-    assert family_decay_rate(spec_c1, "deg2_axial") == eigenvalue_scaled(spec_c1, 2)
+    assert family_decay_rate(spec_c1, "sum_axial_quadrupole") == eigenvalue_scaled(spec_c1, 2)
 
 
 def test_trial_function_constants():
