@@ -12,38 +12,39 @@ import math
 
 import numpy as np
 
-from kinlab import ConservationMode, KernelSpec, ManifoldSpec, sample_uniform
-from kinlab.master_sim import (TestPolynomial, _pair_step_batch,
-                               generator_apply, step_pair_diffusion)
+from kinlab import (ConservationMode, KernelSpec, ManifoldSpec, constraint_errors,
+                    generator_apply, sample_uniform_batch, step_pair_diffusion)
+from kinlab.master_sim import TestPolynomial
 
 rng = np.random.default_rng(4)
 kernel = KernelSpec(-3.0)    # Coulomb weight |v_k - v_l|^{-1}
 
 spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-v = sample_uniform(spec, rng)
+v = sample_uniform_batch(spec, 1, rng)
 worst = 0.0
 for _ in range(200):
     v = step_pair_diffusion(spec, v, kernel, 1e-3, rng)
-    worst = max(worst, v.energy_error(), v.momentum_error())
+    energy_err, mom_err = constraint_errors(spec, v[0])
+    worst = max(worst, abs(energy_err), mom_err)
 print(f"200 steps: worst constraint violation {worst:.2e}")
 
 print("\nconserved quantities are annihilated exactly:")
 for name, phi in [("mass", TestPolynomial.mass()),
                   ("energy", TestPolynomial.energy()),
                   ("momentum_1", TestPolynomial.momentum(0))]:
-    print(f"  generator[{name}] = {generator_apply(v, kernel, phi)}")
+    print(f"  generator[{name}] = {generator_apply(spec, v[0], kernel, phi)}")
 
 print("\none-step weak drift vs closed-form generator (N=4, dt=1e-4):")
 spec4 = ManifoldSpec(4, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-v0 = sample_uniform(spec4, np.random.default_rng(51))
+v0 = sample_uniform_batch(spec4, 1, np.random.default_rng(51))[0]
 dt, m = 1e-4, 100000
 for phi in (TestPolynomial.coord(0, 0), TestPolynomial.quad(0, 0, 1, 1)):
-    base = np.broadcast_to(v0.particles, (2 * m, 4, 3)).copy()
-    out = _pair_step_batch(spec4, base, kernel, dt,
-                           np.random.default_rng(5), antithetic=True)
+    base = np.broadcast_to(v0, (2 * m, 4, 3)).copy()
+    out = step_pair_diffusion(spec4, base, kernel, dt,
+                              np.random.default_rng(5), antithetic=True)
     vals = phi.evaluate(out)
-    drift = (0.5 * (vals[:m] + vals[m:]) - phi.evaluate(v0.particles))
+    drift = (0.5 * (vals[:m] + vals[m:]) - phi.evaluate(v0))
     est = drift.mean() / dt
     se = drift.std(ddof=1) / math.sqrt(m) / dt
-    gen = generator_apply(v0, kernel, phi)
+    gen = generator_apply(spec4, v0, kernel, phi)
     print(f"  {phi.kind:<6} drift {est:+.5f} +- {se:.5f}   generator {gen:+.5f}")

@@ -16,16 +16,13 @@ from .geometry import (
     DegeneratePairError,
     DegenerateStateError,
     ManifoldSpec,
-    PairFrame,
-    VelocityState,
-    pair_frame,
+    constraint_errors,
     pair_projector_apply,
-    renormalize,
-    sample_uniform,
+    renormalize_batch,
     sample_uniform_batch,
     sphere_area,
     state_from_standard,
-    tangent_project_manifold,
+    tangent_project_batch,
 )
 from .kinetic_limits import (
     LANDAU_ANISOTROPY_RATE,

@@ -31,6 +31,7 @@ from . import __version__, kinetic_limits, observables
 from .geometry import (
     ConservationMode,
     ManifoldSpec,
+    constraint_errors,
     sample_uniform_batch,
 )
 from .kinetic_limits import (
@@ -39,11 +40,13 @@ from .kinetic_limits import (
     fpe_moment_flow,
     landau_moment_flow,
     maxwellian_eval,
+    radial_probe,
     stationary_marginal_eval,
 )
 from .master_sim import (
     KernelSpec,
     SimConfig,
+    check_seed,
     run_ensemble,
     sheared_sampler,
     shifted_sampler,
@@ -51,6 +54,7 @@ from .master_sim import (
     uniform_sampler,
 )
 from .observables import (
+    check_marginal_args,
     decay_rate_fit,
     chaos_distance,
     ks_quantile_99,
@@ -296,6 +300,8 @@ def _build_objects(command, p, lines, violations) -> dict:
 
     schema = SCHEMAS[command]
     o: dict = {}
+    if command not in ("sim-sphere", "sim-bp", "chaos"):   # SimConfig checks it there
+        build(("seed",), lambda: check_seed(p["seed"]))
     if "gamma" in schema:
         o["kernel"] = build(
             [k for k in ("gamma", "cutoff") if k in schema],
@@ -348,6 +354,9 @@ def _build_objects(command, p, lines, violations) -> dict:
                             lambda n=n: ManifoldSpec(n, _C1, eps=p["eps"]))
                       for n in p.get("n_list", [])]
         o["limit"] = build(("eps",), lambda: LimitParams(eps0=p["eps"]), o["spec"])
+        o["probes"] = [build(("radial_points",),
+                             lambda s=s: radial_probe(s, p["radial_points"]), s)
+                       for s in o["specs"]]
     elif command == "fpe-moments":
         lim = build(("eps0", "u"), lambda: LimitParams(p["eps0"], u=np.asarray(p["u"])))
         o["flow"] = build(("flow",), lambda: _FLOWS[p["flow"]](lim), lim)
@@ -365,6 +374,15 @@ def _build_objects(command, p, lines, violations) -> dict:
                     n_replicas=max(8, int(math.ceil(p["pair_samples"] / (n * (n - 1))))),
                     seed=p["seed"] + i, process="pair", kernel=o["kernel"]),
                 spec, o["kernel"]))
+
+        def edges():
+            sigma = math.sqrt(2.0 * p["eps"] / 3.0)
+            return np.linspace(-4 * sigma, 4 * sigma, p["bins"] + 1)
+
+        o["edges"] = build(("bins",), edges, *o["specs"])
+        build(("bins",), lambda: check_marginal_args(edges=o["edges"]), o["edges"])
+        build(("component",), lambda: check_marginal_args(component=p["component"] - 1))
+        build(("pair_samples",), lambda: check_marginal_args(max_pairs=p["pair_samples"]))
     return o
 
 
@@ -489,11 +507,9 @@ def _cmd_sample(plan, seed, rng):
         pair_sq = sq[:, :, None] + sq[:, None, :] - 2 * dots
         ratio = pair_sq.max(axis=(1, 2)) / (4 * spec.n_particles * spec.eps)
         max_ratio = max(max_ratio, float(ratio.max()))
-        energy = 0.5 * sq.sum(axis=1)
-        mom_err = np.abs(batch.sum(axis=1) - spec.n_particles * spec.u).max(axis=1)
+        energy_err, mom_err = constraint_errors(spec, batch)
         for i in range(batch.shape[0]):
-            rows.append([start + i, energy[i] / (spec.n_particles * spec.eps) - 1.0,
-                         mom_err[i] / math.sqrt(spec.n_particles), ratio[i]])
+            rows.append([start + i, energy_err[i], mom_err[i], ratio[i]])
     header = ["sample", "energy_rel_error", "momentum_error", "max_pair_sep_sq_over_4Neps"]
     return {"samples": (header, rows)}, {"max_pair_sep_sq_over_4Neps": max_ratio}
 
@@ -525,10 +541,7 @@ def _cmd_marginal_compare(plan, seed, rng):
     ks, pooled = radial_ks_statistic(velocities, spec)
     ks_rows = [[pooled, ks, ks_quantile_99(pooled)]]
     sup_rows = []
-    for s in o["specs"]:
-        r = np.linspace(0.0, s.radius, p["radial_points"])
-        v = np.zeros((len(r), 1, 3))
-        v[:, 0, 0] = r
+    for s, v in zip(o["specs"], o["probes"]):
         fstat = stationary_marginal_eval(s, 1, v)
         fm = maxwellian_eval(o["limit"], v[:, 0, :])
         sup_rows.append([s.n_particles, float(np.max(np.abs(fstat - fm)))])
@@ -560,8 +573,7 @@ def _cmd_fpe_moments(plan, seed, rng):
 def _cmd_chaos(plan, seed, rng):
     p, o = plan.params, plan.objects
     rows = []
-    sigma = math.sqrt(2.0 * p["eps"] / 3.0)
-    edges = np.linspace(-4 * sigma, 4 * sigma, p["bins"] + 1)
+    edges = o["edges"]
     component = p["component"] - 1
     for i, (spec, config) in enumerate(zip(o["specs"], o["configs"])):
         result = run_ensemble(spec, replace(config, seed=seed + i),
@@ -594,7 +606,7 @@ def run(plan: ExperimentPlan, out_dir: str | Path, *, seed: int | None = None,
         if plot:
             path = _maybe_plot(out, result, names, "series")
             if path is not None:
-                outputs.append(str(path))
+                outputs.append(path.name)
     else:
         runner = {
             "spectrum": _cmd_spectrum,
@@ -609,7 +621,7 @@ def run(plan: ExperimentPlan, out_dir: str | Path, *, seed: int | None = None,
 
     for name, (header, rows) in tables.items():
         path = _write_table(out / f"{name}.csv", header, rows, fmt)
-        outputs.append(str(path))
+        outputs.append(path.name)
 
     manifest = {
         "command": plan.command,
@@ -645,6 +657,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = Path(args.config).read_text()
         plan = parse_config(text, args.command)
+        if args.seed is not None:
+            try:
+                check_seed(args.seed)
+            except ValueError as exc:
+                raise ConfigError([f"--seed: {exc}"]) from None
         out_dir = args.out if args.out is not None else f"out-{args.command}"
         run(plan, out_dir, seed=args.seed, fmt=args.format,
             threads=args.threads, plot=args.plot)

@@ -8,14 +8,13 @@ families of constraint manifolds are supported:
   of radius sqrt(2*N*eps0), eps0 = eps - |u|^2/2, centered at (u, ..., u)
   inside the zero-total-momentum subspace)
 
-This module provides uniform sampling, exact constraint restoration, tangent
-projectors for the full manifold and for the two-dimensional pair-collision
-submanifolds (fixed pair momentum v_k+v_l and fixed pair separation
-|v_k-v_l|), and hypersphere surface areas.
+This module provides uniform sampling, exact constraint restoration and its
+error measure, tangent projectors for the full manifold and for the
+two-dimensional pair-collision submanifolds (fixed pair momentum v_k+v_l and
+fixed pair separation |v_k-v_l|), and hypersphere surface areas.
 
-Batch variants operate on arrays of shape (R, N, 3) (R independent states)
-and are what the simulators use; the single-state functions are thin wrappers
-around them.
+States are float arrays of shape (..., N, 3); the batch functions take
+(R, N, 3), and a single state is the batch R = 1.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.special import gammaln
-
-# Relative tolerance a state must satisfy to count as "on the manifold".
-FEASIBILITY_RTOL = 1e-9
 
 # Pairs closer than CUTOFF_SCALE * sqrt(eps) have an ill-defined separation
 # direction and are skipped by diffusion steps.
@@ -116,63 +112,6 @@ class ManifoldSpec:
         return CUTOFF_SCALE * math.sqrt(self.eps)
 
 
-@dataclass
-class VelocityState:
-    """A point V on a constraint manifold, stored flat with length 3N."""
-
-    spec: ManifoldSpec
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=float).reshape(3 * self.spec.n_particles)
-
-    @property
-    def particles(self) -> np.ndarray:
-        """View of shape (N, 3)."""
-        return self.v.reshape(self.spec.n_particles, 3)
-
-    def energy(self) -> float:
-        return 0.5 * float(self.v @ self.v)
-
-    def momentum(self) -> np.ndarray:
-        return self.particles.sum(axis=0)
-
-    def energy_error(self) -> float:
-        """Relative energy constraint violation."""
-        n, eps = self.spec.n_particles, self.spec.eps
-        return abs(self.energy() - n * eps) / (n * eps)
-
-    def momentum_error(self) -> float:
-        """Max per-component momentum violation in units of sqrt(N)."""
-        n = self.spec.n_particles
-        target = n * self.spec.u
-        return float(np.max(np.abs(self.momentum() - target))) / math.sqrt(n)
-
-    def is_feasible(self, rtol: float = FEASIBILITY_RTOL) -> bool:
-        ok = self.energy_error() <= rtol
-        if self.spec.mode is ConservationMode.ENERGY_MOMENTUM:
-            ok = ok and self.momentum_error() <= rtol
-        return ok
-
-
-@dataclass
-class PairFrame:
-    """Decomposition of a particle pair into conserved collision variables.
-
-    alpha = v_k + v_l, beta = |v_k - v_l|, n = (v_k - v_l)/beta. The pair is
-    reconstructed exactly as v_k = (alpha + beta*n)/2, v_l = (alpha - beta*n)/2.
-    ``defined`` is False when beta is below the singularity cutoff (n is then
-    meaningless).
-    """
-
-    k: int
-    l: int
-    alpha: np.ndarray
-    beta: float
-    n: np.ndarray
-    defined: bool
-
-
 # ---------------------------------------------------------------------------
 # sampling and restoration
 
@@ -199,11 +138,6 @@ def sample_uniform_batch(spec: ManifoldSpec, n_states: int,
     return out
 
 
-def sample_uniform(spec: ManifoldSpec, rng: np.random.Generator) -> VelocityState:
-    """Sample one state from the uniform measure on the manifold."""
-    return VelocityState(spec, sample_uniform_batch(spec, 1, rng)[0].ravel())
-
-
 def renormalize_batch(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
     """Restore constraints exactly on an (R, N, 3) array (returns new array).
 
@@ -225,10 +159,18 @@ def renormalize_batch(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def renormalize(spec: ManifoldSpec, state: VelocityState) -> VelocityState:
-    """Restore the conservation constraints of a single state exactly."""
-    arr = renormalize_batch(spec, state.particles[None])
-    return VelocityState(spec, arr[0].ravel())
+def constraint_errors(spec: ManifoldSpec,
+                      states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Constraint violations of (..., N, 3) states, each of shape (...).
+
+    Returns the signed relative energy error E/(N eps) - 1 and the largest
+    per-component momentum violation |sum_k v_k - N u| in units of sqrt(N).
+    """
+    states = np.asarray(states, dtype=float)
+    n = spec.n_particles
+    energy = 0.5 * (states * states).sum(-1).sum(-1)
+    momentum = np.abs(states.sum(axis=-2) - n * spec.u).max(axis=-1)
+    return energy / (n * spec.eps) - 1.0, momentum / math.sqrt(n)
 
 
 def state_from_standard(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
@@ -264,54 +206,36 @@ def tangent_project_batch(spec: ManifoldSpec, states: np.ndarray,
     return y - coef * w
 
 
-def tangent_project_manifold(spec: ManifoldSpec, state: VelocityState,
-                             x: np.ndarray) -> np.ndarray:
-    """Apply the manifold tangent projector to a flat 3N-vector."""
-    n = spec.n_particles
-    x = np.asarray(x, dtype=float).reshape(n, 3)
-    out = tangent_project_batch(spec, state.particles[None], x[None])
-    return out[0].ravel()
-
-
-def pair_frame(state: VelocityState, k: int, l: int,
-               cutoff: float | None = None) -> PairFrame:
-    """Conserved-variable frame of the pair (k, l)."""
-    if cutoff is None:
-        cutoff = state.spec.cutoff
-    p = state.particles
-    vk, vl = p[k], p[l]
-    alpha = vk + vl
-    d = vk - vl
-    beta = float(np.linalg.norm(d))
-    if beta < cutoff:
-        return PairFrame(k, l, alpha, beta, np.zeros(3), defined=False)
-    return PairFrame(k, l, alpha, beta, d / beta, defined=True)
-
-
-def pair_projector_apply(state: VelocityState, k: int, l: int,
+def pair_projector_apply(spec: ManifoldSpec, v: np.ndarray, k: int, l: int,
                          x: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-    """Project a flat 3N-vector onto the tangent plane of the pair manifold.
+    """Project vectors x onto the tangent planes of the pair manifold at v.
 
-    The projector is nonzero only in blocks k and l, where it acts as
-    +-(1/2) P_perp(v_k - v_l) on the block difference; its range is the
-    2-dimensional tangent space of the pair-collision manifold.
+    v and x have shape (..., N, 3). In the pair frame alpha = v_k + v_l,
+    beta = |v_k - v_l|, n = (v_k - v_l)/beta, the projector is nonzero only
+    in blocks k and l, where it acts as +-(1/2) P_perp(n) on the block
+    difference; its range is the 2-dimensional tangent space of the
+    pair-collision manifold (fixed alpha and beta).
 
-    Raises DegeneratePairError below the cutoff (caller must skip or
-    regularize).
+    Raises DegeneratePairError when beta is below the cutoff (caller must
+    skip or regularize).
     """
-    frame = pair_frame(state, k, l, cutoff)
-    if not frame.defined:
+    if cutoff is None:
+        cutoff = spec.cutoff
+    v = np.asarray(v, dtype=float)
+    x = np.asarray(x, dtype=float)
+    d = v[..., k, :] - v[..., l, :]
+    beta = np.linalg.norm(d, axis=-1, keepdims=True)
+    if np.any(beta < cutoff):
         raise DegeneratePairError(
-            f"pair ({k},{l}) separation {frame.beta:.3e} below cutoff"
+            f"pair ({k},{l}) separation {beta.min():.3e} below cutoff"
         )
-    n = state.spec.n_particles
-    x = np.asarray(x, dtype=float).reshape(n, 3)
-    c = 0.5 * (x[k] - x[l])
-    c_perp = c - frame.n * (frame.n @ c)
-    out = np.zeros_like(x)
-    out[k] = c_perp
-    out[l] = -c_perp
-    return out.ravel()
+    nhat = d / beta
+    c = 0.5 * (x[..., k, :] - x[..., l, :])
+    c_perp = c - nhat * (nhat * c).sum(-1, keepdims=True)
+    out = np.zeros(np.broadcast_shapes(v.shape, x.shape))
+    out[..., k, :] = c_perp
+    out[..., l, :] = -c_perp
+    return out
 
 
 # ---------------------------------------------------------------------------

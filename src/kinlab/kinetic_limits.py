@@ -126,6 +126,16 @@ def stationary_marginal_eval(spec: ManifoldSpec, n: int, velocities) -> np.ndarr
     return float(out) if out.ndim == 0 else out
 
 
+def radial_probe(spec: ManifoldSpec, points: int) -> np.ndarray:
+    """(points, 1, 3) velocities (r, 0, 0) with r evenly spaced over
+    [0, radius], the support of the one-velocity marginal."""
+    if points < 1:
+        raise ValueError("need at least one radial point")
+    v = np.zeros((points, 1, 3))
+    v[:, 0, 0] = np.linspace(0.0, spec.radius, points)
+    return v
+
+
 def stationary_radial_pdf(spec: ManifoldSpec, r) -> np.ndarray:
     """Radial density 4 pi r^2 F1(r) of one velocity's magnitude."""
     r = np.asarray(r, dtype=float)

@@ -36,7 +36,6 @@ import numpy as np
 from . import observables as obs_mod
 from .geometry import (
     ManifoldSpec,
-    VelocityState,
     renormalize_batch,
     sample_uniform_batch,
     tangent_project_batch,
@@ -61,6 +60,12 @@ class KernelSpec:
 
     def resolve_cutoff(self, spec: ManifoldSpec) -> float:
         return spec.cutoff if self.cutoff is None else self.cutoff
+
+
+def check_seed(seed: int) -> None:
+    """Seeds are the entropy of a numpy SeedSequence, so must be >= 0."""
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
 
 
 SPHERE_DIFFUSION = "sphere"
@@ -94,6 +99,7 @@ class SimConfig:
             raise ValueError("n_replicas must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        check_seed(self.seed)
         if self.process not in (SPHERE_DIFFUSION, PAIR_DIFFUSION):
             raise ValueError(f"unknown process {self.process!r}")
         if self.process == PAIR_DIFFUSION and self.kernel is None:
@@ -137,20 +143,15 @@ class SimResult:
 # sphere diffusion
 
 
-def _sphere_step_batch(spec: ManifoldSpec, states: np.ndarray, dt: float,
-                       xi: np.ndarray) -> np.ndarray:
+def step_sphere_diffusion(spec: ManifoldSpec, states: np.ndarray, dt: float,
+                          xi: np.ndarray) -> np.ndarray:
+    """One projected Euler-Maruyama step of Brownian motion on the manifold.
+
+    states and the standard normals xi have shape (R, N, 3); returns the
+    renormalized new states.
+    """
     moved = states + math.sqrt(2.0 * dt) * tangent_project_batch(spec, states, xi)
     return renormalize_batch(spec, moved)
-
-
-def step_sphere_diffusion(spec: ManifoldSpec, state: VelocityState, dt: float,
-                          rng: np.random.Generator) -> VelocityState:
-    """One projected Euler-Maruyama step of Brownian motion on the manifold."""
-    if dt == 0.0:
-        return state
-    xi = rng.standard_normal((1, spec.n_particles, 3))
-    out = _sphere_step_batch(spec, state.particles[None], dt, xi)
-    return VelocityState(spec, out[0].ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +206,14 @@ def _pair_round_update(states: np.ndarray, k_idx: np.ndarray, l_idx: np.ndarray,
     states[rows, l_idx] = vl - half
 
 
-def _pair_step_batch(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
-                     dt: float, rng: np.random.Generator,
-                     antithetic: bool = False) -> np.ndarray:
-    """One full pair sweep on (R, N, 3) states; returns renormalized array.
+def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
+                        dt: float, rng: np.random.Generator,
+                        antithetic: bool = False) -> np.ndarray:
+    """One weak-O(dt) sweep of the pairwise collision diffusion.
+
+    Kicks every pair of the (R, N, 3) ``states`` in place, then returns the
+    renormalized array (a new array; ``states`` is left with the kicked,
+    not yet renormalized values).
 
     Draw order per step (fixed, for reproducibility): particle relabeling
     (R, N), round order (R, n_rounds), then one (R, P, 3) normal block per
@@ -241,16 +246,6 @@ def _pair_step_batch(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
         _pair_round_update(states, k_idx, l_idx, eta, kernel.gamma,
                            cutoff, diff_scale, dt)
     return renormalize_batch(spec, states)
-
-
-def step_pair_diffusion(spec: ManifoldSpec, state: VelocityState,
-                        kernel: KernelSpec, dt: float,
-                        rng: np.random.Generator) -> VelocityState:
-    """One weak-O(dt) step of the pairwise collision diffusion."""
-    if dt == 0.0:
-        return state
-    out = _pair_step_batch(spec, state.particles[None].copy(), kernel, dt, rng)
-    return VelocityState(spec, out[0].ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -309,62 +304,55 @@ class TestPolynomial:
         raise ValueError(f"unknown test polynomial kind {self.kind!r}")
 
 
-def _capped_beta(state_p: np.ndarray, k: int, cutoff: float):
-    """Separations of particle k from all others, with capped magnitudes."""
-    d = state_p[k] - state_p                      # (N, 3)
-    beta = np.linalg.norm(d, axis=1)
-    beta_t = np.maximum(beta, cutoff)
+def _capped_beta(p: np.ndarray, k: int, cutoff: float):
+    """Separations v_k - v_l from the other particles l != k, shape
+    (..., N-1, 3), and their magnitudes capped below at the cutoff."""
+    others = np.arange(p.shape[-2]) != k
+    d = (p[..., k, None, :] - p)[..., others, :]
+    beta_t = np.maximum(np.linalg.norm(d, axis=-1), cutoff)
     return d, beta_t
 
 
-def generator_apply(state: VelocityState, kernel: KernelSpec,
-                    phi: TestPolynomial) -> float:
+def generator_apply(spec: ManifoldSpec, v: np.ndarray, kernel: KernelSpec,
+                    phi: TestPolynomial) -> np.ndarray:
     """Exact action of the pairwise-diffusion generator on a catalog entry.
 
-    Returns the drift d/dt E[phi] at the given state. Conserved quantities
-    (mass, energy, momentum) give exactly 0.0. Pairs below the cutoff
-    contribute their capped weight (beta replaced by the cutoff in both the
-    weight and the curvature factors).
+    Returns the drift d/dt E[phi] at each of the (..., N, 3) states v, shape
+    (...). Conserved quantities (mass, energy, momentum) give exactly 0.0.
+    Pairs below the cutoff contribute their capped weight (beta replaced by
+    the cutoff in both the weight and the curvature factors).
     """
+    p = np.asarray(v, dtype=float)
     if phi.kind in ("mass", "energy", "momentum"):
-        return 0.0
-    spec = state.spec
+        return np.zeros(p.shape[:-2])
     n = spec.n_particles
-    p = state.particles
     cutoff = kernel.resolve_cutoff(spec)
     g = kernel.gamma
     scale = 2.0 / (n - 1)
 
     if phi.kind == "coord":
         d, beta_t = _capped_beta(p, phi.k, cutoff)
-        mask = np.ones(n, dtype=bool)
-        mask[phi.k] = False
         # sum_l a_kl * (-2 d_sigma / beta^2), a_kl = scale * beta^{2+gamma}
-        return float(-2.0 * scale * (beta_t[mask] ** g * d[mask, phi.sigma]).sum())
+        return -2.0 * scale * (beta_t ** g * d[..., phi.sigma]).sum(-1)
 
     if phi.kind == "quad":
         k, s, m, t = phi.k, phi.sigma, phi.m, phi.tau
-        total = 0.0
         # product-rule terms: Delta acting on each factor
         dk, beta_k = _capped_beta(p, k, cutoff)
-        mk = np.ones(n, dtype=bool)
-        mk[k] = False
-        total += -2.0 * scale * (p[m, t] * beta_k[mk] ** g * dk[mk, s]).sum()
+        total = -2.0 * scale * (p[..., m, t, None] * beta_k ** g * dk[..., s]).sum(-1)
         dm, beta_m = _capped_beta(p, m, cutoff)
-        mm = np.ones(n, dtype=bool)
-        mm[m] = False
-        total += -2.0 * scale * (p[k, s] * beta_m[mm] ** g * dm[mm, t]).sum()
+        total += -2.0 * scale * (p[..., k, s, None] * beta_m ** g * dm[..., t]).sum(-1)
         # cross terms 2 <P_B grad v_ks, grad v_mt>
         if k == m:
-            w = beta_k[mk] ** (2.0 + g)
-            proj = (float(s == t) - dk[mk, s] * dk[mk, t] / beta_k[mk] ** 2)
-            total += scale * (w * proj).sum()
+            w = beta_k ** (2.0 + g)
+            proj = float(s == t) - dk[..., s] * dk[..., t] / beta_k ** 2
+            total += scale * (w * proj).sum(-1)
         else:
-            d_km = p[k] - p[m]
-            b = max(float(np.linalg.norm(d_km)), cutoff)
-            proj = float(s == t) - d_km[s] * d_km[t] / b ** 2
+            d_km = p[..., k, :] - p[..., m, :]
+            b = np.maximum(np.linalg.norm(d_km, axis=-1), cutoff)
+            proj = float(s == t) - d_km[..., s] * d_km[..., t] / b ** 2
             total += -scale * b ** (2.0 + g) * proj
-        return float(total)
+        return total
 
     raise ValueError(f"unknown test polynomial kind {phi.kind!r}")
 
@@ -478,9 +466,9 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     for step in range(1, n_steps + 1):
         if config.process == SPHERE_DIFFUSION:
             xi = rng.standard_normal(states.shape)
-            states = _sphere_step_batch(spec, states, config.dt, xi)
+            states = step_sphere_diffusion(spec, states, config.dt, xi)
         else:
-            states = _pair_step_batch(spec, states, config.kernel, config.dt, rng)
+            states = step_pair_diffusion(spec, states, config.kernel, config.dt, rng)
         if step % config.record_every == 0 or step == n_steps:
             record(step)
         maybe_snapshot(step)

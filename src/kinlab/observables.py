@@ -132,7 +132,7 @@ class MarginalHistogram:
         return float(np.sum(self.counts))
 
     def __post_init__(self):
-        if abs(self.total() - 1.0) > 1e-12:
+        if not abs(self.total() - 1.0) <= 1e-12:    # NaN fails too
             raise ValueError("normalized counts must sum to 1")
 
 
@@ -157,6 +157,18 @@ def _sample_ordered_pairs(velocities, max_pairs, rng):
     return np.stack([velocities[rep, k], velocities[rep, l]], axis=1)
 
 
+def check_marginal_args(edges=None, component: int | None = None,
+                        max_pairs: int | None = None) -> None:
+    """Arguments of ``marginal_histogram``: at least one bin, a component
+    that indexes one of the 3 velocity axes, and at least one sampled pair."""
+    if edges is not None and np.size(edges) < 2:
+        raise ValueError("need at least one bin")
+    if component is not None and component not in (0, 1, 2):
+        raise ValueError("component must index one of the 3 velocity axes")
+    if max_pairs is not None and max_pairs < 1:
+        raise ValueError("need at least one sampled pair")
+
+
 def marginal_histogram(snapshot, n: int, edges: np.ndarray,
                        component: int | None = None,
                        max_pairs: int | None = None,
@@ -169,6 +181,7 @@ def marginal_histogram(snapshot, n: int, edges: np.ndarray,
     histogram for n=1, 2D for n=2), otherwise the full 3D / sparse 6D
     histogram is built. ``max_pairs`` subsamples ordered pairs for n=2.
     """
+    check_marginal_args(edges, component, max_pairs)
     velocities = np.asarray(snapshot.velocities, dtype=float)
     if velocities.size == 0:
         raise ValueError("empty snapshot")

@@ -33,7 +33,6 @@ import numpy as np
 from .geometry import (
     ConservationMode,
     ManifoldSpec,
-    VelocityState,
     manifold_log_area,
     sample_uniform_batch,
 )
@@ -98,18 +97,19 @@ def get_family(name: str) -> Observable:
     return entry
 
 
-def symmetric_eigenfunction(state: VelocityState, family: str) -> float:
-    """Evaluate a symmetric eigenfunction sum on one state.
+def symmetric_eigenfunction(spec: ManifoldSpec, v: np.ndarray, family: str):
+    """Evaluate a symmetric eigenfunction sum on (..., N, 3) states; returns
+    shape (...).
 
-    Raises ValueError when the family is constant on the state's manifold
+    Raises ValueError when the family is constant on spec's manifold
     (degree-1 sums on momentum-conserving manifolds).
     """
     fam = get_family(family)
-    if fam.is_constant_on(state.spec):
+    if fam.is_constant_on(spec):
         raise ValueError(
             f"family {family!r} is constant (= N u) on ENERGY_MOMENTUM manifolds"
         )
-    return float(fam.fn(state.particles))
+    return fam.fn(np.asarray(v, dtype=float))
 
 
 def family_decay_rate(spec: ManifoldSpec, family: str) -> float:
@@ -160,13 +160,14 @@ def standard_trial_function(n_particles: int) -> TrialFunction:
     )
 
 
-def trial_eval(tf: TrialFunction, state: VelocityState) -> float:
-    """Evaluate the trial function at a state (standard case only)."""
-    _require_standard(state.spec)
-    if state.spec.n_particles != tf.n_particles:
+def trial_eval(tf: TrialFunction, spec: ManifoldSpec, v: np.ndarray):
+    """Evaluate the trial function at (..., N, 3) states on spec's manifold
+    (standard case only); returns shape (...)."""
+    _require_standard(spec)
+    if spec.n_particles != tf.n_particles:
         raise ValueError("trial function and state have different N")
-    p = state.particles
-    return tf.a_const * (0.5 * (p[:, 0] ** 2).sum() - tf.c_const)
+    v = np.asarray(v, dtype=float)
+    return tf.a_const * (0.5 * (v[..., 0] ** 2).sum(-1) - tf.c_const)
 
 
 def check_mc_budget(n_samples: int) -> None:

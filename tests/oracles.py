@@ -62,16 +62,16 @@ def _poly_gradient(phi, vflat, n):
     return g.ravel()
 
 
-def generator_apply_fd(state, kernel, phi, h: float = 1e-5) -> float:
-    """Finite-difference evaluation of the pairwise generator.
+def generator_apply_fd(spec, v, kernel, phi, h: float = 1e-5) -> float:
+    """Finite-difference evaluation of the pairwise generator at one (N, 3)
+    state v.
 
     sum over pairs of a_kl * div(P_B grad phi) with the divergence taken by
     central differences of the projected-gradient field.
     """
-    spec = state.spec
     n = spec.n_particles
-    vflat = state.v
-    p = state.particles
+    p = np.asarray(v, dtype=float).reshape(n, 3)
+    vflat = p.ravel()
     total = 0.0
     for k in range(n):
         for l in range(k + 1, n):

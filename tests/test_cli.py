@@ -214,6 +214,19 @@ INVALID_CONFIGS = {
                                  [("n_particles", "8"), ("n_list", "1,8")], ["n_list"]),
     "two_bad_objects": ("sim-sphere", _with(SIM, record_every="0", observables="nope"),
                         ["record_every", "observables"]),
+    "seed_negative": ("sim-sphere", _with(SIM, seed="-1"), ["seed"]),
+    "sample_seed_negative": ("sample", [("n_particles", "4"), ("seed", "-1")], ["seed"]),
+    "marginal_radial_points_zero": ("marginal-compare", [("n_particles", "8"),
+                                    ("n_list", "8,32"), ("radial_points", "0")],
+                                    ["radial_points"]),
+    "chaos_component_four": ("chaos", [("n_list", "4,8"), ("t_end", "0.04"),
+                                       ("component", "4")], ["component"]),
+    "chaos_component_zero": ("chaos", [("n_list", "4,8"), ("t_end", "0.04"),
+                                       ("component", "0")], ["component"]),
+    "chaos_pair_samples_zero": ("chaos", [("n_list", "4,8"), ("t_end", "0.04"),
+                                          ("pair_samples", "0")], ["pair_samples"]),
+    "chaos_bins_zero": ("chaos", [("n_list", "4,8"), ("t_end", "0.04"), ("bins", "0")],
+                        ["bins"]),
 }
 
 
@@ -231,3 +244,24 @@ def test_invalid_config_exits_2_before_output(case, tmp_path, capsys):
         cites = (f"line {line_of[key]} ({key})", f"line {line_of[key]}: bad value for {key!r}")
         assert any(c in v for v in violations for c in cites), violations
     assert not out.exists()
+
+
+def test_negative_seed_flag_exits_2_before_output(tmp_path, capsys):
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text(SPECTRUM_CFG)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert len(violations) == 1 and "--seed" in violations[0]
+    assert not out.exists()
+
+
+def test_manifest_independent_of_out_dir(tmp_path):
+    cfg = ("n_particles = 4\nmode = energy\ndt = 0.01\nt_end = 0.05\n"
+           "n_replicas = 8\nobservables = sum_v1\nentropy_times = 0.05\nseed = 7\n")
+    plan = parse_config(cfg, "sim-sphere")
+    a = run(plan, tmp_path / "a")
+    run(plan, tmp_path / "b" / "nested")
+    assert a["outputs"] == ["series.csv", "entropy.csv"]
+    assert (tmp_path / "a/manifest.json").read_bytes() == \
+        (tmp_path / "b/nested/manifest.json").read_bytes()

@@ -8,15 +8,13 @@ from kinlab.geometry import (
     DegeneratePairError,
     DegenerateStateError,
     ManifoldSpec,
-    VelocityState,
-    pair_frame,
+    constraint_errors,
     pair_projector_apply,
-    renormalize,
-    sample_uniform,
+    renormalize_batch,
     sample_uniform_batch,
     sphere_area,
     state_from_standard,
-    tangent_project_manifold,
+    tangent_project_batch,
 )
 
 
@@ -33,17 +31,21 @@ def test_spec_validation():
     assert spec.dim == 20
 
 
+def _energy(v):
+    return 0.5 * (v * v).sum(axis=(-1, -2))
+
+
 def test_sample_energy_exact(spec_c1, rng):
-    v = sample_uniform(spec_c1, rng)
-    assert v.energy() == pytest.approx(8.0, abs=1e-12)
-    assert v.is_feasible(1e-12)
+    v = sample_uniform_batch(spec_c1, 1, rng)
+    assert _energy(v)[0] == pytest.approx(8.0, abs=1e-12)
+    assert abs(constraint_errors(spec_c1, v)[0][0]) <= 1e-12
 
 
 def test_sample_momentum_exact(rng):
     spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.0, u=[1, 0, 0])
-    v = sample_uniform(spec, rng)
-    np.testing.assert_allclose(v.momentum(), [8.0, 0.0, 0.0], atol=1e-12)
-    assert abs(v.energy() - 8.0) <= 1e-12 * 8.0
+    v = sample_uniform_batch(spec, 1, rng)
+    np.testing.assert_allclose(v[0].sum(axis=0), [8.0, 0.0, 0.0], atol=1e-12)
+    assert abs(_energy(v)[0] - 8.0) <= 1e-12 * 8.0
 
 
 def test_sample_mean_symmetry(spec_c1, rng):
@@ -76,129 +78,121 @@ def test_pair_separation_bound(spec_c1, spec_c4, rng):
 
 
 def test_renormalize_fixed_point(spec_c4, rng):
-    v = sample_uniform(spec_c4, rng)
-    w = renormalize(spec_c4, v)
-    np.testing.assert_allclose(w.v, v.v, rtol=0, atol=1e-15 * spec_c4.radius)
+    v = sample_uniform_batch(spec_c4, 1, rng)
+    w = renormalize_batch(spec_c4, v)
+    np.testing.assert_allclose(w, v, rtol=0, atol=1e-15 * spec_c4.radius)
 
 
 def test_renormalize_pure_rescale(spec_c1, rng):
-    v = sample_uniform(spec_c1, rng)
-    scaled = VelocityState(spec_c1, 1.01 * v.v)
-    w = renormalize(spec_c1, scaled)
-    assert w.energy() == pytest.approx(8.0, abs=1e-12)
+    v = sample_uniform_batch(spec_c1, 1, rng)
+    scaled = 1.01 * v
+    # the energy error of the rescaled state is 1.01^2 - 1
+    energy_err, _ = constraint_errors(spec_c1, scaled)
+    assert energy_err[0] == pytest.approx(0.0201, rel=1e-12)
+    w = renormalize_batch(spec_c1, scaled)
+    assert _energy(w)[0] == pytest.approx(8.0, abs=1e-12)
+    assert abs(constraint_errors(spec_c1, w)[0][0]) <= 1e-12
     # directions unchanged: restored state is exactly proportional
-    np.testing.assert_allclose(w.v, v.v, rtol=1e-13)
+    np.testing.assert_allclose(w, v, rtol=1e-13)
 
 
 def test_renormalize_shift_preserves_relative_geometry(rng):
     spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-    v = sample_uniform(spec, rng)
-    shifted = VelocityState(spec, (v.particles + np.array([0.05, -0.02, 0.01])).ravel())
-    w = renormalize(spec, shifted)
-    assert w.is_feasible(1e-12)
+    v = sample_uniform_batch(spec, 1, rng)
+    delta = np.array([0.05, -0.02, 0.01])
+    shifted = v + delta
+    # a uniform shift by delta moves the momentum by N delta
+    _, mom_err = constraint_errors(spec, shifted)
+    assert mom_err[0] == pytest.approx(math.sqrt(8) * np.abs(delta).max(), rel=1e-12)
+    w = renormalize_batch(spec, shifted)
+    energy_err, mom_err = constraint_errors(spec, w)
+    assert abs(energy_err[0]) <= 1e-12 and mom_err[0] <= 1e-12
     # the shift correction is uniform: pairwise differences rescale only
-    dv = v.particles[:, None] - v.particles[None, :]
-    dw = w.particles[:, None] - w.particles[None, :]
+    dv = v[0, :, None] - v[0, None, :]
+    dw = w[0, :, None] - w[0, None, :]
     ratio = dw[dv != 0] / dv[dv != 0]
     np.testing.assert_allclose(ratio, ratio.flat[0], rtol=1e-12)
 
 
 def test_renormalize_degenerate(spec_c1):
     with pytest.raises(DegenerateStateError):
-        renormalize(spec_c1, VelocityState(spec_c1, np.zeros(24)))
+        renormalize_batch(spec_c1, np.zeros((1, 8, 3)))
 
 
 def test_projector_annihilates_normals(rng):
     spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.5, u=[1, 0, 0])
-    v = sample_uniform(spec, rng)
-    w = v.particles - v.particles.mean(axis=0)
-    assert np.abs(tangent_project_manifold(spec, v, w.ravel())).max() < 1e-12
+    v = sample_uniform_batch(spec, 1, rng)
+    w = v - v.mean(axis=1, keepdims=True)
+    assert np.abs(tangent_project_batch(spec, v, w)).max() < 1e-12
     for sigma in range(3):
-        e = np.zeros((8, 3))
-        e[:, sigma] = 1.0
-        assert np.abs(tangent_project_manifold(spec, v, e.ravel())).max() < 1e-12
+        e = np.zeros((1, 8, 3))
+        e[..., sigma] = 1.0
+        assert np.abs(tangent_project_batch(spec, v, e)).max() < 1e-12
 
 
 def test_projector_idempotent_symmetric(spec_c1, spec_c4, rng):
     for spec in (spec_c1, spec_c4):
-        v = sample_uniform(spec, rng)
+        v = sample_uniform_batch(spec, 1, rng)
         for _ in range(5):
-            x = rng.standard_normal(24)
-            y = rng.standard_normal(24)
-            px = tangent_project_manifold(spec, v, x)
-            ppx = tangent_project_manifold(spec, v, px)
+            x = rng.standard_normal(24).reshape(1, 8, 3)
+            y = rng.standard_normal(24).reshape(1, 8, 3)
+            px = tangent_project_batch(spec, v, x)
+            ppx = tangent_project_batch(spec, v, px)
             assert np.linalg.norm(ppx - px) <= 1e-12 * np.linalg.norm(x)
-            py = tangent_project_manifold(spec, v, y)
-            assert x @ py == pytest.approx(px @ y, rel=1e-12, abs=1e-12)
+            py = tangent_project_batch(spec, v, y)
+            assert (x * py).sum() == pytest.approx((px * y).sum(), rel=1e-12, abs=1e-12)
 
 
 def test_pair_projector_annihilates_radial_and_uniform(spec_c4, rng):
-    v = sample_uniform(spec_c4, rng)
-    d = v.particles[0] - v.particles[1]
+    v = sample_uniform_batch(spec_c4, 1, rng)[0]
+    d = v[0] - v[1]
     x = np.zeros((8, 3))
     x[0] = d
-    assert np.abs(pair_projector_apply(v, 0, 1, x.ravel())).max() < 1e-12
+    assert np.abs(pair_projector_apply(spec_c4, v, 0, 1, x)).max() < 1e-12
     for sigma in range(3):
         e = np.zeros((8, 3))
         e[:, sigma] = 1.0
-        assert np.abs(pair_projector_apply(v, 0, 1, e.ravel())).max() < 1e-12
+        assert np.abs(pair_projector_apply(spec_c4, v, 0, 1, e)).max() < 1e-12
 
 
 def test_pair_projector_trace_is_two(spec_c4, rng):
     # brute-force trace over the 3N coordinate directions: rank of a 2-plane
-    v = sample_uniform(spec_c4, rng)
+    v = sample_uniform_batch(spec_c4, 1, rng)[0]
     tr = 0.0
     for idx in range(24):
         x = np.zeros(24)
         x[idx] = 1.0
-        tr += pair_projector_apply(v, 2, 5, x)[idx]
+        tr += pair_projector_apply(spec_c4, v, 2, 5, x.reshape(8, 3)).ravel()[idx]
     assert tr == pytest.approx(2.0, abs=1e-12)
 
 
 def test_pair_projector_idempotent_and_tangent(spec_c4, rng):
-    v = sample_uniform(spec_c4, rng)
-    x = rng.standard_normal(24)
-    px = pair_projector_apply(v, 1, 4, x)
-    ppx = pair_projector_apply(v, 1, 4, px)
+    v = sample_uniform_batch(spec_c4, 1, rng)
+    x = rng.standard_normal(24).reshape(1, 8, 3)
+    px = pair_projector_apply(spec_c4, v, 1, 4, x)
+    ppx = pair_projector_apply(spec_c4, v, 1, 4, px)
     np.testing.assert_allclose(ppx, px, atol=1e-12)
     # pair-collision manifolds sit inside the big manifold: the manifold
     # projector leaves their tangent vectors alone
-    np.testing.assert_allclose(tangent_project_manifold(spec_c4, v, px), px,
+    np.testing.assert_allclose(tangent_project_batch(spec_c4, v, px), px,
                                atol=1e-12)
 
 
 def test_pair_projector_nonzero_blocks_only(spec_c4, rng):
-    v = sample_uniform(spec_c4, rng)
-    x = rng.standard_normal(24)
-    px = pair_projector_apply(v, 1, 4, x).reshape(8, 3)
+    v = sample_uniform_batch(spec_c4, 1, rng)[0]
+    x = rng.standard_normal(24).reshape(8, 3)
+    px = pair_projector_apply(spec_c4, v, 1, 4, x)
     others = [i for i in range(8) if i not in (1, 4)]
     assert np.abs(px[others]).max() == 0.0
 
 
-def test_pair_frame_examples(spec_c4):
+def test_pair_projector_degenerate_pair(spec_c4):
     p = np.zeros((8, 3))
     p[0] = [1.0, 0.0, 0.0]
     p[1] = [-1.0, 0.0, 0.0]
-    v = VelocityState(spec_c4, p.ravel())
-    fr = pair_frame(v, 0, 1)
-    np.testing.assert_allclose(fr.alpha, 0.0)
-    assert fr.beta == pytest.approx(2.0)
-    np.testing.assert_allclose(fr.n, [1.0, 0.0, 0.0])
-    # coincident pair: flag set
-    fr2 = pair_frame(v, 2, 3)
-    assert not fr2.defined
+    # coincident pair: below the cutoff
     with pytest.raises(DegeneratePairError):
-        pair_projector_apply(v, 2, 3, np.ones(24))
-
-
-def test_pair_frame_round_trip(spec_c4, rng):
-    v = sample_uniform(spec_c4, rng)
-    fr = pair_frame(v, 3, 6)
-    assert fr.defined and abs(np.linalg.norm(fr.n) - 1.0) < 1e-14
-    vk = 0.5 * (fr.alpha + fr.beta * fr.n)
-    vl = 0.5 * (fr.alpha - fr.beta * fr.n)
-    np.testing.assert_allclose(vk, v.particles[3], atol=1e-14)
-    np.testing.assert_allclose(vl, v.particles[6], atol=1e-14)
+        pair_projector_apply(spec_c4, p, 2, 3, np.ones((8, 3)))
 
 
 def test_sphere_area_values():

@@ -6,6 +6,7 @@ import pytest
 from kinlab.geometry import ConservationMode, ManifoldSpec, sample_uniform_batch
 from kinlab.master_sim import EnsembleSnapshot, SimConfig, run_ensemble
 from kinlab.observables import (
+    MarginalHistogram,
     ObservableSeries,
     chaos_distance,
     decay_rate_fit,
@@ -61,6 +62,25 @@ def test_histogram_counts_sum_to_one(spec_c1, rng):
     assert h.total() == pytest.approx(1.0, abs=1e-12)
     h1 = marginal_histogram(_snap(spec_c1, vel), 1, edges, component=0)
     assert h1.total() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_histogram_mass_nan_rejected():
+    # 0/0 normalization of an empty histogram must not pass as mass 1
+    edges = np.linspace(-1, 1, 3)
+    with pytest.raises(ValueError):
+        MarginalHistogram(1, (edges,), np.full(2, np.nan), 0, 0)
+
+
+def test_histogram_arguments_checked(spec_c1, rng):
+    snap = _snap(spec_c1, sample_uniform_batch(spec_c1, 4, rng))
+    edges = np.linspace(-4, 4, 17)
+    with pytest.raises(ValueError):
+        marginal_histogram(snap, 1, edges[:1])
+    for component in (-1, 3):
+        with pytest.raises(ValueError):
+            marginal_histogram(snap, 1, edges, component=component)
+    with pytest.raises(ValueError):
+        marginal_histogram(snap, 2, edges, component=0, max_pairs=0, rng=rng)
 
 
 def test_histogram_two_pooled_points(rng):

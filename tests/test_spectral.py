@@ -6,8 +6,7 @@ import pytest
 from kinlab.geometry import (
     ConservationMode,
     ManifoldSpec,
-    VelocityState,
-    sample_uniform,
+    constraint_errors,
     sample_uniform_batch,
 )
 from kinlab.master_sim import KernelSpec
@@ -86,22 +85,21 @@ def test_symmetric_eigenfunction_values(spec_c1):
     p = np.zeros((8, 3))
     p[0] = [2.0, 1.0, 0.0]
     p[1] = [0.0, 1.0, 3.0]
-    v = VelocityState(spec_c1, p.ravel())
-    assert symmetric_eigenfunction(v, "sum_v1") == pytest.approx(2.0)
-    assert symmetric_eigenfunction(v, "sum_v1v2") == pytest.approx(2.0)
-    assert symmetric_eigenfunction(v, "sum_v1v2v3") == pytest.approx(0.0)
-    assert symmetric_eigenfunction(v, "sum_axial_quadrupole") == pytest.approx(
+    assert symmetric_eigenfunction(spec_c1, p, "sum_v1") == pytest.approx(2.0)
+    assert symmetric_eigenfunction(spec_c1, p, "sum_v1v2") == pytest.approx(2.0)
+    assert symmetric_eigenfunction(spec_c1, p, "sum_v1v2v3") == pytest.approx(0.0)
+    assert symmetric_eigenfunction(spec_c1, p, "sum_axial_quadrupole") == pytest.approx(
         (4 + 1) + (1 - 18))
 
 
 def test_degree1_constant_on_momentum_manifold(rng):
     spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-    v = sample_uniform(spec, rng)
+    v = sample_uniform_batch(spec, 1, rng)[0]
     with pytest.raises(ValueError):
-        symmetric_eigenfunction(v, "sum_v1")
+        symmetric_eigenfunction(spec, v, "sum_v1")
     assert get_family("sum_v1").is_constant_on(spec)
     # the constraint pins the sum at N*u exactly
-    assert v.particles[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
+    assert v[:, 0].sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_axial_quadrupole_not_constant(spec_c1, rng):
@@ -133,18 +131,18 @@ def test_trial_eval_crafted_state():
     p = np.zeros((n, 3))
     p[::2, 1] = math.sqrt(2.0)
     p[1::2, 1] = -math.sqrt(2.0)
-    v = VelocityState(spec, p.ravel())
-    assert v.is_feasible(1e-12)
+    energy_err, mom_err = constraint_errors(spec, p)
+    assert abs(energy_err) <= 1e-12 and mom_err <= 1e-12
     tf = standard_trial_function(n)
-    assert trial_eval(tf, v) == pytest.approx(-tf.a_const * n / 3.0, rel=1e-14)
+    assert trial_eval(tf, spec, p) == pytest.approx(-tf.a_const * n / 3.0, rel=1e-14)
 
 
 def test_trial_eval_rejects_nonstandard(rng):
     tf = standard_trial_function(8)
     spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=2.0)
-    v = sample_uniform(spec, rng)
+    v = sample_uniform_batch(spec, 1, rng)[0]
     with pytest.raises(ValueError):
-        trial_eval(tf, v)
+        trial_eval(tf, spec, v)
 
 
 def test_trial_normalization_mc(rng):
