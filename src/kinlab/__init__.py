@@ -16,6 +16,7 @@ from .geometry import (
     DegeneratePairError,
     DegenerateStateError,
     ManifoldSpec,
+    NonFiniteStateError,
     constraint_errors,
     pair_projector_apply,
     renormalize_batch,

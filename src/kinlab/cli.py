@@ -31,11 +31,13 @@ from . import __version__, kinetic_limits, observables
 from .geometry import (
     ConservationMode,
     ManifoldSpec,
+    NonFiniteStateError,
     constraint_errors,
     sample_uniform_batch,
 )
 from .kinetic_limits import (
     LimitParams,
+    check_covariance,
     check_time,
     fpe_moment_flow,
     landau_moment_flow,
@@ -310,6 +312,9 @@ def _build_objects(command, p, lines, violations) -> dict:
     if command in ("spectrum", "sample", "sim-sphere", "sim-bp"):
         o["spec"] = build(("n_particles", "mode", "eps", "u"), lambda: ManifoldSpec(
             p["n_particles"], _MODES[p["mode"]], eps=p["eps"], u=np.asarray(p["u"])))
+    if command == "spectrum":
+        o["table"] = build(("j_max",), lambda: spectrum_table(o["spec"], p["j_max"]),
+                           o["spec"])
 
     if command in ("sim-sphere", "sim-bp"):
         pair = command == "sim-bp"
@@ -360,6 +365,16 @@ def _build_objects(command, p, lines, violations) -> dict:
     elif command == "fpe-moments":
         lim = build(("eps0", "u"), lambda: LimitParams(p["eps0"], u=np.asarray(p["u"])))
         o["flow"] = build(("flow",), lambda: _FLOWS[p["flow"]](lim), lim)
+
+        def s0():
+            s = np.diag(p["s0_diag"]).astype(float)
+            off = p["s0_offdiag"]
+            s[0, 1] = s[1, 0] = off[0]
+            s[0, 2] = s[2, 0] = off[1]
+            s[1, 2] = s[2, 1] = off[2]
+            return check_covariance(s)
+
+        o["s0"] = build(("s0_diag", "s0_offdiag"), s0)
         for t in p.get("t_list", []):
             build(("t_list",), lambda t=t: check_time(t))
     elif command == "chaos":
@@ -490,8 +505,8 @@ def _run_sim(plan: ExperimentPlan, seed: int):
 
 
 def _cmd_spectrum(plan, seed, rng):
-    table = spectrum_table(plan.objects["spec"], plan.params["j_max"])
-    rows = [[j, unscaled, scaled, limit] for j, unscaled, scaled, limit in table.rows]
+    rows = [[j, unscaled, scaled, limit]
+            for j, unscaled, scaled, limit in plan.objects["table"].rows]
     return {"spectrum": (["j", "unscaled", "scaled", "limit"], rows)}, {}
 
 
@@ -553,13 +568,8 @@ def _cmd_marginal_compare(plan, seed, rng):
 
 def _cmd_fpe_moments(plan, seed, rng):
     p = plan.params
-    s0 = np.diag(p["s0_diag"]).astype(float)
-    off = p["s0_offdiag"]
-    s0[0, 1] = s0[1, 0] = off[0]
-    s0[0, 2] = s0[2, 0] = off[1]
-    s0[1, 2] = s0[2, 1] = off[2]
     m0 = np.asarray(p["m0"], dtype=float)
-    second0 = s0 + np.outer(m0, m0)
+    second0 = plan.objects["s0"] + np.outer(m0, m0)
     rows = []
     for t in p["t_list"]:
         st = plan.objects["flow"](m0, second0, t)
@@ -670,7 +680,10 @@ def main(argv: list[str] | None = None) -> int:
                           "violations": exc.violations}, indent=1))
         return 2
     except Exception as exc:  # noqa: BLE001 - machine-readable failure contract
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        report = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, NonFiniteStateError):
+            report.update(step=exc.step, replicas=exc.replicas)
+        print(json.dumps(report))
         return 1
     return 0
 

@@ -39,6 +39,20 @@ class DegeneratePairError(ValueError):
     """Pair separation below the singularity cutoff."""
 
 
+class NonFiniteStateError(FloatingPointError):
+    """States hold NaN or inf: a numerical breakdown of the run.
+
+    ``replicas`` lists the affected replica indices; ``step`` is the time
+    step that produced them, when the ensemble driver knows it.
+    """
+
+    def __init__(self, replicas, step: int | None = None):
+        self.replicas = [int(i) for i in replicas]
+        self.step = step
+        at = "" if step is None else f" at step {step}"
+        super().__init__(f"non-finite states{at} in replicas {self.replicas}")
+
+
 class ConservationMode(Enum):
     """Which quantities the process conserves (C = number of constraints)."""
 
@@ -143,7 +157,8 @@ def renormalize_batch(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
 
     Momentum is restored by a uniform shift of all particles; energy by
     rescaling the deviations about u. Directions of the deviations are
-    unchanged.
+    unchanged. Raises NonFiniteStateError, naming the replicas, when a
+    state holds NaN or inf (read off the per-replica norm).
     """
     states = np.asarray(states, dtype=float)
     if spec.mode is ConservationMode.ENERGY_MOMENTUM:
@@ -151,6 +166,8 @@ def renormalize_batch(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
     else:
         centered = states
     norm = np.sqrt((centered * centered).sum(axis=(1, 2), keepdims=True))
+    if not np.isfinite(norm).all():
+        raise NonFiniteStateError(np.flatnonzero(~np.isfinite(norm)))
     if np.any(norm == 0.0):
         raise DegenerateStateError("all velocities equal u; cannot rescale")
     out = centered * (spec.radius / norm)

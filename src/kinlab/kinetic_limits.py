@@ -200,6 +200,26 @@ def check_time(t: float) -> None:
         raise ValueError("t must be >= 0")
 
 
+# smallest eigenvalue a covariance may have, relative to max(1, largest |eigenvalue|)
+COVARIANCE_TOL = 1e-12
+
+
+def check_covariance(s0) -> np.ndarray:
+    """Return s0 as a (3, 3) array once it is checked to be a covariance:
+    finite, exactly symmetric, and positive semidefinite up to rounding
+    (eigenvalues >= -COVARIANCE_TOL * max(1, largest |eigenvalue|))."""
+    s0 = np.asarray(s0, dtype=float).reshape(3, 3)
+    if not np.isfinite(s0).all():
+        raise ValueError("covariance must be finite")
+    if not np.array_equal(s0, s0.T):
+        raise ValueError("covariance must be symmetric")
+    eig = np.linalg.eigvalsh(s0)
+    if eig[0] < -COVARIANCE_TOL * max(1.0, float(np.abs(eig).max())):
+        raise ValueError("covariance must be positive semidefinite "
+                         f"(smallest eigenvalue {eig[0]:.6g})")
+    return s0
+
+
 def fpe_moment_flow(p: LimitParams, m0, second0, t: float) -> MomentState:
     """Exact moment solution of the limiting linear Fokker-Planck flow.
 

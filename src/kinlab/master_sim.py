@@ -36,6 +36,7 @@ import numpy as np
 from . import observables as obs_mod
 from .geometry import (
     ManifoldSpec,
+    NonFiniteStateError,
     renormalize_batch,
     sample_uniform_batch,
     tangent_project_batch,
@@ -177,33 +178,68 @@ def _round_robin_rounds(n: int) -> np.ndarray:
     return np.asarray(rounds, dtype=np.intp)
 
 
-def _pair_round_update(states: np.ndarray, k_idx: np.ndarray, l_idx: np.ndarray,
-                       eta: np.ndarray, gamma: float, cutoff: float,
-                       diff_scale: float, dt: float) -> None:
+@lru_cache(maxsize=None)
+def _round_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Particle layout of each round for the relabeled sweep.
+
+    Returns (layout, inverse), both (n_rounds, n) and read-only. Row t of
+    ``layout`` lists round t's k sides, then its l sides (in the order of
+    ``_round_robin_rounds(n)[t]``), then the bye particle when n is odd, so
+    the round's pairs are positions (i, P + i) for i < P = n // 2.
+    ``inverse[t]`` is the inverse permutation: the position of each label.
+    """
+    rounds = _round_robin_rounds(n)
+    p = n // 2
+    layout = np.empty((rounds.shape[0], n), dtype=np.intp)
+    layout[:, :p] = rounds[:, :, 0]
+    layout[:, p:2 * p] = rounds[:, :, 1]
+    if n % 2:
+        layout[:, -1] = n * (n - 1) // 2 - layout[:, :-1].sum(axis=1)
+    inverse = np.argsort(layout, axis=1)
+    layout.setflags(write=False)
+    inverse.setflags(write=False)
+    return layout, inverse
+
+
+def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[0] y[0] + x[1] y[1] + x[2] y[2], summed in that order."""
+    out = x[0] * y[0]
+    out += x[1] * y[1]
+    out += x[2] * y[2]
+    return out
+
+
+def _pair_round_kick(work: np.ndarray, eta: np.ndarray, gamma: float,
+                     cutoff: float, diff_scale: float, dt: float) -> None:
     """Kick one round of disjoint pairs in place.
 
-    states (R, N, 3); k_idx/l_idx (R, P) disjoint within each row; eta
-    (R, P, 3) standard normals. Per pair: increment sqrt(a dt) P_perp eta on
+    ``work`` (3, N, R) holds the replicas component-major in the round's
+    layout: position i < P is the k side of pair i and position P + i its
+    l side, with P = eta.shape[1]; ``eta`` (3, P, R) holds standard normals
+    and is overwritten. Per pair: increment sqrt(a dt) P_perp eta on
     particle k, the opposite on l (a = diff_scale * beta^{2+gamma}), then
     rescale the separation back to beta exactly. Pair momentum is conserved
     identically; pairs below the cutoff are skipped.
     """
-    rows = np.arange(states.shape[0])[:, None]
-    vk = states[rows, k_idx]
-    vl = states[rows, l_idx]
+    p = eta.shape[1]
+    vk = work[:, :p]
+    vl = work[:, p:2 * p]
     d = vk - vl
-    beta = np.sqrt((d * d).sum(-1))
+    beta = np.sqrt(_dot3(d, d))
     ok = beta >= cutoff
-    safe = np.where(ok, beta, 1.0)
+    all_ok = ok.all()
+    safe = beta if all_ok else np.where(ok, beta, 1.0)
     amp = np.sqrt(diff_scale * dt * safe ** (2.0 + gamma))
-    nhat = d / safe[..., None]
-    eta_perp = eta - nhat * (nhat * eta).sum(-1, keepdims=True)
-    d_new = d + (2.0 * amp)[..., None] * eta_perp
-    norm = np.sqrt((d_new * d_new).sum(-1, keepdims=True))
-    d_rest = d_new * (beta[..., None] / norm)
-    half = np.where(ok[..., None], 0.5 * (d_rest - d), 0.0)
-    states[rows, k_idx] = vk + half
-    states[rows, l_idx] = vl - half
+    nhat = d / safe
+    eta -= nhat * _dot3(nhat, eta)          # P_perp eta
+    eta *= 2.0 * amp
+    eta += d                                # kicked separation
+    eta *= beta / np.sqrt(_dot3(eta, eta))  # restored to length beta
+    eta -= d
+    eta *= 0.5
+    half = eta if all_ok else np.where(ok, eta, 0.0)
+    vk += half
+    vl -= half
 
 
 def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
@@ -220,10 +256,22 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
     round slot. With ``antithetic`` (even R), the second half of the
     replicas reuses the first half's schedule with negated noise
     (variance reduction for one-step drift estimates).
+
+    The sweep runs on a component-major (3, N, R) copy of the states,
+    relabeled into the layout of the current round (``_round_layout``), so
+    each round's k and l sides are the contiguous slices [:P] and [P:2P],
+    kicked in place. One gather per round moves the copy from one round's
+    layout to the next; its flat indices are built per round from the
+    round order and the layout tables, O(R N) index memory per round. The
+    states are gathered into the copy once per step and scattered back
+    once. The relabeling changes neither the draw order above nor the
+    per-pair arithmetic, so trajectories are bit-identical to a sweep that
+    gathers and scatters each round's pairs in natural particle order.
     """
     r, n, _ = states.shape
-    rounds = _round_robin_rounds(n)
-    n_rounds = rounds.shape[0]
+    layout, inverse = _round_layout(n)
+    n_rounds = layout.shape[0]
+    p = n // 2
     r_draw = r
     if antithetic:
         if r % 2:
@@ -236,15 +284,30 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
         order = np.concatenate([order, order])
     cutoff = kernel.resolve_cutoff(spec)
     diff_scale = 2.0 / (n - 1)
+    replica = np.arange(r)
+    # layout position i of replica q holds particle perm[q, layout[order[q, j], i]]
+    particles = np.take_along_axis(perm, layout[order[:, 0]], axis=1)
+    work = np.ascontiguousarray(states[replica[:, None], particles].transpose(2, 1, 0))
+    spare = np.empty_like(work)
+    eta = np.empty((3, p, r))
     for j in range(n_rounds):
-        base = rounds[order[:, j]]                                   # (R, P, 2)
-        k_idx = np.take_along_axis(perm, base[:, :, 0], axis=1)
-        l_idx = np.take_along_axis(perm, base[:, :, 1], axis=1)
-        eta = rng.standard_normal((r_draw,) + k_idx.shape[1:] + (3,))
+        if j:
+            # each label's position in the previous slot, as a flat (N, R) index
+            labels = layout[order[:, j]].T
+            labels += order[:, j - 1] * n
+            moves = np.take(inverse, labels)
+            moves *= r
+            moves += replica
+            np.take(work.reshape(3, -1), moves.ravel(), axis=1,
+                    out=spare.reshape(3, -1))
+            work, spare = spare, work
+        noise = rng.standard_normal((r_draw, p, 3)).transpose(2, 1, 0)
+        eta[:, :, :r_draw] = noise
         if antithetic:
-            eta = np.concatenate([eta, -eta])
-        _pair_round_update(states, k_idx, l_idx, eta, kernel.gamma,
-                           cutoff, diff_scale, dt)
+            np.negative(noise, out=eta[:, :, r_draw:])
+        _pair_round_kick(work, eta, kernel.gamma, cutoff, diff_scale, dt)
+    particles = np.take_along_axis(perm, layout[order[:, -1]], axis=1)
+    states[replica[:, None], particles] = work.transpose(2, 1, 0)
     return renormalize_batch(spec, states)
 
 
@@ -434,6 +497,9 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     sampling, schedules and noise in a fixed order, so identical configs
     give bit-identical results regardless of thread count. Ensemble means
     are reported with standard errors (std/sqrt(R), ddof=1).
+
+    A step that leaves NaN or inf in some replica raises
+    NonFiniteStateError naming that step and those replicas.
     """
     fns = observables if isinstance(observables, Mapping) else {
         name: obs_mod.get_observable(name) for name in observables}
@@ -464,11 +530,14 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     if n_steps > 0:
         record(0)
     for step in range(1, n_steps + 1):
-        if config.process == SPHERE_DIFFUSION:
-            xi = rng.standard_normal(states.shape)
-            states = step_sphere_diffusion(spec, states, config.dt, xi)
-        else:
-            states = step_pair_diffusion(spec, states, config.kernel, config.dt, rng)
+        try:
+            if config.process == SPHERE_DIFFUSION:
+                xi = rng.standard_normal(states.shape)
+                states = step_sphere_diffusion(spec, states, config.dt, xi)
+            else:
+                states = step_pair_diffusion(spec, states, config.kernel, config.dt, rng)
+        except NonFiniteStateError as exc:
+            raise NonFiniteStateError(exc.replicas, step=step) from None
         if step % config.record_every == 0 or step == n_steps:
             record(step)
         maybe_snapshot(step)

@@ -77,6 +77,8 @@ class SpectrumTable:
 
 
 def spectrum_table(spec: ManifoldSpec, j_max: int) -> SpectrumTable:
+    if j_max < 0:
+        raise ValueError("j_max must be >= 0")
     rows = [
         (j, eigenvalue_unscaled(spec, j), eigenvalue_scaled(spec, j),
          limit_eigenvalue(j, spec.eps0))

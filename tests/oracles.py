@@ -130,3 +130,52 @@ def fpe_mean_rhs_quadrature(p, m0):
         val, _ = quad(integrand, m0[axis] - 12 * sigma, m0[axis] + 12 * sigma, limit=200)
         out[axis] = val
     return out
+
+
+def step_pair_diffusion_reference(spec, states, kernel, dt, rng, antithetic=False):
+    """The pair sweep in natural particle order, the plain reference for
+    ``master_sim.step_pair_diffusion``.
+
+    Same RNG draws in the same order and the same per-pair arithmetic, but
+    each round gathers the k and l particles by 2-D fancy indexing and
+    scatters the kicked velocities back, so the relabeled layout of the
+    library kernel must reproduce it bit for bit.
+    """
+    from kinlab.geometry import renormalize_batch
+    from kinlab.master_sim import _round_robin_rounds
+
+    r, n, _ = states.shape
+    rounds = _round_robin_rounds(n)
+    n_rounds = rounds.shape[0]
+    r_draw = r // 2 if antithetic else r
+    perm = np.argsort(rng.random((r_draw, n)), axis=1)
+    order = np.argsort(rng.random((r_draw, n_rounds)), axis=1)
+    if antithetic:
+        perm = np.concatenate([perm, perm])
+        order = np.concatenate([order, order])
+    cutoff = kernel.resolve_cutoff(spec)
+    diff_scale = 2.0 / (n - 1)
+    rows = np.arange(r)[:, None]
+    for j in range(n_rounds):
+        base = rounds[order[:, j]]
+        k_idx = np.take_along_axis(perm, base[:, :, 0], axis=1)
+        l_idx = np.take_along_axis(perm, base[:, :, 1], axis=1)
+        eta = rng.standard_normal((r_draw,) + k_idx.shape[1:] + (3,))
+        if antithetic:
+            eta = np.concatenate([eta, -eta])
+        vk = states[rows, k_idx]
+        vl = states[rows, l_idx]
+        d = vk - vl
+        beta = np.sqrt((d * d).sum(-1))
+        ok = beta >= cutoff
+        safe = np.where(ok, beta, 1.0)
+        amp = np.sqrt(diff_scale * dt * safe ** (2.0 + kernel.gamma))
+        nhat = d / safe[..., None]
+        eta_perp = eta - nhat * (nhat * eta).sum(-1, keepdims=True)
+        d_new = d + (2.0 * amp)[..., None] * eta_perp
+        norm = np.sqrt((d_new * d_new).sum(-1, keepdims=True))
+        d_rest = d_new * (beta[..., None] / norm)
+        half = np.where(ok[..., None], 0.5 * (d_rest - d), 0.0)
+        states[rows, k_idx] = vk + half
+        states[rows, l_idx] = vl - half
+    return renormalize_batch(spec, states)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from kinlab import cli
 from kinlab.cli import ConfigError, main, parse_config, run
 
 
@@ -227,6 +229,12 @@ INVALID_CONFIGS = {
                                           ("pair_samples", "0")], ["pair_samples"]),
     "chaos_bins_zero": ("chaos", [("n_list", "4,8"), ("t_end", "0.04"), ("bins", "0")],
                         ["bins"]),
+    "spectrum_j_max_negative": ("spectrum", [("n_particles", "8"), ("j_max", "-1")],
+                                ["j_max"]),
+    "fpe_s0_diag_negative": ("fpe-moments", [("t_list", "0,1"), ("s0_diag", "-1,1,1")],
+                             ["s0_diag"]),
+    "fpe_s0_offdiag_not_psd": ("fpe-moments", [("t_list", "0,1"),
+                                               ("s0_offdiag", "2,0,0")], ["s0_offdiag"]),
 }
 
 
@@ -265,3 +273,19 @@ def test_manifest_independent_of_out_dir(tmp_path):
     assert a["outputs"] == ["series.csv", "entropy.csv"]
     assert (tmp_path / "a/manifest.json").read_bytes() == \
         (tmp_path / "b/nested/manifest.json").read_bytes()
+
+
+def test_breakdown_reported_with_step_and_replica(tmp_path, capsys, monkeypatch):
+    def nan_in_replica_3(spec, n_states, rng):
+        states = cli.sample_uniform_batch(spec, n_states, rng)
+        states[3, 0, 0] = np.nan
+        return states
+
+    monkeypatch.setattr(cli, "uniform_sampler", nan_in_replica_3)
+    cfg = tmp_path / "bp.cfg"
+    cfg.write_text("n_particles = 4\ndt = 0.01\nt_end = 0.05\nn_replicas = 8\n"
+                   "gamma = -3\n")
+    assert main(["sim-bp", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "NonFiniteStateError"
+    assert report["step"] == 1 and report["replicas"] == [3]

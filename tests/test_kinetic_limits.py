@@ -24,6 +24,7 @@ from kinlab.geometry import ConservationMode, ManifoldSpec
 from kinlab.kinetic_limits import (
     LANDAU_ANISOTROPY_RATE,
     LimitParams,
+    check_covariance,
     entropy_grid_edges,
     finite_n_marginal_rates,
     fpe_moment_flow,
@@ -267,3 +268,23 @@ def test_finite_n_marginal_rates_converge_to_limit():
             if row.degree is not None:
                 assert abs(row.rate - row.limit_rate) <= 3.0 / n
                 assert row.limit_rate == limit_eigenvalue(row.degree, 1.0)
+
+
+def test_check_covariance():
+    np.testing.assert_array_equal(check_covariance(np.diag([1.0, 0.0, 2.0])),
+                                  np.diag([1.0, 0.0, 2.0]))
+    # a rank-one covariance with rounding-level negative eigenvalues passes
+    a = np.array([0.1, 0.7, -0.3])
+    check_covariance(np.outer(a, a))
+    bad = {
+        "positive semidefinite": np.diag([-1.0, 1.0, 1.0]),
+        "symmetric": np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "finite": np.diag([np.nan, 1.0, 1.0]),
+    }
+    for what, s0 in bad.items():
+        with pytest.raises(ValueError, match=what):
+            check_covariance(s0)
+    unit_offdiag_2 = np.eye(3)
+    unit_offdiag_2[0, 1] = unit_offdiag_2[1, 0] = 2.0
+    with pytest.raises(ValueError, match="semidefinite"):
+        check_covariance(unit_offdiag_2)

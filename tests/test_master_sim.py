@@ -6,6 +6,7 @@ import pytest
 from kinlab.geometry import (
     ConservationMode,
     ManifoldSpec,
+    NonFiniteStateError,
     constraint_errors,
     sample_uniform_batch,
 )
@@ -13,7 +14,8 @@ from kinlab.master_sim import (
     KernelSpec,
     SimConfig,
     TestPolynomial,
-    _pair_round_update,
+    _pair_round_kick,
+    _round_layout,
     _round_robin_rounds,
     generator_apply,
     run_ensemble,
@@ -23,10 +25,26 @@ from kinlab.master_sim import (
 )
 from kinlab.spectral import eigenvalue_scaled
 
-from oracles import generator_apply_fd
+from oracles import generator_apply_fd, step_pair_diffusion_reference
 
 
 COULOMB = KernelSpec(-3.0)
+
+
+def kick_round(states, k_idx, l_idx, eta, gamma, cutoff, diff_scale, dt):
+    """Kick the (R, P) pairs (k_idx, l_idx) of (R, N, 3) states in place
+    with (R, P, 3) noise, through the sweep's component-major round layout:
+    k sides, then l sides, then the remaining particles."""
+    r, n, _ = states.shape
+    rest = [[i for i in range(n) if i not in set(k) | set(l)]
+            for k, l in zip(k_idx, l_idx)]
+    layout = np.concatenate([k_idx, l_idx, np.array(rest, dtype=int).reshape(r, -1)],
+                            axis=1)
+    rows = np.arange(r)[:, None]
+    work = np.ascontiguousarray(states[rows, layout].transpose(2, 1, 0))
+    _pair_round_kick(work, np.ascontiguousarray(eta.transpose(2, 1, 0)), gamma,
+                     cutoff, diff_scale, dt)
+    states[rows, layout] = work.transpose(2, 1, 0)
 
 
 def test_kernel_validation():
@@ -63,6 +81,41 @@ def test_round_robin_covers_all_pairs():
         assert len(seen) == n * (n - 1) // 2
 
 
+def test_round_layout_lists_each_round_pairs_first():
+    for n in (2, 4, 5, 8, 9):
+        rounds = _round_robin_rounds(n)
+        layout, inverse = _round_layout(n)
+        p = n // 2
+        assert layout.shape == (rounds.shape[0], n)
+        for t, row in enumerate(layout):
+            assert sorted(row) == list(range(n))
+            assert (row[:p] < row[p:2 * p]).all()
+            np.testing.assert_array_equal(np.stack([row[:p], row[p:2 * p]], 1), rounds[t])
+            np.testing.assert_array_equal(inverse[t][row], np.arange(n))
+
+
+@pytest.mark.parametrize("n, mode, gamma, antithetic", [
+    (2, ConservationMode.ENERGY_MOMENTUM, -3.0, False),
+    (9, ConservationMode.ENERGY_ONLY, 3.0, False),
+    (33, ConservationMode.ENERGY_MOMENTUM, -4.5, False),
+    (64, ConservationMode.ENERGY_ONLY, 0.0, False),
+    (7, ConservationMode.ENERGY_MOMENTUM, -3.0, True),
+])
+def test_pair_sweep_matches_natural_order_reference(n, mode, gamma, antithetic):
+    spec = ManifoldSpec(n, mode, eps=1.5)
+    kernel = KernelSpec(gamma)
+    start = sample_uniform_batch(spec, 6, np.random.default_rng(n))
+    a, b = start.copy(), start.copy()
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(3):
+        kicked_a, kicked_b = a, b
+        a = step_pair_diffusion(spec, a, kernel, 0.02, rng_a, antithetic=antithetic)
+        b = step_pair_diffusion_reference(spec, b, kernel, 0.02, rng_b,
+                                          antithetic=antithetic)
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(kicked_a, kicked_b)
+
+
 def test_sphere_step_preserves_constraints(rng):
     spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.5, u=[1, 0, 0])
     v = sample_uniform_batch(spec, 1, rng)
@@ -93,7 +146,7 @@ def test_pair_round_restores_alpha_beta_exactly(rng):
     before_alpha = states[np.arange(64), 0] + states[np.arange(64), 2]
     before_beta = np.linalg.norm(states[np.arange(64), 0] - states[np.arange(64), 2], axis=1)
     eta = rng.standard_normal((64, 1, 3))
-    _pair_round_update(states, k_idx, l_idx, eta, -3.0, 1e-8, 2.0 / 3.0, 1e-3)
+    kick_round(states, k_idx, l_idx, eta, -3.0, 1e-8, 2.0 / 3.0, 1e-3)
     after_alpha = states[np.arange(64), 0] + states[np.arange(64), 2]
     after_beta = np.linalg.norm(states[np.arange(64), 0] - states[np.arange(64), 2], axis=1)
     np.testing.assert_allclose(after_alpha, before_alpha, atol=1e-14)
@@ -109,7 +162,7 @@ def test_pair_step_skips_coincident_pairs():
     k_idx = np.array([[0]])
     l_idx = np.array([[1]])
     eta = np.ones((1, 1, 3))
-    _pair_round_update(states, k_idx, l_idx, eta, -3.0, spec.cutoff, 2.0 / 3.0, 1e-3)
+    kick_round(states, k_idx, l_idx, eta, -3.0, spec.cutoff, 2.0 / 3.0, 1e-3)
     np.testing.assert_array_equal(states[0], p)
 
 
@@ -123,10 +176,10 @@ def test_exchangeability_equivariance(rng):
     l_idx = np.array([[1, 3, 5]])
     eta = rng.standard_normal((1, 3, 3))
     a = states.copy()
-    _pair_round_update(a, k_idx, l_idx, eta, -3.0, spec.cutoff, 0.4, 1e-3)
+    kick_round(a, k_idx, l_idx, eta, -3.0, spec.cutoff, 0.4, 1e-3)
     b = states[:, perm].copy()
     inv = np.argsort(perm)
-    _pair_round_update(b, inv[k_idx], inv[l_idx], eta, -3.0, spec.cutoff, 0.4, 1e-3)
+    kick_round(b, inv[k_idx], inv[l_idx], eta, -3.0, spec.cutoff, 0.4, 1e-3)
     np.testing.assert_allclose(b, a[:, perm], atol=1e-12)
     # same for the isotropic step with explicit noise
     xi = rng.standard_normal((1, 6, 3))
@@ -262,3 +315,18 @@ def test_pair_process_equilibrium_preservation(rng):
                                atol=1e-12)
     s = res.series["sum_v1v2"]
     assert np.all(np.abs(s.means) <= 4.0 * s.stderrs + 1e-12)
+
+
+@pytest.mark.parametrize("process", ["sphere", "pair"])
+def test_run_ensemble_names_breakdown_step_and_replica(process, spec_c4):
+    def nan_in_replica_3(spec, n_states, rng):
+        states = sample_uniform_batch(spec, n_states, rng)
+        states[3, 1, 2] = np.nan
+        return states
+
+    cfg = SimConfig(dt=1e-3, t_end=0.005, n_replicas=6, seed=1, process=process,
+                    kernel=COULOMB)
+    with pytest.raises(NonFiniteStateError, match="step 1") as info:
+        run_ensemble(spec_c4, cfg, ["sum_v1v2"], initial_sampler=nan_in_replica_3)
+    assert info.value.step == 1
+    assert info.value.replicas == [3]
