@@ -71,7 +71,7 @@ from kinlab.master_sim import EnsembleSnapshot
 for n in (8, 32, 128):
     spec = ManifoldSpec(n, ConservationMode.ENERGY_ONLY, eps=1.0)
     vel = sample_uniform_batch(spec, max(8, 400000 // (n * (n - 1))), rng)
-    snap = EnsembleSnapshot(0.0, spec, vel)
+    snap = EnsembleSnapshot(0.0, vel)
     h2 = marginal_histogram(snap, 2, edges1, component=0, max_pairs=400000,
                             rng=rng)
     h1 = marginal_histogram(snap, 1, edges1, component=0)

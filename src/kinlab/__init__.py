@@ -13,23 +13,17 @@ __version__ = "0.1.0"
 
 from .geometry import (
     ConservationMode,
-    DegeneratePairError,
     DegenerateStateError,
     ManifoldSpec,
     NonFiniteStateError,
     constraint_errors,
-    pair_projector_apply,
     renormalize_batch,
     sample_uniform_batch,
-    sphere_area,
-    state_from_standard,
     tangent_project_batch,
 )
 from .kinetic_limits import (
-    LANDAU_ANISOTROPY_RATE,
     LimitParams,
     MomentState,
-    finite_n_marginal_rates,
     fpe_moment_flow,
     landau_moment_flow,
     maxwellian_eval,
@@ -68,8 +62,6 @@ from .spectral import (
     rayleigh_quotient_mc,
     spectrum_table,
     standard_trial_function,
-    symmetric_eigenfunction,
-    trial_eval,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

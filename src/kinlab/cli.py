@@ -3,9 +3,7 @@ config file, writing a run-manifest JSON plus CSV (or JSON) tables.
 
 Subcommands: spectrum, sample, sim-sphere, sim-bp, rayleigh, gap-scan,
 marginal-compare, fpe-moments, chaos. Flags: --config PATH, --out DIR,
---seed U64 (overrides config), --threads K (recorded, never affects
-results), --format {csv,json}, --plot. KINLAB_THREADS is the env fallback
-for --threads.
+--seed U64 (overrides config), --format {csv,json}.
 
 Config format: UTF-8 lines "key = value"; '#' starts a comment; unknown
 keys are rejected and all violations are reported together with their line
@@ -18,7 +16,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 from dataclasses import dataclass, field, replace
@@ -108,7 +105,7 @@ def _one_of(choices):
 
 
 _C1, _C4 = ConservationMode.ENERGY_ONLY, ConservationMode.ENERGY_MOMENTUM
-_MODES = {"energy": _C1, "energy-only": _C1, "c1": _C1, "energy-momentum": _C4, "c4": _C4}
+_MODES = {"energy": _C1, "energy-momentum": _C4}
 # init name -> sampler factory of init_strength; the factories are looked up
 # at call time, so a caller may replace them on this module
 _INITS = {
@@ -455,30 +452,11 @@ def _series_rows(result, names):
     return header, rows
 
 
-def _maybe_plot(out_dir: Path, result, names, stem: str):
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return None
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for name in names:
-        s = result.series[name]
-        ax.errorbar(s.times, s.means, yerr=s.stderrs, label=name, lw=1)
-    ax.set_xlabel("t")
-    ax.legend(fontsize=8)
-    path = out_dir / f"{stem}.svg"
-    fig.savefig(path)
-    plt.close(fig)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # command runners (each returns (tables, extras); tables: name -> (header, rows))
 
 
-def _run_sim(plan: ExperimentPlan, seed: int):
+def _cmd_sim(plan, seed, rng):
     params, o = plan.params, plan.objects
     names = list(o["observables"])
     result = run_ensemble(o["spec"], replace(o["config"], seed=seed), o["observables"],
@@ -501,7 +479,7 @@ def _run_sim(plan: ExperimentPlan, seed: int):
             "rate_stderr": fit.rate_stderr, "ci": [fit.ci_low, fit.ci_high],
             "r_squared": fit.r_squared, "low_r2_warning": fit.low_r2_warning,
         }
-    return tables, extras, result, names
+    return tables, extras
 
 
 def _cmd_spectrum(plan, seed, rng):
@@ -568,11 +546,9 @@ def _cmd_marginal_compare(plan, seed, rng):
 
 def _cmd_fpe_moments(plan, seed, rng):
     p = plan.params
-    m0 = np.asarray(p["m0"], dtype=float)
-    second0 = plan.objects["s0"] + np.outer(m0, m0)
     rows = []
     for t in p["t_list"]:
-        st = plan.objects["flow"](m0, second0, t)
+        st = plan.objects["flow"](p["m0"], plan.objects["s0"], t)
         c = st.centered
         rows.append([t, *st.mean, c[0, 0], c[1, 1], c[2, 2],
                      c[0, 1], c[0, 2], c[1, 2]])
@@ -601,43 +577,33 @@ def _cmd_chaos(plan, seed, rng):
 
 
 def run(plan: ExperimentPlan, out_dir: str | Path, *, seed: int | None = None,
-        fmt: str = "csv", threads: int | None = None,
-        plot: bool = False) -> dict:
+        fmt: str = "csv") -> dict:
     """Execute a validated plan; writes artifacts and returns the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     eff_seed = int(plan.params.get("seed", 12345) if seed is None else seed)
     rng = np.random.default_rng(np.random.SeedSequence(eff_seed))
 
-    extras: dict = {}
-    outputs: list[str] = []
-    if plan.command in ("sim-sphere", "sim-bp"):
-        tables, extras, result, names = _run_sim(plan, eff_seed)
-        if plot:
-            path = _maybe_plot(out, result, names, "series")
-            if path is not None:
-                outputs.append(path.name)
-    else:
-        runner = {
-            "spectrum": _cmd_spectrum,
-            "sample": _cmd_sample,
-            "rayleigh": _cmd_rayleigh,
-            "gap-scan": _cmd_gap_scan,
-            "marginal-compare": _cmd_marginal_compare,
-            "fpe-moments": _cmd_fpe_moments,
-            "chaos": _cmd_chaos,
-        }[plan.command]
-        tables, extras = runner(plan, eff_seed, rng)
+    runner = {
+        "spectrum": _cmd_spectrum,
+        "sample": _cmd_sample,
+        "sim-sphere": _cmd_sim,
+        "sim-bp": _cmd_sim,
+        "rayleigh": _cmd_rayleigh,
+        "gap-scan": _cmd_gap_scan,
+        "marginal-compare": _cmd_marginal_compare,
+        "fpe-moments": _cmd_fpe_moments,
+        "chaos": _cmd_chaos,
+    }[plan.command]
+    tables, extras = runner(plan, eff_seed, rng)
 
-    for name, (header, rows) in tables.items():
-        path = _write_table(out / f"{name}.csv", header, rows, fmt)
-        outputs.append(path.name)
+    outputs = [_write_table(out / f"{name}.csv", header, rows, fmt).name
+               for name, (header, rows) in tables.items()]
 
     manifest = {
         "command": plan.command,
         "plan": plan.to_json(),
         "seed": eff_seed,
-        "threads": threads,
         "format": fmt,
         "version": _code_version(),
         "outputs": outputs,
@@ -658,10 +624,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("KINLAB_THREADS", "0")) or None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--plot", action="store_true")
     args = parser.parse_args(argv)
 
     try:
@@ -673,8 +636,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise ConfigError([f"--seed: {exc}"]) from None
         out_dir = args.out if args.out is not None else f"out-{args.command}"
-        run(plan, out_dir, seed=args.seed, fmt=args.format,
-            threads=args.threads, plot=args.plot)
+        run(plan, out_dir, seed=args.seed, fmt=args.format)
     except ConfigError as exc:
         print(json.dumps({"error": "invalid config",
                           "violations": exc.violations}, indent=1))

@@ -9,9 +9,8 @@ families of constraint manifolds are supported:
   inside the zero-total-momentum subspace)
 
 This module provides uniform sampling, exact constraint restoration and its
-error measure, tangent projectors for the full manifold and for the
-two-dimensional pair-collision submanifolds (fixed pair momentum v_k+v_l and
-fixed pair separation |v_k-v_l|), and hypersphere surface areas.
+error measure, the tangent projector of the manifold, and log hypersphere
+surface areas.
 
 States are float arrays of shape (..., N, 3); the batch functions take
 (R, N, 3), and a single state is the batch R = 1.
@@ -33,10 +32,6 @@ CUTOFF_SCALE = 1e-8
 
 class DegenerateStateError(ValueError):
     """All velocities coincide with u; constraints cannot be restored."""
-
-
-class DegeneratePairError(ValueError):
-    """Pair separation below the singularity cutoff."""
 
 
 class NonFiniteStateError(FloatingPointError):
@@ -190,18 +185,8 @@ def constraint_errors(spec: ManifoldSpec,
     return energy / (n * spec.eps) - 1.0, momentum / math.sqrt(n)
 
 
-def state_from_standard(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
-    """Map states on the standard manifold (u=0, eps=1) to spec's manifold.
-
-    The correct affine map is V -> U + sqrt(eps0)*V (the sqrt makes the
-    energy bookkeeping close: N|u|^2/2 + eps0*N = N*eps).
-    """
-    states = np.asarray(states, dtype=float)
-    return spec.u + math.sqrt(spec.eps0) * states
-
-
 # ---------------------------------------------------------------------------
-# tangent projectors
+# tangent projector
 
 
 def tangent_project_batch(spec: ManifoldSpec, states: np.ndarray,
@@ -223,38 +208,6 @@ def tangent_project_batch(spec: ManifoldSpec, states: np.ndarray,
     return y - coef * w
 
 
-def pair_projector_apply(spec: ManifoldSpec, v: np.ndarray, k: int, l: int,
-                         x: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-    """Project vectors x onto the tangent planes of the pair manifold at v.
-
-    v and x have shape (..., N, 3). In the pair frame alpha = v_k + v_l,
-    beta = |v_k - v_l|, n = (v_k - v_l)/beta, the projector is nonzero only
-    in blocks k and l, where it acts as +-(1/2) P_perp(n) on the block
-    difference; its range is the 2-dimensional tangent space of the
-    pair-collision manifold (fixed alpha and beta).
-
-    Raises DegeneratePairError when beta is below the cutoff (caller must
-    skip or regularize).
-    """
-    if cutoff is None:
-        cutoff = spec.cutoff
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    d = v[..., k, :] - v[..., l, :]
-    beta = np.linalg.norm(d, axis=-1, keepdims=True)
-    if np.any(beta < cutoff):
-        raise DegeneratePairError(
-            f"pair ({k},{l}) separation {beta.min():.3e} below cutoff"
-        )
-    nhat = d / beta
-    c = 0.5 * (x[..., k, :] - x[..., l, :])
-    c_perp = c - nhat * (nhat * c).sum(-1, keepdims=True)
-    out = np.zeros(np.broadcast_shapes(v.shape, x.shape))
-    out[..., k, :] = c_perp
-    out[..., l, :] = -c_perp
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sphere areas
 
@@ -270,13 +223,3 @@ def log_sphere_area(dim: int, radius: float = 1.0) -> float:
     half = 0.5 * (dim + 1)
     return math.log(2.0) + half * math.log(math.pi) - gammaln(half) \
         + dim * math.log(radius)
-
-
-def sphere_area(dim: int, radius: float = 1.0) -> float:
-    """Surface measure of the dim-sphere of given radius."""
-    return math.exp(log_sphere_area(dim, radius))
-
-
-def manifold_log_area(spec: ManifoldSpec) -> float:
-    """log surface measure of the constraint manifold."""
-    return log_sphere_area(spec.dim, spec.radius)

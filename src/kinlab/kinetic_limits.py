@@ -33,7 +33,6 @@ import numpy as np
 from .geometry import ConservationMode, ManifoldSpec, log_sphere_area
 from .master_sim import KernelSpec
 from .observables import MarginalHistogram
-from .spectral import eigenvalue_scaled, limit_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -56,18 +55,19 @@ class LimitParams:
 
 @dataclass
 class MomentState:
-    """Mean and second moment matrix M2 = int v (x) v f."""
+    """Mean m and covariance S of a velocity density; the second moment
+    matrix int v (x) v f is M2 = S + m (x) m."""
 
     mean: np.ndarray
-    second: np.ndarray
+    centered: np.ndarray
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(3)
-        self.second = np.asarray(self.second, dtype=float).reshape(3, 3)
+        self.centered = np.asarray(self.centered, dtype=float).reshape(3, 3)
 
     @property
-    def centered(self) -> np.ndarray:
-        return self.second - np.outer(self.mean, self.mean)
+    def second(self) -> np.ndarray:
+        return self.centered + np.outer(self.mean, self.mean)
 
     @property
     def energy(self) -> float:
@@ -134,14 +134,6 @@ def radial_probe(spec: ManifoldSpec, points: int) -> np.ndarray:
     v = np.zeros((points, 1, 3))
     v[:, 0, 0] = np.linspace(0.0, spec.radius, points)
     return v
-
-
-def stationary_radial_pdf(spec: ManifoldSpec, r) -> np.ndarray:
-    """Radial density 4 pi r^2 F1(r) of one velocity's magnitude."""
-    r = np.asarray(r, dtype=float)
-    v = np.zeros(r.shape + (1, 3))
-    v[..., 0, 0] = r
-    return 4.0 * math.pi * r ** 2 * stationary_marginal_eval(spec, 1, v)
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +212,26 @@ def check_covariance(s0) -> np.ndarray:
     return s0
 
 
-def fpe_moment_flow(p: LimitParams, m0, second0, t: float) -> MomentState:
-    """Exact moment solution of the limiting linear Fokker-Planck flow.
+def fpe_moment_flow(p: LimitParams, m0, s0, t: float) -> MomentState:
+    """Exact moment solution of the limiting linear Fokker-Planck flow from
+    mean m0 and covariance s0 (checked by ``check_covariance``).
 
     m(t) = u + (m0 - u) exp(-3t/(2 eps0));
-    S(t) = (2 eps0/3) I + (S0 - (2 eps0/3) I) exp(-3t/eps0), S = M2 - m m.
+    S(t) = (2 eps0/3) I + (S0 - (2 eps0/3) I) exp(-3t/eps0).
     """
     check_time(t)
+    s0 = check_covariance(s0)
     m0 = np.asarray(m0, dtype=float).reshape(3)
-    second0 = np.asarray(second0, dtype=float).reshape(3, 3)
     kappa = 1.5 / p.eps0
     m_t = p.u + (m0 - p.u) * math.exp(-kappa * t)
-    s0 = second0 - np.outer(m0, m0)
     s_inf = (2.0 * p.eps0 / 3.0) * np.eye(3)
     s_t = s_inf + (s0 - s_inf) * math.exp(-2.0 * kappa * t)
-    return MomentState(mean=m_t, second=s_t + np.outer(m_t, m_t))
+    return MomentState(mean=m_t, centered=s_t)
 
 
-def landau_moment_flow(kernel: KernelSpec, m0, second0, t: float) -> MomentState:
-    """Exact second-moment relaxation of the Maxwell-molecule collision flow.
+def landau_moment_flow(kernel: KernelSpec, m0, s0, t: float) -> MomentState:
+    """Exact second-moment relaxation of the Maxwell-molecule collision flow
+    from mean m0 and covariance s0 (checked by ``check_covariance``).
 
     Only gamma = 0 closes at second-moment level. Mean and tr S are
     conserved; the anisotropy S - (tr S/3) I decays as exp(-12 t) (rate
@@ -247,48 +240,7 @@ def landau_moment_flow(kernel: KernelSpec, m0, second0, t: float) -> MomentState
     if kernel.gamma != 0.0:
         raise ValueError("moment closure requires gamma = 0")
     check_time(t)
-    m0 = np.asarray(m0, dtype=float).reshape(3)
-    second0 = np.asarray(second0, dtype=float).reshape(3, 3)
-    s0 = second0 - np.outer(m0, m0)
+    s0 = check_covariance(s0)
     iso = np.trace(s0) / 3.0 * np.eye(3)
     s_t = iso + (s0 - iso) * math.exp(-12.0 * t)
-    return MomentState(mean=m0, second=s_t + np.outer(m0, m0))
-
-
-LANDAU_ANISOTROPY_RATE = 12.0
-
-
-# ---------------------------------------------------------------------------
-# finite-N marginal relaxation rates (n = 1 catalog)
-
-
-@dataclass(frozen=True)
-class MarginalRate:
-    observable: str
-    degree: int | None
-    rate: float
-    limit_rate: float
-
-
-def finite_n_marginal_rates(spec: ManifoldSpec) -> list[MarginalRate]:
-    """Exact decay rates of low-order one-particle moments under the sphere
-    diffusion, with the corresponding limit Fokker-Planck rates.
-
-    Rates follow from the generator acting on the symmetric polynomial
-    lifts (degree-j harmonic sums are exact eigenfunctions), so each rate
-    equals ``eigenvalue_scaled`` at the matching degree. On the
-    momentum-conserving manifold the exchangeable one-particle mean is
-    pinned at u (rate 0). Limit rates are those of the limiting
-    Fokker-Planck equation.
-    """
-    rows = []
-    if spec.mode is ConservationMode.ENERGY_ONLY:
-        rows.append(MarginalRate("mean_component", 1,
-                                 eigenvalue_scaled(spec, 1),
-                                 limit_eigenvalue(1, spec.eps0)))
-    else:
-        rows.append(MarginalRate("mean_component", None, 0.0, 0.0))
-    for name in ("offdiag_second_moment", "diagonal_difference_second_moment"):
-        rows.append(MarginalRate(name, 2, eigenvalue_scaled(spec, 2),
-                                 limit_eigenvalue(2, spec.eps0)))
-    return rows
+    return MomentState(mean=m0, centered=s_t)

@@ -128,14 +128,13 @@ class EnsembleSnapshot:
     """States of every replica at one time; velocities has shape (R, N, 3)."""
 
     time: float
-    spec: ManifoldSpec
     velocities: np.ndarray
 
 
 @dataclass
 class SimResult:
-    spec: ManifoldSpec
-    config: SimConfig
+    """Recorded series by observable name, and the requested snapshots."""
+
     series: dict[str, "obs_mod.ObservableSeries"]
     snapshots: list[EnsembleSnapshot]
 
@@ -495,8 +494,8 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
 
     Fully deterministic given config.seed: a single PCG64 stream drives
     sampling, schedules and noise in a fixed order, so identical configs
-    give bit-identical results regardless of thread count. Ensemble means
-    are reported with standard errors (std/sqrt(R), ddof=1).
+    give bit-identical results. Ensemble means are reported with standard
+    errors (std/sqrt(R), ddof=1).
 
     A step that leaves NaN or inf in some replica raises
     NonFiniteStateError naming that step and those replicas.
@@ -524,7 +523,7 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
 
     def maybe_snapshot(step: int):
         if step in snap_steps:
-            snapshots.append(EnsembleSnapshot(step * config.dt, spec, states.copy()))
+            snapshots.append(EnsembleSnapshot(step * config.dt, states.copy()))
 
     maybe_snapshot(0)
     if n_steps > 0:
@@ -553,4 +552,4 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
         )
         for name, rec in records.items()
     }
-    return SimResult(spec=spec, config=config, series=series, snapshots=snapshots)
+    return SimResult(series=series, snapshots=snapshots)

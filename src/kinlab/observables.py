@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betainc
 
-from .geometry import ConservationMode, ManifoldSpec
+from .geometry import ManifoldSpec
 
 
 @dataclass
@@ -34,10 +34,6 @@ class ObservableSeries:
         if np.any(~np.isfinite(self.stderrs)) or np.any(self.stderrs < 0):
             raise ValueError("stderrs must be finite and nonnegative")
 
-    def scaled(self, factor: float) -> "ObservableSeries":
-        return ObservableSeries(self.name, self.times, factor * self.means,
-                                abs(factor) * self.stderrs, self.n_replicas)
-
 
 # ---------------------------------------------------------------------------
 # observable catalog: name -> entry whose fn maps velocities (..., N, 3) to (...)
@@ -52,10 +48,6 @@ class Observable:
 
     fn: Callable[[np.ndarray], np.ndarray]
     degree: int | None = None
-
-    def is_constant_on(self, spec: ManifoldSpec) -> bool:
-        # Degree-1 sums equal N*u_sigma on momentum-conserving manifolds.
-        return self.degree == 1 and spec.mode is ConservationMode.ENERGY_MOMENTUM
 
 
 OBSERVABLES: dict[str, Observable] = {
@@ -113,22 +105,19 @@ def moment_series(result, name: str) -> ObservableSeries:
 class MarginalHistogram:
     """Empirical n-velocity marginal on a regular grid.
 
-    order 1 histograms are dense (1D for a single component, 3D for the full
-    velocity); order 2 histograms are dense 2D for a component pair and a
-    sparse dict {flat bin index: mass} for the full 6D grid. Counts are
-    normalized to total mass 1; samples outside the grid are dropped before
-    normalization.
+    order 1 histograms are 1D for a single component and 3D for the full
+    velocity; order 2 histograms are 2D for one component of both
+    velocities. Counts are normalized to total mass 1; samples outside the
+    grid are dropped before normalization.
     """
 
     order: int
     edges: tuple
-    counts: object
+    counts: np.ndarray
     component: int | None
     n_samples: int
 
     def total(self) -> float:
-        if isinstance(self.counts, dict):
-            return float(sum(self.counts.values()))
         return float(np.sum(self.counts))
 
     def __post_init__(self):
@@ -178,8 +167,9 @@ def marginal_histogram(snapshot, n: int, edges: np.ndarray,
     Pools over replicas and (by exchangeability) over particles / ordered
     particle pairs. ``edges`` is a single shared 1D edge array applied to
     every axis; ``component`` restricts to one velocity component (1D
-    histogram for n=1, 2D for n=2), otherwise the full 3D / sparse 6D
-    histogram is built. ``max_pairs`` subsamples ordered pairs for n=2.
+    histogram for n=1, 2D for n=2, which needs it); for n=1 without it the
+    full 3D histogram is built. ``max_pairs`` subsamples ordered pairs for
+    n=2.
     """
     check_marginal_args(edges, component, max_pairs)
     velocities = np.asarray(snapshot.velocities, dtype=float)
@@ -197,21 +187,13 @@ def marginal_histogram(snapshot, n: int, edges: np.ndarray,
         return MarginalHistogram(1, (edges, edges, edges),
                                  counts / counts.sum(), None, pooled.shape[0])
     if n == 2:
+        if component is None:
+            raise ValueError("a 2-marginal needs a component")
         pairs = _sample_ordered_pairs(velocities, max_pairs, rng)
-        if component is not None:
-            x, y = pairs[:, 0, component], pairs[:, 1, component]
-            counts, _, _ = np.histogram2d(x, y, bins=(edges, edges))
-            return MarginalHistogram(2, (edges, edges), counts / counts.sum(),
-                                     component, pairs.shape[0])
-        nb = len(edges) - 1
-        idx = np.searchsorted(edges, pairs.reshape(-1, 6), side="right") - 1
-        ok = np.all((idx >= 0) & (idx < nb), axis=1)
-        idx = idx[ok]
-        flat = np.ravel_multi_index(idx.T, (nb,) * 6)
-        uniq, cnt = np.unique(flat, return_counts=True)
-        tot = cnt.sum()
-        counts = {int(i): c / tot for i, c in zip(uniq, cnt)}
-        return MarginalHistogram(2, (edges,) * 6, counts, None, pairs.shape[0])
+        x, y = pairs[:, 0, component], pairs[:, 1, component]
+        counts, _, _ = np.histogram2d(x, y, bins=(edges, edges))
+        return MarginalHistogram(2, (edges, edges), counts / counts.sum(),
+                                 component, pairs.shape[0])
     raise ValueError("marginal order must be 1 or 2")
 
 
@@ -224,21 +206,8 @@ def chaos_distance(h2: MarginalHistogram, h1: MarginalHistogram) -> float:
         raise ValueError("need a 2-marginal and a 1-marginal")
     if h2.component != h1.component:
         raise ValueError("histograms use different component reductions")
-    if not all(np.array_equal(e, h1.edges[i % len(h1.edges)])
-               for i, e in enumerate(h2.edges)):
+    if not all(np.array_equal(e, h1.edges[0]) for e in h2.edges):
         raise ValueError("grid mismatch between the marginals")
-    if isinstance(h2.counts, dict):
-        c1 = np.asarray(h1.counts)
-        nb = c1.shape[0]
-        flat1 = c1.ravel()
-        dist = 0.0
-        covered = 0.0
-        for key, mass in h2.counts.items():
-            i1, rem = divmod(key, nb ** 3)
-            p = flat1[i1] * flat1[rem]
-            dist += abs(mass - p)
-            covered += p
-        return float(dist + (1.0 - covered))
     prod = np.multiply.outer(np.asarray(h1.counts), np.asarray(h1.counts))
     return float(np.abs(np.asarray(h2.counts) - prod).sum())
 
@@ -247,21 +216,16 @@ def chaos_distance(h2: MarginalHistogram, h1: MarginalHistogram) -> float:
 # radial goodness of fit
 
 
-def pooled_speeds(velocities: np.ndarray, spec: ManifoldSpec) -> np.ndarray:
-    """Pooled |v - u| over all particles and replicas."""
-    pooled = _pooled(velocities) - spec.u
-    return np.linalg.norm(pooled, axis=1)
-
-
 def radial_ks_statistic(velocities: np.ndarray, spec: ManifoldSpec) -> tuple[float, int]:
-    """KS distance between pooled speeds and the exact stationary radial law.
+    """KS distance between the pooled speeds |v - u| of all particles and
+    replicas and the exact stationary radial law.
 
     Under the uniform measure, s = r^2 / (2 N eps0) follows a
     Beta(3/2, (3N-3)/2) law, which gives the radial CDF in closed form.
     Returns (statistic, pooled sample count).
     """
     n = spec.n_particles
-    r = np.sort(pooled_speeds(velocities, spec))
+    r = np.sort(np.linalg.norm(_pooled(velocities) - spec.u, axis=1))
     s = np.clip(r ** 2 / (2.0 * n * spec.eps0), 0.0, 1.0)
     cdf = betainc(1.5, 1.5 * (n - 1), s)
     m = len(r)

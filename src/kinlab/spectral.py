@@ -1,11 +1,12 @@
-"""Exact sphere-Laplacian spectra, symmetric eigenfunction observables, and
-the variational spectral-gap machinery for the pairwise diffusion.
+"""Exact sphere-Laplacian spectra and the variational spectral-gap machinery
+for the pairwise diffusion.
 
 Eigenvalues: the unit D-sphere Laplacian has spectrum j(j + D - 1); on our
 manifolds (D = 3N-1 or 3N-4, radius^2 = 2N eps or 2N eps0) the scaled
 eigenvalues are j(j + 3N - 2)/(2N eps) and j(j + 3N - 5)/(2N eps0), with the
 N -> infinity limit 3j/(2 eps0) (eps0 = eps on the energy-only sphere): the
-harmonic-oscillator ladder.
+harmonic-oscillator ladder. The degree-j entries of
+``observables.OBSERVABLES`` are exact eigenfunctions.
 
 The variational side evaluates the quadratic form of the pairwise generator
 on the mean-field trial function psi = A (sum_i v_{i,1}^2 / 2 - C) by Monte
@@ -13,13 +14,9 @@ Carlo over equilibrium samples; by permutation symmetry the form reduces to
 a single-pair integral
     (N/2) * E[ w_12 * |P_perp (d_2 - d_1) psi|^2 ],   w_12 = |v_2-v_1|^{2+gamma}.
 
-Normalization bookkeeping (fixed once, documented here): expectations are
-over the probability measure dtau/|M|, so the stored ``a_const`` is the
-probability-normalized constant (3/2N) sqrt(3N-1) with E[psi^2] = 1. The
-surface-measure constant of the L2(dtau) convention is a_const/sqrt(|M|)
-(kept as ``log_a_l2``; |M|^(-1/2) underflows for large N). The quadratic
-form is identical in both conventions: the |M| in A^2 cancels against the
-|M| from converting the dtau integral to an expectation.
+Normalization: expectations are over the probability measure dtau/|M|,
+so ``a_const`` is the probability-normalized constant (3/2N) sqrt(3N-1)
+with E[psi^2] = 1.
 """
 
 from __future__ import annotations
@@ -30,14 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    ConservationMode,
-    ManifoldSpec,
-    manifold_log_area,
-    sample_uniform_batch,
-)
+from .geometry import ConservationMode, ManifoldSpec, sample_uniform_batch
 from .master_sim import KernelSpec
-from .observables import OBSERVABLES, Observable, weighted_log_linear_fit
+from .observables import weighted_log_linear_fit
 
 
 # ---------------------------------------------------------------------------
@@ -88,38 +80,6 @@ def spectrum_table(spec: ManifoldSpec, j_max: int) -> SpectrumTable:
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigenfunction observables
-
-
-def get_family(name: str) -> Observable:
-    """The observable-catalog entry ``name``, which must carry a degree."""
-    entry = OBSERVABLES.get(name)
-    if entry is None or entry.degree is None:
-        raise ValueError(f"{name!r} is not an observable with a harmonic degree")
-    return entry
-
-
-def symmetric_eigenfunction(spec: ManifoldSpec, v: np.ndarray, family: str):
-    """Evaluate a symmetric eigenfunction sum on (..., N, 3) states; returns
-    shape (...).
-
-    Raises ValueError when the family is constant on spec's manifold
-    (degree-1 sums on momentum-conserving manifolds).
-    """
-    fam = get_family(family)
-    if fam.is_constant_on(spec):
-        raise ValueError(
-            f"family {family!r} is constant (= N u) on ENERGY_MOMENTUM manifolds"
-        )
-    return fam.fn(np.asarray(v, dtype=float))
-
-
-def family_decay_rate(spec: ManifoldSpec, family: str) -> float:
-    """Predicted relaxation rate of the family under the sphere diffusion."""
-    return eigenvalue_scaled(spec, get_family(family).degree)
-
-
-# ---------------------------------------------------------------------------
 # variational trial function
 
 
@@ -128,8 +88,8 @@ def _require_standard(spec: ManifoldSpec):
             or spec.eps != 1.0 or np.any(spec.u != 0.0)):
         raise ValueError(
             "trial machinery is defined for the standard case u=0, eps=1 on "
-            "the energy-momentum manifold; map other cases with "
-            "geometry.state_from_standard first"
+            "the energy-momentum manifold; map other cases by "
+            "V -> u + sqrt(eps0) V"
         )
 
 
@@ -139,37 +99,21 @@ class TrialFunction:
 
     c_const = N/3 makes it mean-zero; a_const = (3/2N) sqrt(3N-1) makes
     E[psi^2] = 1 under uniform sampling (standard case u=0, eps=1).
-    ``log_a_l2`` is the log of the surface-measure constant
-    a_const / sqrt(|M|).
     """
 
     n_particles: int
     c_const: float
     a_const: float
-    log_a_l2: float
 
 
 def standard_trial_function(n_particles: int) -> TrialFunction:
     if n_particles < 2:
         raise ValueError("need N >= 2")
-    spec = ManifoldSpec(n_particles, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-    a = 1.5 / n_particles * math.sqrt(3 * n_particles - 1)
     return TrialFunction(
         n_particles=n_particles,
         c_const=n_particles / 3.0,
-        a_const=a,
-        log_a_l2=math.log(a) - 0.5 * manifold_log_area(spec),
+        a_const=1.5 / n_particles * math.sqrt(3 * n_particles - 1),
     )
-
-
-def trial_eval(tf: TrialFunction, spec: ManifoldSpec, v: np.ndarray):
-    """Evaluate the trial function at (..., N, 3) states on spec's manifold
-    (standard case only); returns shape (...)."""
-    _require_standard(spec)
-    if spec.n_particles != tf.n_particles:
-        raise ValueError("trial function and state have different N")
-    v = np.asarray(v, dtype=float)
-    return tf.a_const * (0.5 * (v[..., 0] ** 2).sum(-1) - tf.c_const)
 
 
 def check_mc_budget(n_samples: int) -> None:
@@ -211,32 +155,6 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
     mean = total / n_samples
     var = max(total_sq / n_samples - mean ** 2, 0.0)
     return float(mean), float(math.sqrt(var / n_samples))
-
-
-def conserved_quadratic_form_mc(spec: ManifoldSpec, which: str,
-                                kernel: KernelSpec, n_samples: int,
-                                rng: np.random.Generator) -> tuple[float, float]:
-    """Quadratic form evaluated on a conserved quantity (mass, energy,
-    momentum component): the projected difference gradient vanishes
-    identically, so the estimate is exactly zero.
-
-    mass and momentum have difference gradient 0; for the energy it equals
-    v_2 - v_1, which the perpendicular projector annihilates. Evaluated
-    numerically for the energy to exercise the annihilation.
-    """
-    if which in ("mass", "momentum"):
-        return 0.0, 0.0
-    if which != "energy":
-        raise ValueError("which must be 'mass', 'momentum' or 'energy'")
-    n = spec.n_particles
-    cutoff = kernel.resolve_cutoff(spec)
-    v = sample_uniform_batch(spec, n_samples, rng)
-    d = v[:, 1] - v[:, 0]
-    beta = np.maximum(np.linalg.norm(d, axis=1), cutoff)
-    nhat = d / beta[:, None]
-    resid = d - nhat * (nhat * d).sum(axis=1, keepdims=True)
-    vals = 0.5 * n * beta ** (2.0 + kernel.gamma) * (resid ** 2).sum(axis=1)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
 
 
 def lambda1_bound(n_particles: int) -> float:

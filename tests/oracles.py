@@ -1,14 +1,209 @@
 """Independent oracles used by the test suite.
 
 Everything here is derived by a route independent of the implementation it
-checks: Beta-moment identities on spheres, finite differences, and plain
-Monte Carlo over Gaussians.
+checks: Beta-moment identities on spheres, finite differences, plain Monte
+Carlo over Gaussians, and closed-form properties of the paper's objects
+(the pair-manifold projector, the affine map between manifolds, the
+stationary radial law, the eigenfunction catalog and its decay rates, the
+trial function, and the quadratic form on conserved quantities), which the
+library itself does not need.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaln
+
+from kinlab.geometry import (
+    ConservationMode,
+    ManifoldSpec,
+    renormalize_batch,
+    sample_uniform_batch,
+)
+from kinlab.kinetic_limits import stationary_marginal_eval
+from kinlab.master_sim import _round_robin_rounds
+from kinlab.observables import OBSERVABLES, Observable
+from kinlab.spectral import (
+    TrialFunction,
+    _require_standard,
+    eigenvalue_scaled,
+    limit_eigenvalue,
+)
+
+
+# ---------------------------------------------------------------------------
+# geometry
+
+
+class DegeneratePairError(ValueError):
+    """Pair separation below the singularity cutoff."""
+
+
+def pair_projector_apply(spec: ManifoldSpec, v: np.ndarray, k: int, l: int,
+                         x: np.ndarray, cutoff: float | None = None) -> np.ndarray:
+    """Project vectors x onto the tangent planes of the pair manifold at v.
+
+    v and x have shape (..., N, 3). In the pair frame alpha = v_k + v_l,
+    beta = |v_k - v_l|, n = (v_k - v_l)/beta, the projector is nonzero only
+    in blocks k and l, where it acts as +-(1/2) P_perp(n) on the block
+    difference; its range is the 2-dimensional tangent space of the
+    pair-collision manifold (fixed alpha and beta).
+
+    Raises DegeneratePairError when beta is below the cutoff.
+    """
+    if cutoff is None:
+        cutoff = spec.cutoff
+    v = np.asarray(v, dtype=float)
+    x = np.asarray(x, dtype=float)
+    d = v[..., k, :] - v[..., l, :]
+    beta = np.linalg.norm(d, axis=-1, keepdims=True)
+    if np.any(beta < cutoff):
+        raise DegeneratePairError(
+            f"pair ({k},{l}) separation {beta.min():.3e} below cutoff"
+        )
+    nhat = d / beta
+    c = 0.5 * (x[..., k, :] - x[..., l, :])
+    c_perp = c - nhat * (nhat * c).sum(-1, keepdims=True)
+    out = np.zeros(np.broadcast_shapes(v.shape, x.shape))
+    out[..., k, :] = c_perp
+    out[..., l, :] = -c_perp
+    return out
+
+
+def state_from_standard(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
+    """Map states on the standard manifold (u=0, eps=1) to spec's manifold.
+
+    The correct affine map is V -> U + sqrt(eps0)*V (the sqrt makes the
+    energy bookkeeping close: N|u|^2/2 + eps0*N = N*eps).
+    """
+    states = np.asarray(states, dtype=float)
+    return spec.u + math.sqrt(spec.eps0) * states
+
+
+# ---------------------------------------------------------------------------
+# stationary marginals and relaxation rates
+
+
+def stationary_radial_pdf(spec: ManifoldSpec, r) -> np.ndarray:
+    """Radial density 4 pi r^2 F1(r) of one velocity's magnitude."""
+    r = np.asarray(r, dtype=float)
+    v = np.zeros(r.shape + (1, 3))
+    v[..., 0, 0] = r
+    return 4.0 * math.pi * r ** 2 * stationary_marginal_eval(spec, 1, v)
+
+
+@dataclass(frozen=True)
+class MarginalRate:
+    observable: str
+    degree: int | None
+    rate: float
+    limit_rate: float
+
+
+def finite_n_marginal_rates(spec: ManifoldSpec) -> list[MarginalRate]:
+    """Exact decay rates of low-order one-particle moments under the sphere
+    diffusion, with the corresponding limit Fokker-Planck rates.
+
+    Rates follow from the generator acting on the symmetric polynomial
+    lifts (degree-j harmonic sums are exact eigenfunctions), so each rate
+    equals ``eigenvalue_scaled`` at the matching degree. On the
+    momentum-conserving manifold the exchangeable one-particle mean is
+    pinned at u (rate 0). Limit rates are those of the limiting
+    Fokker-Planck equation.
+    """
+    rows = []
+    if spec.mode is ConservationMode.ENERGY_ONLY:
+        rows.append(MarginalRate("mean_component", 1,
+                                 eigenvalue_scaled(spec, 1),
+                                 limit_eigenvalue(1, spec.eps0)))
+    else:
+        rows.append(MarginalRate("mean_component", None, 0.0, 0.0))
+    for name in ("offdiag_second_moment", "diagonal_difference_second_moment"):
+        rows.append(MarginalRate(name, 2, eigenvalue_scaled(spec, 2),
+                                 limit_eigenvalue(2, spec.eps0)))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# symmetric eigenfunctions from the observable catalog
+
+
+def get_family(name: str) -> Observable:
+    """The observable-catalog entry ``name``, which must carry a degree."""
+    entry = OBSERVABLES.get(name)
+    if entry is None or entry.degree is None:
+        raise ValueError(f"{name!r} is not an observable with a harmonic degree")
+    return entry
+
+
+def is_constant_on(entry: Observable, spec: ManifoldSpec) -> bool:
+    """Degree-1 sums equal N*u_sigma on momentum-conserving manifolds."""
+    return entry.degree == 1 and spec.mode is ConservationMode.ENERGY_MOMENTUM
+
+
+def symmetric_eigenfunction(spec: ManifoldSpec, v: np.ndarray, family: str):
+    """Evaluate a symmetric eigenfunction sum on (..., N, 3) states; returns
+    shape (...).
+
+    Raises ValueError when the family is constant on spec's manifold
+    (degree-1 sums on momentum-conserving manifolds).
+    """
+    fam = get_family(family)
+    if is_constant_on(fam, spec):
+        raise ValueError(
+            f"family {family!r} is constant (= N u) on ENERGY_MOMENTUM manifolds"
+        )
+    return fam.fn(np.asarray(v, dtype=float))
+
+
+def family_decay_rate(spec: ManifoldSpec, family: str) -> float:
+    """Predicted relaxation rate of the family under the sphere diffusion."""
+    return eigenvalue_scaled(spec, get_family(family).degree)
+
+
+# ---------------------------------------------------------------------------
+# variational trial function
+
+
+def trial_eval(tf: TrialFunction, spec: ManifoldSpec, v: np.ndarray):
+    """Evaluate the trial function at (..., N, 3) states on spec's manifold
+    (standard case only); returns shape (...)."""
+    _require_standard(spec)
+    if spec.n_particles != tf.n_particles:
+        raise ValueError("trial function and state have different N")
+    v = np.asarray(v, dtype=float)
+    return tf.a_const * (0.5 * (v[..., 0] ** 2).sum(-1) - tf.c_const)
+
+
+def conserved_quadratic_form_mc(spec: ManifoldSpec, which: str, kernel,
+                                n_samples: int,
+                                rng: np.random.Generator) -> tuple[float, float]:
+    """Quadratic form evaluated on a conserved quantity (mass, energy,
+    momentum component): the projected difference gradient vanishes
+    identically, so the estimate is exactly zero.
+
+    mass and momentum have difference gradient 0; for the energy it equals
+    v_2 - v_1, which the perpendicular projector annihilates. Evaluated
+    numerically for the energy to exercise the annihilation.
+    """
+    if which in ("mass", "momentum"):
+        return 0.0, 0.0
+    if which != "energy":
+        raise ValueError("which must be 'mass', 'momentum' or 'energy'")
+    n = spec.n_particles
+    cutoff = kernel.resolve_cutoff(spec)
+    v = sample_uniform_batch(spec, n_samples, rng)
+    d = v[:, 1] - v[:, 0]
+    beta = np.maximum(np.linalg.norm(d, axis=1), cutoff)
+    nhat = d / beta[:, None]
+    resid = d - nhat * (nhat * d).sum(axis=1, keepdims=True)
+    vals = 0.5 * n * beta ** (2.0 + kernel.gamma) * (resid ** 2).sum(axis=1)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))
+
+
+# ---------------------------------------------------------------------------
+# closed forms, finite differences and reference kernels
 
 
 def rayleigh_quotient_exact(n: int, gamma: float) -> float:
@@ -32,21 +227,6 @@ def rayleigh_quotient_exact(n: int, gamma: float) -> float:
     return (9.0 * (3 * n - 1) / (8.0 * n)) * (2.0 / 15.0) * moment
 
 
-def _pair_projected_gradient(vflat, k, l, grad):
-    """Ambient field P_B(V) grad for the pair (k, l)."""
-    n = len(vflat) // 3
-    v = vflat.reshape(n, 3)
-    g = grad.reshape(n, 3)
-    d = v[k] - v[l]
-    nh = d / np.linalg.norm(d)
-    c = 0.5 * (g[k] - g[l])
-    cp = c - nh * (nh @ c)
-    out = np.zeros_like(v)
-    out[k] = cp
-    out[l] = -cp
-    return out.ravel()
-
-
 def _poly_gradient(phi, vflat, n):
     v = vflat.reshape(n, 3)
     g = np.zeros_like(v)
@@ -67,7 +247,8 @@ def generator_apply_fd(spec, v, kernel, phi, h: float = 1e-5) -> float:
     state v.
 
     sum over pairs of a_kl * div(P_B grad phi) with the divergence taken by
-    central differences of the projected-gradient field.
+    central differences of the projected-gradient field P_B grad phi
+    (``pair_projector_apply``).
     """
     n = spec.n_particles
     p = np.asarray(v, dtype=float).reshape(n, 3)
@@ -83,8 +264,10 @@ def generator_apply_fd(spec, v, kernel, phi, h: float = 1e-5) -> float:
                 vp[idx] += h
                 vm = vflat.copy()
                 vm[idx] -= h
-                up = _pair_projected_gradient(vp, k, l, _poly_gradient(phi, vp, n))
-                um = _pair_projected_gradient(vm, k, l, _poly_gradient(phi, vm, n))
+                up = pair_projector_apply(spec, vp.reshape(n, 3), k, l,
+                                          _poly_gradient(phi, vp, n).reshape(n, 3)).ravel()
+                um = pair_projector_apply(spec, vm.reshape(n, 3), k, l,
+                                          _poly_gradient(phi, vm, n).reshape(n, 3)).ravel()
                 div += (up[idx] - um[idx]) / (2.0 * h)
             total += a * div
     return total
@@ -141,9 +324,6 @@ def step_pair_diffusion_reference(spec, states, kernel, dt, rng, antithetic=Fals
     scatters the kicked velocities back, so the relabeled layout of the
     library kernel must reproduce it bit for bit.
     """
-    from kinlab.geometry import renormalize_batch
-    from kinlab.master_sim import _round_robin_rounds
-
     r, n, _ = states.shape
     rounds = _round_robin_rounds(n)
     n_rounds = rounds.shape[0]

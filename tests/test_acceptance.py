@@ -150,9 +150,8 @@ def test_criterion_05_fpe_mean_tracking():
     p = LimitParams(eps0=1.0)
     # exact halving of m - u at t = (2 eps0/3) ln 2
     m0 = np.array([1.0, -0.4, 0.2])
-    second0 = (2.0 / 3.0) * np.eye(3) + np.outer(m0, m0)
     t_half = (2.0 * p.eps0 / 3.0) * math.log(2.0)
-    st = fpe_moment_flow(p, m0, second0, t_half)
+    st = fpe_moment_flow(p, m0, (2.0 / 3.0) * np.eye(3), t_half)
     exact = np.allclose(st.mean - p.u, 0.5 * (m0 - p.u), rtol=1e-12)
 
     spec = ManifoldSpec(512, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
@@ -166,9 +165,7 @@ def test_criterion_05_fpe_mean_tracking():
     zs = []
     for i in range(1, len(s.times)):
         t = s.times[i]
-        oracle = fpe_moment_flow(p, [m_hat0, 0, 0],
-                                 (2 / 3) * np.eye(3) + np.diag([m_hat0 ** 2, 0, 0]),
-                                 t).mean[0]
+        oracle = fpe_moment_flow(p, [m_hat0, 0, 0], (2 / 3) * np.eye(3), t).mean[0]
         band = math.hypot(s.stderrs[i], se0 * math.exp(-kappa * t))
         zs.append((s.means[i] - oracle) / band)
     worst = max(abs(z) for z in zs)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -137,6 +138,33 @@ def test_json_format(tmp_path):
     assert float(data[1]["scaled"]) == pytest.approx(1.46875)
 
 
+def test_format_json_matches_csv(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SPECTRUM_CFG)
+    for fmt in ("csv", "json"):
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / fmt),
+                     "--format", fmt]) == 0
+    with open(tmp_path / "csv/spectrum.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    data = json.loads((tmp_path / "json/spectrum.json").read_text())
+    assert data == [dict(zip(header, row)) for row in rows]
+    manifest = json.loads((tmp_path / "json/manifest.json").read_text())
+    assert manifest["outputs"] == ["spectrum.json"]
+    assert manifest["format"] == "json"
+    assert sorted(manifest) == ["command", "extras", "format", "outputs", "plan",
+                                "seed", "version"]
+
+
+@pytest.mark.parametrize("flag", [["--threads", "1"], ["--plot"]])
+def test_removed_flags_rejected(flag, tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SPECTRUM_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o"), *flag])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_exit_codes(tmp_path):
     cfg = tmp_path / "good.cfg"
     cfg.write_text(SPECTRUM_CFG)
@@ -147,20 +175,6 @@ def test_main_exit_codes(tmp_path):
     assert main(["spectrum", "--config", str(bad),
                  "--out", str(tmp_path / "o2")]) == 2
     assert main(["spectrum", "--config", str(tmp_path / "missing.cfg")]) == 1
-
-
-def test_threads_flag_does_not_change_results(tmp_path):
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text("n_particles = 4\nmode = energy\ndt = 0.01\nt_end = 0.03\n"
-                   "n_replicas = 4\nobservables = sum_v1\nseed = 5\n")
-    assert main(["sim-sphere", "--config", str(cfg), "--out",
-                 str(tmp_path / "t1"), "--threads", "1"]) == 0
-    assert main(["sim-sphere", "--config", str(cfg), "--out",
-                 str(tmp_path / "t4"), "--threads", "4"]) == 0
-    assert (tmp_path / "t1/series.csv").read_bytes() == \
-        (tmp_path / "t4/series.csv").read_bytes()
-    m1 = json.loads((tmp_path / "t1/manifest.json").read_text())
-    assert m1["threads"] == 1
 
 
 def test_marginal_compare_outputs(tmp_path):
@@ -208,6 +222,8 @@ INVALID_CONFIGS = {
     "entropy_bins_zero": ("sim-sphere", _with(SIM, entropy_times="0.05", entropy_bins="0"),
                           ["entropy_bins"]),
     "mode_unknown": ("sim-sphere", _with(SIM, mode="bogus"), ["mode"]),
+    "mode_c4": ("sim-sphere", _with(SIM, mode="c4"), ["mode"]),
+    "mode_energy_only": ("sim-sphere", _with(SIM, mode="energy-only"), ["mode"]),
     "rayleigh_gamma": ("rayleigh", [("n_particles", "8"), ("gamma", "-6")], ["gamma"]),
     "gap_scan_descending": ("gap-scan", [("n_list", "16,8,4"), ("n_samples", "1000")],
                             ["n_list"]),

@@ -22,22 +22,24 @@ from scipy.integrate import quad
 
 from kinlab.geometry import ConservationMode, ManifoldSpec
 from kinlab.kinetic_limits import (
-    LANDAU_ANISOTROPY_RATE,
     LimitParams,
     check_covariance,
     entropy_grid_edges,
-    finite_n_marginal_rates,
     fpe_moment_flow,
     landau_moment_flow,
     maxwellian_eval,
     relative_entropy,
     stationary_marginal_eval,
-    stationary_radial_pdf,
 )
 from kinlab.master_sim import KernelSpec
 from kinlab.spectral import eigenvalue_scaled, limit_eigenvalue
 
-from oracles import fpe_mean_rhs_quadrature, landau_second_moment_rhs_mc
+from oracles import (
+    finite_n_marginal_rates,
+    fpe_mean_rhs_quadrature,
+    landau_second_moment_rhs_mc,
+    stationary_radial_pdf,
+)
 
 
 def test_maxwellian_peak_value():
@@ -172,15 +174,24 @@ def test_relative_entropy_empty_rejected():
 def test_fpe_moment_flow_identity_and_halving():
     p = LimitParams(eps0=0.8, u=[0.5, 0.0, -0.2])
     m0 = np.array([1.0, 0.3, 0.0])
-    second0 = np.diag([1.2, 0.5, 0.9]) + np.outer(m0, m0)
-    st0 = fpe_moment_flow(p, m0, second0, 0.0)
+    s0 = np.diag([1.2, 0.5, 0.9])
+    st0 = fpe_moment_flow(p, m0, s0, 0.0)
     np.testing.assert_allclose(st0.mean, m0, atol=1e-15)
-    np.testing.assert_allclose(st0.second, second0, atol=1e-14)
+    np.testing.assert_allclose(st0.second, s0 + np.outer(m0, m0), atol=1e-14)
+    np.testing.assert_array_equal(st0.centered, s0)
     t_half = (2 * p.eps0 / 3) * math.log(2.0)
-    st = fpe_moment_flow(p, m0, second0, t_half)
+    st = fpe_moment_flow(p, m0, s0, t_half)
     np.testing.assert_allclose(st.mean - p.u, 0.5 * (m0 - p.u), rtol=1e-12)
     with pytest.raises(ValueError):
-        fpe_moment_flow(p, m0, second0, -0.1)
+        fpe_moment_flow(p, m0, s0, -0.1)
+
+
+def test_moment_flows_reject_non_psd_covariance():
+    bad = np.diag([-1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="semidefinite"):
+        fpe_moment_flow(LimitParams(1.0), np.zeros(3), bad, 0.0)
+    with pytest.raises(ValueError, match="semidefinite"):
+        landau_moment_flow(KernelSpec(0.0), np.zeros(3), bad, 0.0)
 
 
 def test_fpe_moment_flow_mean_rhs_quadrature_oracle():
@@ -188,10 +199,9 @@ def test_fpe_moment_flow_mean_rhs_quadrature_oracle():
     # drift-diffusion integrand at t=0
     p = LimitParams(eps0=0.8, u=[0.5, 0.0, -0.2])
     m0 = np.array([1.0, 0.3, 0.0])
-    second0 = (2 * p.eps0 / 3) * np.eye(3) + np.outer(m0, m0)
     rhs = fpe_mean_rhs_quadrature(p, m0)
     h = 1e-6
-    st = fpe_moment_flow(p, m0, second0, h)
+    st = fpe_moment_flow(p, m0, (2 * p.eps0 / 3) * np.eye(3), h)
     np.testing.assert_allclose((st.mean - m0) / h, rhs, rtol=1e-4)
 
 
@@ -200,12 +210,11 @@ def test_fpe_moment_flow_limits_and_conservation():
     # initialized consistently (mean u, tr S0 = 2 eps0, i.e. energy
     # eps0 + |u|^2/2) the flow conserves mass, momentum and energy
     s0 = np.diag([0.8, 0.5, 0.3])
-    second0 = s0 + np.outer(p.u, p.u)
     for t in (0.0, 0.1, 0.7, 3.0):
-        st = fpe_moment_flow(p, p.u, second0, t)
+        st = fpe_moment_flow(p, p.u, s0, t)
         np.testing.assert_allclose(st.mean, p.u, atol=1e-14)
         assert st.energy == pytest.approx(p.eps0 + 0.5 * p.u @ p.u, rel=1e-12)
-    inf = fpe_moment_flow(p, p.u, second0, 200.0)
+    inf = fpe_moment_flow(p, p.u, s0, 200.0)
     np.testing.assert_allclose(inf.second,
                                (2 * p.eps0 / 3) * np.eye(3) + np.outer(p.u, p.u),
                                atol=1e-12)
@@ -224,9 +233,8 @@ def test_landau_moment_flow_isotropic_stationary():
 def test_landau_moment_flow_conservation_and_rate():
     m0 = np.array([0.2, -0.1, 0.4])
     s0 = np.array([[1.0, 0.3, 0.0], [0.3, 0.7, 0.1], [0.0, 0.1, 0.6]])
-    second0 = s0 + np.outer(m0, m0)
     for t in (0.0, 0.05, 0.2):
-        st = landau_moment_flow(KernelSpec(0.0), m0, second0, t)
+        st = landau_moment_flow(KernelSpec(0.0), m0, s0, t)
         np.testing.assert_allclose(st.mean, m0, atol=1e-15)
         assert np.trace(st.centered) == pytest.approx(np.trace(s0), rel=1e-12)
         np.testing.assert_allclose(st.anisotropy,
@@ -243,10 +251,9 @@ def test_landau_second_moment_rhs_mc_oracle(rng):
     np.testing.assert_allclose(mc, closed, atol=0.08)
     # and the flow's own derivative matches the closed form
     h = 1e-7
-    st = landau_moment_flow(KernelSpec(0.0), m0, s0 + np.outer(m0, m0), h)
+    st = landau_moment_flow(KernelSpec(0.0), m0, s0, h)
     deriv = (st.centered - s0) / h
     np.testing.assert_allclose(deriv, closed, rtol=1e-4, atol=1e-8)
-    assert LANDAU_ANISOTROPY_RATE == 12.0
 
 
 def test_finite_n_marginal_rates_match_spectrum():

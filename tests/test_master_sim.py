@@ -25,7 +25,11 @@ from kinlab.master_sim import (
 )
 from kinlab.spectral import eigenvalue_scaled
 
-from oracles import generator_apply_fd, step_pair_diffusion_reference
+from oracles import (
+    generator_apply_fd,
+    pair_projector_apply,
+    step_pair_diffusion_reference,
+)
 
 
 COULOMB = KernelSpec(-3.0)
@@ -151,6 +155,37 @@ def test_pair_round_restores_alpha_beta_exactly(rng):
     after_beta = np.linalg.norm(states[np.arange(64), 0] - states[np.arange(64), 2], axis=1)
     np.testing.assert_allclose(after_alpha, before_alpha, atol=1e-14)
     np.testing.assert_allclose(after_beta, before_beta, rtol=1e-13)
+
+
+def test_pair_round_kick_is_the_projected_increment(rng):
+    # to leading order one round moves pair (k, l) by amp * P_kl x, with
+    # x_k = eta, x_l = -eta and amp = sqrt(2 beta^{2+gamma} dt / (N-1));
+    # restoring the separation adds O(dt), so the relative error falls like
+    # sqrt(dt). N = 5 leaves particle 4 out of the round (the bye).
+    n, gamma = 5, -3.0
+    spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
+    v = sample_uniform_batch(spec, 1, rng)
+    k_idx = np.array([[0, 2]])
+    l_idx = np.array([[1, 3]])
+    eta = rng.standard_normal((1, 2, 3))
+    errors = []
+    for dt in (1e-4, 1e-5):
+        states = v.copy()
+        kick_round(states, k_idx, l_idx, eta.copy(), gamma, spec.cutoff,
+                   2.0 / (n - 1), dt)
+        expect = np.zeros_like(v)
+        for i, (k, l) in enumerate(zip(k_idx[0], l_idx[0])):
+            beta = np.linalg.norm(v[0, k] - v[0, l])
+            amp = math.sqrt(2.0 * beta ** (2.0 + gamma) * dt / (n - 1))
+            x = np.zeros_like(v)
+            x[0, k] = eta[0, i]
+            x[0, l] = -eta[0, i]
+            expect += amp * pair_projector_apply(spec, v, k, l, x)
+        increment = states - v
+        assert np.all(increment[0, 4] == 0.0)
+        errors.append(np.linalg.norm(increment - expect) / np.linalg.norm(expect))
+    assert errors[0] < 1e-2
+    assert errors[0] / errors[1] == pytest.approx(math.sqrt(10.0), rel=1e-2)
 
 
 def test_pair_step_skips_coincident_pairs():

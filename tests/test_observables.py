@@ -18,8 +18,8 @@ from kinlab.observables import (
 )
 
 
-def _snap(spec, velocities):
-    return EnsembleSnapshot(0.0, spec, velocities)
+def _snap(velocities):
+    return EnsembleSnapshot(0.0, velocities)
 
 
 def test_series_validation():
@@ -58,9 +58,9 @@ def test_conserved_series_exact(rng):
 def test_histogram_counts_sum_to_one(spec_c1, rng):
     vel = sample_uniform_batch(spec_c1, 100, rng)
     edges = np.linspace(-4, 4, 17)
-    h = marginal_histogram(_snap(spec_c1, vel), 1, edges)
+    h = marginal_histogram(_snap(vel), 1, edges)
     assert h.total() == pytest.approx(1.0, abs=1e-12)
-    h1 = marginal_histogram(_snap(spec_c1, vel), 1, edges, component=0)
+    h1 = marginal_histogram(_snap(vel), 1, edges, component=0)
     assert h1.total() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_histogram_mass_nan_rejected():
 
 
 def test_histogram_arguments_checked(spec_c1, rng):
-    snap = _snap(spec_c1, sample_uniform_batch(spec_c1, 4, rng))
+    snap = _snap(sample_uniform_batch(spec_c1, 4, rng))
     edges = np.linspace(-4, 4, 17)
     with pytest.raises(ValueError):
         marginal_histogram(snap, 1, edges[:1])
@@ -81,13 +81,15 @@ def test_histogram_arguments_checked(spec_c1, rng):
             marginal_histogram(snap, 1, edges, component=component)
     with pytest.raises(ValueError):
         marginal_histogram(snap, 2, edges, component=0, max_pairs=0, rng=rng)
+    with pytest.raises(ValueError, match="component"):
+        marginal_histogram(snap, 2, edges)
 
 
 def test_histogram_two_pooled_points(rng):
     spec = ManifoldSpec(2, ConservationMode.ENERGY_ONLY, eps=1.0)
     vel = sample_uniform_batch(spec, 1, rng)
     edges = np.linspace(-3, 3, 7)
-    h = marginal_histogram(_snap(spec, vel), 1, edges, component=0)
+    h = marginal_histogram(_snap(vel), 1, edges, component=0)
     counts = np.asarray(h.counts)
     assert h.n_samples == 2
     assert counts[counts > 0].min() >= 0.5 - 1e-12
@@ -97,11 +99,11 @@ def test_histogram_permutation_invariance(spec_c1, rng):
     vel = sample_uniform_batch(spec_c1, 50, rng)
     perm = rng.permutation(spec_c1.n_particles)
     edges = np.linspace(-4, 4, 17)
-    h_a = marginal_histogram(_snap(spec_c1, vel), 1, edges)
-    h_b = marginal_histogram(_snap(spec_c1, vel[:, perm]), 1, edges)
+    h_a = marginal_histogram(_snap(vel), 1, edges)
+    h_b = marginal_histogram(_snap(vel[:, perm]), 1, edges)
     np.testing.assert_array_equal(np.asarray(h_a.counts), np.asarray(h_b.counts))
-    h2a = marginal_histogram(_snap(spec_c1, vel), 2, edges, component=0)
-    h2b = marginal_histogram(_snap(spec_c1, vel[:, perm]), 2, edges, component=0)
+    h2a = marginal_histogram(_snap(vel), 2, edges, component=0)
+    h2b = marginal_histogram(_snap(vel[:, perm]), 2, edges, component=0)
     np.testing.assert_array_equal(np.asarray(h2a.counts), np.asarray(h2b.counts))
 
 
@@ -116,16 +118,6 @@ def test_chaos_distance_exact_product():
         chaos_distance(h2, MarginalHistogram(1, (edges[:-1],), c1[:-1] / c1[:-1].sum(), 0, 10))
 
 
-def test_chaos_distance_sparse_6d(rng):
-    spec = ManifoldSpec(8, ConservationMode.ENERGY_ONLY, eps=1.0)
-    vel = sample_uniform_batch(spec, 400, rng)
-    edges = np.linspace(-4, 4, 7)
-    h2 = marginal_histogram(_snap(spec, vel), 2, edges, max_pairs=5000, rng=rng)
-    h1 = marginal_histogram(_snap(spec, vel), 1, edges)
-    d = chaos_distance(h2, h1)
-    assert 0.0 <= d <= 2.0
-
-
 def test_chaos_distance_decreases_with_n_uniform(rng):
     # equilibrium ensembles factorize better as N grows
     edges = np.linspace(-4 * math.sqrt(2 / 3), 4 * math.sqrt(2 / 3), 13)
@@ -134,7 +126,7 @@ def test_chaos_distance_decreases_with_n_uniform(rng):
         spec = ManifoldSpec(n, ConservationMode.ENERGY_ONLY, eps=1.0)
         n_rep = max(8, 400000 // (n * (n - 1)))
         vel = sample_uniform_batch(spec, n_rep, rng)
-        snap = _snap(spec, vel)
+        snap = _snap(vel)
         h2 = marginal_histogram(snap, 2, edges, component=0,
                                 max_pairs=400000, rng=rng)
         h1 = marginal_histogram(snap, 1, edges, component=0)
@@ -183,7 +175,7 @@ def test_decay_fit_scale_invariance(rng):
     errs = np.full_like(t, 0.02)
     s = ObservableSeries("x", t, means, errs, 50)
     f1 = decay_rate_fit(s)
-    f2 = decay_rate_fit(s.scaled(137.0))
+    f2 = decay_rate_fit(ObservableSeries("x", t, 137.0 * means, 137.0 * errs, 50))
     assert f2.rate == pytest.approx(f1.rate, rel=1e-10)
 
 
