@@ -43,7 +43,6 @@ from .master_sim import (
     step_sphere_diffusion,
 )
 from .observables import (
-    MarginalHistogram,
     ObservableSeries,
     chaos_distance,
     decay_rate_fit,

@@ -116,7 +116,7 @@ _INITS = {
 }
 _FLOWS = {
     "fpe": lambda lim: partial(fpe_moment_flow, lim),
-    "landau": lambda lim: partial(landau_moment_flow, KernelSpec(0.0)),
+    "landau": lambda lim: landau_moment_flow,
 }
 
 
@@ -466,10 +466,11 @@ def _cmd_sim(plan, seed, rng):
     tables = {"series": (header, rows)}
     extras = {}
     if params["entropy_times"]:
-        ent_rows = []
+        ent_rows, edges = [], o["entropy_edges"]
         for snap in result.snapshots:
-            h = kinetic_limits.velocity_histogram3d(snap.velocities, o["entropy_edges"])
-            ent_rows.append([snap.time, kinetic_limits.relative_entropy(h, o["limit"])])
+            h = kinetic_limits.velocity_histogram3d(snap.velocities, edges)
+            ent_rows.append([snap.time,
+                             kinetic_limits.relative_entropy(h, edges, o["limit"])])
         tables["entropy"] = (["time", "relative_entropy"], ent_rows)
     fit_name = params["fit_observable"]
     if fit_name and result.series[fit_name].times.size >= 2:
@@ -564,11 +565,12 @@ def _cmd_chaos(plan, seed, rng):
     for i, (spec, config) in enumerate(zip(o["specs"], o["configs"])):
         result = run_ensemble(spec, replace(config, seed=seed + i),
                               ["energy_per_particle"], snapshot_times=[p["t_end"]])
-        snap = result.snapshots[-1]
-        h2 = marginal_histogram(snap, 2, edges, component=component,
+        velocities = result.snapshots[-1].velocities
+        h2 = marginal_histogram(velocities, 2, edges, component,
                                 max_pairs=p["pair_samples"], rng=rng)
-        h1 = marginal_histogram(snap, 1, edges, component=component)
-        rows.append([spec.n_particles, p["t_end"], chaos_distance(h2, h1), h2.n_samples])
+        h1 = marginal_histogram(velocities, 1, edges, component)
+        rows.append([spec.n_particles, p["t_end"], chaos_distance(h2, h1),
+                     p["pair_samples"]])
     return {"chaos": (["N", "t", "l1_distance", "n_pairs"], rows)}, {}
 
 

@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ConservationMode, ManifoldSpec, log_sphere_area
-from .master_sim import KernelSpec
-from .observables import MarginalHistogram
 
 
 @dataclass(frozen=True)
@@ -148,38 +146,38 @@ def entropy_grid_edges(p: LimitParams, bins: int = 24, half_width: float = 5.0):
     return tuple(np.linspace(p.u[i] - h, p.u[i] + h, bins + 1) for i in range(3))
 
 
-def velocity_histogram3d(velocities: np.ndarray, edges) -> MarginalHistogram:
-    """Dense 3D histogram of pooled velocities (mass-normalized)."""
-    pooled = np.asarray(velocities, dtype=float).reshape(-1, 3)
-    counts, _ = np.histogramdd(pooled, bins=edges)
+def velocity_histogram3d(velocities: np.ndarray, edges) -> np.ndarray:
+    """Bin masses (total 1) of the pooled velocities on the per-axis
+    ``edges``; samples outside the grid are dropped."""
+    counts, _ = np.histogramdd(np.asarray(velocities, dtype=float).reshape(-1, 3),
+                               bins=edges)
     tot = counts.sum()
     if tot == 0:
         raise ValueError("no samples fall inside the grid")
-    return MarginalHistogram(1, tuple(np.asarray(e) for e in edges),
-                             counts / tot, None, pooled.shape[0])
+    return counts / tot
 
 
-def relative_entropy(hist: MarginalHistogram, p: LimitParams) -> float:
-    """S(f | f_M) = -sum_bins f ln(f / f_M) dv, with 0 ln 0 = 0.
+def relative_entropy(masses: np.ndarray, edges, p: LimitParams) -> float:
+    """S(f | f_M) = -sum_bins f ln(f / f_M) dv, with 0 ln 0 = 0, for the 3D
+    bin ``masses`` on the per-axis ``edges``.
 
-    Nonpositive (Gibbs), zero iff the histogram coincides with the
-    bin-discretized Maxwellian. ``hist`` must be a full 3D order-1
-    histogram.
+    Nonpositive (Gibbs), zero iff the masses coincide with the
+    bin-discretized Maxwellian.
     """
-    if hist.order != 1 or hist.component is not None:
-        raise ValueError("relative entropy needs a full 3D one-velocity histogram")
-    counts = np.asarray(hist.counts, dtype=float)
-    if counts.sum() == 0:
+    masses = np.asarray(masses, dtype=float)
+    ex, ey, ez = (np.asarray(e) for e in edges)
+    if masses.shape != (len(ex) - 1, len(ey) - 1, len(ez) - 1):
+        raise ValueError("bin masses do not match the grid")
+    if not masses.sum() > 0:
         raise ValueError("empty histogram")
-    ex, ey, ez = hist.edges
     cx, cy, cz = [(e[1:] + e[:-1]) / 2.0 for e in (ex, ey, ez)]
     vol = np.einsum("i,j,k->ijk", np.diff(ex), np.diff(ey), np.diff(ez))
     centers = np.stack(np.meshgrid(cx, cy, cz, indexing="ij"), axis=-1)
     fm = maxwellian_eval(p, centers)
-    mask = counts > 0
-    # counts are bin masses; compare against the Maxwellian bin mass fm*vol
-    ratio = counts[mask] / (fm[mask] * vol[mask])
-    return float(-(counts[mask] * np.log(ratio)).sum())
+    mask = masses > 0
+    # compare against the Maxwellian bin mass fm*vol
+    ratio = masses[mask] / (fm[mask] * vol[mask])
+    return float(-(masses[mask] * np.log(ratio)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +227,14 @@ def fpe_moment_flow(p: LimitParams, m0, s0, t: float) -> MomentState:
     return MomentState(mean=m_t, centered=s_t)
 
 
-def landau_moment_flow(kernel: KernelSpec, m0, s0, t: float) -> MomentState:
-    """Exact second-moment relaxation of the Maxwell-molecule collision flow
-    from mean m0 and covariance s0 (checked by ``check_covariance``).
+def landau_moment_flow(m0, s0, t: float) -> MomentState:
+    """Exact second-moment relaxation of the Maxwell-molecule (gamma = 0)
+    collision flow from mean m0 and covariance s0 (checked by
+    ``check_covariance``); no other gamma closes at second-moment level.
 
-    Only gamma = 0 closes at second-moment level. Mean and tr S are
-    conserved; the anisotropy S - (tr S/3) I decays as exp(-12 t) (rate
-    derived in the module docstring).
+    Mean and tr S are conserved; the anisotropy S - (tr S/3) I decays as
+    exp(-12 t) (rate derived in the module docstring).
     """
-    if kernel.gamma != 0.0:
-        raise ValueError("moment closure requires gamma = 0")
     check_time(t)
     s0 = check_covariance(s0)
     iso = np.trace(s0) / 3.0 * np.eye(3)

@@ -318,8 +318,7 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
 class TestPolynomial:
     """Catalog entry for weak-consistency oracles.
 
-    kinds: "coord" v_{k,sigma}; "quad" v_{k,sigma} v_{m,tau}; and the
-    conserved quantities "mass", "energy", "momentum" (component sigma).
+    kinds: "coord" v_{k,sigma}; "quad" v_{k,sigma} v_{m,tau}.
     """
 
     __test__ = False  # not a pytest class
@@ -338,18 +337,6 @@ class TestPolynomial:
     def quad(k: int, sigma: int, m: int, tau: int) -> "TestPolynomial":
         return TestPolynomial("quad", k=k, sigma=sigma, m=m, tau=tau)
 
-    @staticmethod
-    def mass() -> "TestPolynomial":
-        return TestPolynomial("mass")
-
-    @staticmethod
-    def energy() -> "TestPolynomial":
-        return TestPolynomial("energy")
-
-    @staticmethod
-    def momentum(sigma: int) -> "TestPolynomial":
-        return TestPolynomial("momentum", sigma=sigma)
-
     def evaluate(self, velocities: np.ndarray) -> np.ndarray:
         """Evaluate on (..., N, 3) velocities; returns shape (...)."""
         v = np.asarray(velocities, dtype=float)
@@ -357,12 +344,6 @@ class TestPolynomial:
             return v[..., self.k, self.sigma]
         if self.kind == "quad":
             return v[..., self.k, self.sigma] * v[..., self.m, self.tau]
-        if self.kind == "mass":
-            return np.full(v.shape[:-2], float(v.shape[-2]))
-        if self.kind == "energy":
-            return 0.5 * (v * v).sum(axis=(-1, -2))
-        if self.kind == "momentum":
-            return v[..., :, self.sigma].sum(axis=-1)
         raise ValueError(f"unknown test polynomial kind {self.kind!r}")
 
 
@@ -380,13 +361,10 @@ def generator_apply(spec: ManifoldSpec, v: np.ndarray, kernel: KernelSpec,
     """Exact action of the pairwise-diffusion generator on a catalog entry.
 
     Returns the drift d/dt E[phi] at each of the (..., N, 3) states v, shape
-    (...). Conserved quantities (mass, energy, momentum) give exactly 0.0.
-    Pairs below the cutoff contribute their capped weight (beta replaced by
-    the cutoff in both the weight and the curvature factors).
+    (...). Pairs below the cutoff contribute their capped weight (beta
+    replaced by the cutoff in both the weight and the curvature factors).
     """
     p = np.asarray(v, dtype=float)
-    if phi.kind in ("mass", "energy", "momentum"):
-        return np.zeros(p.shape[:-2])
     n = spec.n_particles
     cutoff = kernel.resolve_cutoff(spec)
     g = kernel.gamma

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betainc
 
-from .geometry import ManifoldSpec
+from .geometry import ConservationMode, ManifoldSpec
 
 
 @dataclass
@@ -101,32 +101,16 @@ def moment_series(result, name: str) -> ObservableSeries:
 # histograms
 
 
-@dataclass
-class MarginalHistogram:
-    """Empirical n-velocity marginal on a regular grid.
-
-    order 1 histograms are 1D for a single component and 3D for the full
-    velocity; order 2 histograms are 2D for one component of both
-    velocities. Counts are normalized to total mass 1; samples outside the
-    grid are dropped before normalization.
-    """
-
-    order: int
-    edges: tuple
-    counts: np.ndarray
-    component: int | None
-    n_samples: int
-
-    def total(self) -> float:
-        return float(np.sum(self.counts))
-
-    def __post_init__(self):
-        if not abs(self.total() - 1.0) <= 1e-12:    # NaN fails too
-            raise ValueError("normalized counts must sum to 1")
-
-
 def _pooled(velocities: np.ndarray) -> np.ndarray:
     return np.asarray(velocities, dtype=float).reshape(-1, 3)
+
+
+def _masses(counts: np.ndarray) -> np.ndarray:
+    """Bin counts scaled to total mass 1."""
+    total = counts.sum()
+    if total == 0:
+        raise ValueError("no samples fall inside the grid")
+    return counts / total
 
 
 def _sample_ordered_pairs(velocities, max_pairs, rng):
@@ -158,58 +142,44 @@ def check_marginal_args(edges=None, component: int | None = None,
         raise ValueError("need at least one sampled pair")
 
 
-def marginal_histogram(snapshot, n: int, edges: np.ndarray,
-                       component: int | None = None,
-                       max_pairs: int | None = None,
-                       rng: np.random.Generator | None = None) -> MarginalHistogram:
-    """Pooled empirical n-velocity marginal of an ensemble snapshot.
+def marginal_histogram(velocities: np.ndarray, n: int, edges: np.ndarray,
+                       component: int, max_pairs: int | None = None,
+                       rng: np.random.Generator | None = None) -> np.ndarray:
+    """Pooled empirical n-velocity marginal of one velocity component.
 
-    Pools over replicas and (by exchangeability) over particles / ordered
-    particle pairs. ``edges`` is a single shared 1D edge array applied to
-    every axis; ``component`` restricts to one velocity component (1D
-    histogram for n=1, 2D for n=2, which needs it); for n=1 without it the
-    full 3D histogram is built. ``max_pairs`` subsamples ordered pairs for
-    n=2.
+    Pools the (R, N, 3) velocities over replicas and (by exchangeability)
+    over particles or ordered particle pairs, and returns the bin masses on
+    the shared 1D ``edges``: 1D for n=1, 2D for n=2. Samples outside the
+    grid are dropped before normalization to mass 1. ``max_pairs``
+    subsamples ordered pairs for n=2; without it every pair is counted.
     """
+    if component is None:
+        raise ValueError("a marginal needs a component")
     check_marginal_args(edges, component, max_pairs)
-    velocities = np.asarray(snapshot.velocities, dtype=float)
-    if velocities.size == 0:
-        raise ValueError("empty snapshot")
+    velocities = np.asarray(velocities, dtype=float)
     edges = np.asarray(edges, dtype=float)
     if n == 1:
-        pooled = _pooled(velocities)
-        if component is not None:
-            counts, _ = np.histogram(pooled[:, component], bins=edges)
-            tot = counts.sum()
-            return MarginalHistogram(1, (edges,), counts / tot, component,
-                                     pooled.shape[0])
-        counts, _ = np.histogramdd(pooled, bins=(edges, edges, edges))
-        return MarginalHistogram(1, (edges, edges, edges),
-                                 counts / counts.sum(), None, pooled.shape[0])
+        counts, _ = np.histogram(_pooled(velocities)[:, component], bins=edges)
+        return _masses(counts)
     if n == 2:
-        if component is None:
-            raise ValueError("a 2-marginal needs a component")
         pairs = _sample_ordered_pairs(velocities, max_pairs, rng)
         x, y = pairs[:, 0, component], pairs[:, 1, component]
         counts, _, _ = np.histogram2d(x, y, bins=(edges, edges))
-        return MarginalHistogram(2, (edges, edges), counts / counts.sum(),
-                                 component, pairs.shape[0])
+        return _masses(counts)
     raise ValueError("marginal order must be 1 or 2")
 
 
-def chaos_distance(h2: MarginalHistogram, h1: MarginalHistogram) -> float:
-    """L1 distance between a 2-marginal and the product of 1-marginals.
+def chaos_distance(h2: np.ndarray, h1: np.ndarray) -> float:
+    """L1 distance between a 2-marginal and the product of 1-marginals, both
+    bin masses of one component on one grid.
 
     Zero iff the empirical pair distribution factorizes on the grid.
     """
-    if h2.order != 2 or h1.order != 1:
-        raise ValueError("need a 2-marginal and a 1-marginal")
-    if h2.component != h1.component:
-        raise ValueError("histograms use different component reductions")
-    if not all(np.array_equal(e, h1.edges[0]) for e in h2.edges):
-        raise ValueError("grid mismatch between the marginals")
-    prod = np.multiply.outer(np.asarray(h1.counts), np.asarray(h1.counts))
-    return float(np.abs(np.asarray(h2.counts) - prod).sum())
+    h1 = np.asarray(h1)
+    prod = np.multiply.outer(h1, h1)
+    if h1.ndim != 1 or np.shape(h2) != prod.shape:
+        raise ValueError("need a 2-marginal and a 1-marginal on one grid")
+    return float(np.abs(h2 - prod).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +190,12 @@ def radial_ks_statistic(velocities: np.ndarray, spec: ManifoldSpec) -> tuple[flo
     """KS distance between the pooled speeds |v - u| of all particles and
     replicas and the exact stationary radial law.
 
-    Under the uniform measure, s = r^2 / (2 N eps0) follows a
-    Beta(3/2, (3N-3)/2) law, which gives the radial CDF in closed form.
-    Returns (statistic, pooled sample count).
+    Under the uniform measure on the energy-only sphere, s = r^2 / (2 N eps0)
+    follows a Beta(3/2, (3N-3)/2) law, which gives the radial CDF in closed
+    form. Returns (statistic, pooled sample count).
     """
+    if spec.mode is not ConservationMode.ENERGY_ONLY:
+        raise ValueError("the radial law is for the energy-only manifold")
     n = spec.n_particles
     r = np.sort(np.linalg.norm(_pooled(velocities) - spec.u, axis=1))
     s = np.clip(r ** 2 / (2.0 * n * spec.eps0), 0.0, 1.0)

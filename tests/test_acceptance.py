@@ -62,6 +62,8 @@ from kinlab.spectral import (
     standard_trial_function,
 )
 
+from oracles import generator_conservation_residuals
+
 COULOMB = KernelSpec(-3.0)
 
 
@@ -186,12 +188,8 @@ def test_criterion_06_bp_conservation_and_generator():
         worst_p = max(worst_p, mom_err)
     cons_ok = worst_e <= 1e-12 and worst_p <= 1e-12
 
-    zeros_ok = (
-        generator_apply(spec, v[0], COULOMB, TestPolynomial.mass()) == 0.0
-        and generator_apply(spec, v[0], COULOMB, TestPolynomial.energy()) == 0.0
-        and all(generator_apply(spec, v[0], COULOMB, TestPolynomial.momentum(s)) == 0.0
-                for s in range(3))
-    )
+    gen_residual = max(generator_conservation_residuals(spec, v[0], COULOMB))
+    gen_ok = gen_residual <= 1e-12
 
     spec4 = ManifoldSpec(4, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
     v0 = sample_uniform_batch(spec4, 1, np.random.default_rng(51))[0]
@@ -219,9 +217,10 @@ def test_criterion_06_bp_conservation_and_generator():
         gen = generator_apply(spec4, v0, COULOMB, phi)
         rels.append(abs(drift - gen) / abs(gen))
     weak_ok = all(r <= 0.10 for r in rels)
-    _report("06", cons_ok and zeros_ok and weak_ok,
+    _report("06", cons_ok and gen_ok and weak_ok,
             f"per-step errors e={worst_e:.1e}, p={worst_p:.1e} (tol 1e-12); "
-            f"conserved-generator zeros exact: {zeros_ok}; weak drift rel "
+            f"generator on energy and momentum {gen_residual:.1e} of its terms "
+            f"(tol 1e-12); weak drift rel "
             f"errors {['%.3f' % r for r in rels]} (tol 0.10)")
 
 
@@ -272,8 +271,8 @@ def _entropy_series(snapshots, p, edges, blocks=8):
     out = []
     for snap in snapshots:
         vel = snap.velocities
-        s_all = relative_entropy(velocity_histogram3d(vel, edges), p)
-        parts = [relative_entropy(velocity_histogram3d(vel[idx], edges), p)
+        s_all = relative_entropy(velocity_histogram3d(vel, edges), edges, p)
+        parts = [relative_entropy(velocity_histogram3d(vel[idx], edges), edges, p)
                  for idx in np.array_split(np.arange(vel.shape[0]), blocks)]
         out.append((snap.time, s_all, float(np.std(parts) / math.sqrt(blocks))))
     return out
@@ -328,10 +327,9 @@ def test_criterion_09_chaos_distance():
                         process="pair", kernel=COULOMB)
         res = run_ensemble(spec, cfg, ["energy_per_particle"],
                            snapshot_times=[0.4])
-        snap = res.snapshots[-1]
-        h2 = marginal_histogram(snap, 2, edges, component=0,
-                                max_pairs=target, rng=rng)
-        h1 = marginal_histogram(snap, 1, edges, component=0)
+        vel = res.snapshots[-1].velocities
+        h2 = marginal_histogram(vel, 2, edges, 0, max_pairs=target, rng=rng)
+        h1 = marginal_histogram(vel, 1, edges, 0)
         dists.append(chaos_distance(h2, h1))
     ok = dists[0] > dists[1] > dists[2]
     _report("09b", ok,
@@ -349,7 +347,7 @@ def test_criterion_10_maxwell_molecule_cross_check():
     # oracle rate extracted from the moment flow itself
     s0 = np.array([[2 / 3, 0.2, 0.0], [0.2, 2 / 3, 0.0], [0.0, 0.0, 2 / 3]])
     t_probe = 0.1
-    st = landau_moment_flow(KernelSpec(0.0), np.zeros(3), s0, t_probe)
+    st = landau_moment_flow(np.zeros(3), s0, t_probe)
     oracle_rate = -math.log(st.centered[0, 1] / s0[0, 1]) / t_probe
     rel = fit.rate / oracle_rate - 1.0
     _report("10", abs(rel) <= 0.10,

@@ -1,6 +1,7 @@
 """Smoke test: the quick demos run to completion against the current API.
 
-Demos 03 and 06 are left out for their run time (about 15 s and 40 s).
+Demo 03 is left out for its run time (about 15 s); demo 06 (about 20 s) is
+kept because it exercises the kinetic-limit and histogram APIs end to end.
 """
 
 import os
@@ -12,7 +13,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_spectra_and_limits.py", "02_sampling_and_marginals.py",
-         "04_pair_diffusion_generator.py", "05_variational_gap_scan.py"]
+         "04_pair_diffusion_generator.py", "05_variational_gap_scan.py",
+         "06_kinetic_limits.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -31,7 +31,6 @@ from kinlab.kinetic_limits import (
     relative_entropy,
     stationary_marginal_eval,
 )
-from kinlab.master_sim import KernelSpec
 from kinlab.spectral import eigenvalue_scaled, limit_eigenvalue
 
 from oracles import (
@@ -135,9 +134,7 @@ def test_relative_entropy_of_maxwellian_grid_is_zero():
     edges = entropy_grid_edges(p, bins=30)
     hist3 = _maxwellian_bin_masses(p, edges)
     hist3 /= hist3.sum()
-    from kinlab.observables import MarginalHistogram
-    h = MarginalHistogram(1, tuple(np.asarray(e) for e in edges), hist3, None, 0)
-    assert relative_entropy(h, p) == pytest.approx(0.0, abs=5e-4)
+    assert relative_entropy(hist3, edges, p) == pytest.approx(0.0, abs=5e-4)
 
 
 def test_relative_entropy_gibbs_two_bin():
@@ -146,16 +143,14 @@ def test_relative_entropy_gibbs_two_bin():
     p = LimitParams(eps0=1.0)
     edges = (np.array([-1.0, 0.0, 1.0]), np.array([-1.0, 1.0]),
              np.array([-1.0, 1.0]))
-    from kinlab.observables import MarginalHistogram
     centers = np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]])
     q = maxwellian_eval(p, centers) * 4.0          # bin volume 1*2*2
     w_star = q[0] / q.sum()
     scores = {}
     for w in (0.1, 0.3, w_star, 0.7, 0.9):
-        h = MarginalHistogram(1, tuple(np.asarray(e) for e in edges),
-                              np.array([[[w]], [[1 - w]]]), None, 0)
+        h = np.array([[[w]], [[1 - w]]])
         hand = -(w * math.log(w / q[0]) + (1 - w) * math.log((1 - w) / q[1]))
-        got = relative_entropy(h, p)
+        got = relative_entropy(h, edges, p)
         assert got == pytest.approx(hand, rel=1e-12)
         scores[w] = got
     best = scores.pop(w_star)
@@ -164,11 +159,11 @@ def test_relative_entropy_gibbs_two_bin():
 
 def test_relative_entropy_empty_rejected():
     p = LimitParams(eps0=1.0)
-    from kinlab.observables import MarginalHistogram
-    with pytest.raises(ValueError):
-        h = MarginalHistogram(1, (np.array([0.0, 1.0]),) * 3,
-                              np.zeros((1, 1, 1)), None, 0)
-        relative_entropy(h, p)
+    edges = (np.array([0.0, 1.0]),) * 3
+    with pytest.raises(ValueError, match="empty"):
+        relative_entropy(np.zeros((1, 1, 1)), edges, p)
+    with pytest.raises(ValueError, match="grid"):
+        relative_entropy(np.ones((2, 1, 1)), edges, p)
 
 
 def test_fpe_moment_flow_identity_and_halving():
@@ -191,7 +186,7 @@ def test_moment_flows_reject_non_psd_covariance():
     with pytest.raises(ValueError, match="semidefinite"):
         fpe_moment_flow(LimitParams(1.0), np.zeros(3), bad, 0.0)
     with pytest.raises(ValueError, match="semidefinite"):
-        landau_moment_flow(KernelSpec(0.0), np.zeros(3), bad, 0.0)
+        landau_moment_flow(np.zeros(3), bad, 0.0)
 
 
 def test_fpe_moment_flow_mean_rhs_quadrature_oracle():
@@ -220,13 +215,8 @@ def test_fpe_moment_flow_limits_and_conservation():
                                atol=1e-12)
 
 
-def test_landau_moment_flow_gamma_guard():
-    with pytest.raises(ValueError):
-        landau_moment_flow(KernelSpec(-3.0), np.zeros(3), np.eye(3), 0.1)
-
-
 def test_landau_moment_flow_isotropic_stationary():
-    st = landau_moment_flow(KernelSpec(0.0), np.zeros(3), 0.9 * np.eye(3), 2.0)
+    st = landau_moment_flow(np.zeros(3), 0.9 * np.eye(3), 2.0)
     np.testing.assert_allclose(st.second, 0.9 * np.eye(3), atol=1e-14)
 
 
@@ -234,7 +224,7 @@ def test_landau_moment_flow_conservation_and_rate():
     m0 = np.array([0.2, -0.1, 0.4])
     s0 = np.array([[1.0, 0.3, 0.0], [0.3, 0.7, 0.1], [0.0, 0.1, 0.6]])
     for t in (0.0, 0.05, 0.2):
-        st = landau_moment_flow(KernelSpec(0.0), m0, s0, t)
+        st = landau_moment_flow(m0, s0, t)
         np.testing.assert_allclose(st.mean, m0, atol=1e-15)
         assert np.trace(st.centered) == pytest.approx(np.trace(s0), rel=1e-12)
         np.testing.assert_allclose(st.anisotropy,
@@ -251,7 +241,7 @@ def test_landau_second_moment_rhs_mc_oracle(rng):
     np.testing.assert_allclose(mc, closed, atol=0.08)
     # and the flow's own derivative matches the closed form
     h = 1e-7
-    st = landau_moment_flow(KernelSpec(0.0), m0, s0, h)
+    st = landau_moment_flow(m0, s0, h)
     deriv = (st.centered - s0) / h
     np.testing.assert_allclose(deriv, closed, rtol=1e-4, atol=1e-8)
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kinlab.geometry import ConservationMode, ManifoldSpec, sample_uniform_batch
-from kinlab.master_sim import EnsembleSnapshot, SimConfig, run_ensemble
+from kinlab.kinetic_limits import velocity_histogram3d
+from kinlab.master_sim import SimConfig, run_ensemble
 from kinlab.observables import (
-    MarginalHistogram,
     ObservableSeries,
     chaos_distance,
     decay_rate_fit,
@@ -16,10 +16,6 @@ from kinlab.observables import (
     moment_series,
     radial_ks_statistic,
 )
-
-
-def _snap(velocities):
-    return EnsembleSnapshot(0.0, velocities)
 
 
 def test_series_validation():
@@ -58,64 +54,74 @@ def test_conserved_series_exact(rng):
 def test_histogram_counts_sum_to_one(spec_c1, rng):
     vel = sample_uniform_batch(spec_c1, 100, rng)
     edges = np.linspace(-4, 4, 17)
-    h = marginal_histogram(_snap(vel), 1, edges)
-    assert h.total() == pytest.approx(1.0, abs=1e-12)
-    h1 = marginal_histogram(_snap(vel), 1, edges, component=0)
-    assert h1.total() == pytest.approx(1.0, abs=1e-12)
+    h1 = marginal_histogram(vel, 1, edges, 0)
+    assert h1.shape == (16,)
+    assert h1.sum() == pytest.approx(1.0, abs=1e-12)
+    h2 = marginal_histogram(vel, 2, edges, 1)
+    assert h2.shape == (16, 16)
+    assert h2.sum() == pytest.approx(1.0, abs=1e-12)
+    h3 = velocity_histogram3d(vel, (edges,) * 3)
+    assert h3.shape == (16, 16, 16)
+    assert h3.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_histogram_mass_nan_rejected():
-    # 0/0 normalization of an empty histogram must not pass as mass 1
-    edges = np.linspace(-1, 1, 3)
-    with pytest.raises(ValueError):
-        MarginalHistogram(1, (edges,), np.full(2, np.nan), 0, 0)
+def test_histogram_mass_nan_rejected(spec_c1, rng):
+    # all samples outside the grid: the 0/0 normalization (NaN mass) must
+    # raise, not pass as a histogram
+    vel = sample_uniform_batch(spec_c1, 4, rng)
+    edges = np.linspace(10.0, 11.0, 3)
+    with pytest.raises(ValueError, match="inside the grid"):
+        marginal_histogram(vel, 1, edges, 0)
+    with pytest.raises(ValueError, match="inside the grid"):
+        marginal_histogram(vel, 2, edges, 0)
+    with pytest.raises(ValueError, match="inside the grid"):
+        velocity_histogram3d(vel, (edges,) * 3)
 
 
 def test_histogram_arguments_checked(spec_c1, rng):
-    snap = _snap(sample_uniform_batch(spec_c1, 4, rng))
+    vel = sample_uniform_batch(spec_c1, 4, rng)
     edges = np.linspace(-4, 4, 17)
     with pytest.raises(ValueError):
-        marginal_histogram(snap, 1, edges[:1])
+        marginal_histogram(vel, 1, edges[:1], 0)
     for component in (-1, 3):
         with pytest.raises(ValueError):
-            marginal_histogram(snap, 1, edges, component=component)
+            marginal_histogram(vel, 1, edges, component)
     with pytest.raises(ValueError):
-        marginal_histogram(snap, 2, edges, component=0, max_pairs=0, rng=rng)
+        marginal_histogram(vel, 2, edges, 0, max_pairs=0, rng=rng)
     with pytest.raises(ValueError, match="component"):
-        marginal_histogram(snap, 2, edges)
+        marginal_histogram(vel, 2, edges, None)
+    with pytest.raises(ValueError, match="order"):
+        marginal_histogram(vel, 3, edges, 0)
 
 
 def test_histogram_two_pooled_points(rng):
     spec = ManifoldSpec(2, ConservationMode.ENERGY_ONLY, eps=1.0)
     vel = sample_uniform_batch(spec, 1, rng)
     edges = np.linspace(-3, 3, 7)
-    h = marginal_histogram(_snap(vel), 1, edges, component=0)
-    counts = np.asarray(h.counts)
-    assert h.n_samples == 2
-    assert counts[counts > 0].min() >= 0.5 - 1e-12
+    h = marginal_histogram(vel, 1, edges, 0)
+    assert sorted(h[h > 0]) in ([0.5, 0.5], [1.0])
 
 
 def test_histogram_permutation_invariance(spec_c1, rng):
     vel = sample_uniform_batch(spec_c1, 50, rng)
     perm = rng.permutation(spec_c1.n_particles)
     edges = np.linspace(-4, 4, 17)
-    h_a = marginal_histogram(_snap(vel), 1, edges)
-    h_b = marginal_histogram(_snap(vel[:, perm]), 1, edges)
-    np.testing.assert_array_equal(np.asarray(h_a.counts), np.asarray(h_b.counts))
-    h2a = marginal_histogram(_snap(vel), 2, edges, component=0)
-    h2b = marginal_histogram(_snap(vel[:, perm]), 2, edges, component=0)
-    np.testing.assert_array_equal(np.asarray(h2a.counts), np.asarray(h2b.counts))
+    np.testing.assert_array_equal(velocity_histogram3d(vel, (edges,) * 3),
+                                  velocity_histogram3d(vel[:, perm], (edges,) * 3))
+    np.testing.assert_array_equal(marginal_histogram(vel, 1, edges, 2),
+                                  marginal_histogram(vel[:, perm], 1, edges, 2))
+    # exhaustive pair enumeration (no subsampling)
+    np.testing.assert_array_equal(marginal_histogram(vel, 2, edges, 0),
+                                  marginal_histogram(vel[:, perm], 2, edges, 0))
 
 
 def test_chaos_distance_exact_product():
-    edges = np.linspace(-1, 1, 5)
     c1 = np.array([0.1, 0.2, 0.3, 0.4])
-    from kinlab.observables import MarginalHistogram
-    h1 = MarginalHistogram(1, (edges,), c1, 0, 100)
-    h2 = MarginalHistogram(2, (edges, edges), np.outer(c1, c1), 0, 100)
-    assert chaos_distance(h2, h1) == pytest.approx(0.0, abs=1e-12)
+    assert chaos_distance(np.outer(c1, c1), c1) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        chaos_distance(h2, MarginalHistogram(1, (edges[:-1],), c1[:-1] / c1[:-1].sum(), 0, 10))
+        chaos_distance(np.outer(c1, c1), c1[:-1] / c1[:-1].sum())
+    with pytest.raises(ValueError):
+        chaos_distance(c1, c1)
 
 
 def test_chaos_distance_decreases_with_n_uniform(rng):
@@ -126,10 +132,8 @@ def test_chaos_distance_decreases_with_n_uniform(rng):
         spec = ManifoldSpec(n, ConservationMode.ENERGY_ONLY, eps=1.0)
         n_rep = max(8, 400000 // (n * (n - 1)))
         vel = sample_uniform_batch(spec, n_rep, rng)
-        snap = _snap(vel)
-        h2 = marginal_histogram(snap, 2, edges, component=0,
-                                max_pairs=400000, rng=rng)
-        h1 = marginal_histogram(snap, 1, edges, component=0)
+        h2 = marginal_histogram(vel, 2, edges, 0, max_pairs=400000, rng=rng)
+        h1 = marginal_histogram(vel, 1, edges, 0)
         dists.append(chaos_distance(h2, h1))
     assert dists[1] < dists[0]
 
@@ -140,6 +144,15 @@ def test_radial_ks_uniform_ensemble(rng):
     ks, n = radial_ks_statistic(vel, spec)
     assert n == 200000
     assert ks < ks_quantile_99(n)
+
+
+def test_radial_ks_rejects_momentum_constraint(rng):
+    # with momentum conserved the radial law is ((N-1)/N) Beta(3/2, (3N-6)/2),
+    # not the energy-only law the statistic tests against
+    spec = ManifoldSpec(3, ConservationMode.ENERGY_MOMENTUM, eps=1.0, u=[0.3, 0, 0])
+    vel = sample_uniform_batch(spec, 100, rng)
+    with pytest.raises(ValueError, match="energy-only"):
+        radial_ks_statistic(vel, spec)
 
 
 def test_decay_fit_exact_synthetic():
