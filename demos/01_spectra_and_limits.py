@@ -17,7 +17,7 @@ for mode, label in [(ConservationMode.ENERGY_ONLY, "energy only (C=1)"),
     tab = spectrum_table(spec, 4)
     print(f"\nN = 16, {label}")
     print(f"{'j':>3} {'unscaled':>10} {'scaled':>10} {'limit':>8}")
-    for j, unscaled, scaled, limit in tab.rows:
+    for j, unscaled, scaled, limit in tab:
         print(f"{j:>3} {unscaled:>10.1f} {scaled:>10.5f} {limit:>8.3f}")
 
 print("\nconvergence of the j=1 eigenvalue (energy only, eps=1):")

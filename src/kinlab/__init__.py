@@ -52,7 +52,6 @@ from .observables import (
 )
 from .spectral import (
     GapScanResult,
-    SpectrumTable,
     TrialFunction,
     eigenvalue_scaled,
     gap_scan,

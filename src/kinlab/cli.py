@@ -19,7 +19,7 @@ import math
 import subprocess
 import sys
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .geometry import (
     ConservationMode,
     ManifoldSpec,
     NonFiniteStateError,
+    check_n_states,
     constraint_errors,
     sample_uniform_batch,
 )
@@ -110,9 +111,9 @@ _MODES = {"energy": _C1, "energy-momentum": _C4}
 # at call time, so a caller may replace them on this module
 _INITS = {
     "uniform": lambda s: uniform_sampler,
-    "shift": lambda s: shifted_sampler([s, 0.0, 0.0]),
+    "shift": lambda s: shifted_sampler(s),
     "shear": lambda s: sheared_sampler(s),
-    "tagged-shift": lambda s: tagged_shift_sampler([s, 0.0, 0.0]),
+    "tagged-shift": lambda s: tagged_shift_sampler(s),
 }
 _FLOWS = {
     "fpe": lambda lim: partial(fpe_moment_flow, lim),
@@ -155,7 +156,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
                "seed": Field(_parse_int, default=12345)},
     "sim-sphere": dict(_SIM),
     "sim-bp": {**_SIM, "gamma": Field(float, required=True),
-               "cutoff": Field(float, default=-1.0)},
+               "cutoff": Field(float)},
     "rayleigh": {"n_particles": Field(_parse_int, required=True),
                  "gamma": Field(float, default=-3.0),
                  "n_samples": Field(_parse_int, default=100000),
@@ -201,9 +202,6 @@ class ExperimentPlan:
     command: str
     params: dict = field(default_factory=dict)
     objects: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"command": self.command, "params": self.params}
 
 
 def parse_config(text: str, command: str | None = None) -> ExperimentPlan:
@@ -302,16 +300,16 @@ def _build_objects(command, p, lines, violations) -> dict:
     if command not in ("sim-sphere", "sim-bp", "chaos"):   # SimConfig checks it there
         build(("seed",), lambda: check_seed(p["seed"]))
     if "gamma" in schema:
-        o["kernel"] = build(
-            [k for k in ("gamma", "cutoff") if k in schema],
-            lambda: KernelSpec(p["gamma"],
-                               None if p.get("cutoff", -1.0) < 0 else p["cutoff"]))
+        o["kernel"] = build([k for k in ("gamma", "cutoff") if k in schema],
+                            lambda: KernelSpec(p["gamma"], p.get("cutoff")))
     if command in ("spectrum", "sample", "sim-sphere", "sim-bp"):
         o["spec"] = build(("n_particles", "mode", "eps", "u"), lambda: ManifoldSpec(
             p["n_particles"], _MODES[p["mode"]], eps=p["eps"], u=np.asarray(p["u"])))
     if command == "spectrum":
         o["table"] = build(("j_max",), lambda: spectrum_table(o["spec"], p["j_max"]),
                            o["spec"])
+    elif command == "sample":
+        build(("n_samples",), lambda: check_n_states(p["n_samples"]))
 
     if command in ("sim-sphere", "sim-bp"):
         pair = command == "sim-bp"
@@ -319,13 +317,17 @@ def _build_objects(command, p, lines, violations) -> dict:
             ("dt", "t_end", "n_replicas", "record_every", "seed"),
             lambda: SimConfig(dt=p["dt"], t_end=p["t_end"],
                               n_replicas=p["n_replicas"], seed=p["seed"],
-                              process="pair" if pair else "sphere",
                               kernel=o.get("kernel"),
                               record_every=p["record_every"]),
             *((o["kernel"],) if pair else ()))
         names = [n.strip() for n in p["observables"].split(",") if n.strip()]
-        o["observables"] = build(("observables",), lambda: {
-            name: observables.get_observable(name) for name in names})
+
+        def known_names():
+            for name in names:
+                observables.get_observable(name)   # raises on a name not in the catalog
+            return names
+
+        o["observables"] = build(("observables",), known_names)
         o["sampler"] = build(("init", "init_strength"),
                              lambda: _INITS[p["init"]](p["init_strength"]))
         build(("entropy_times", "dt", "t_end"),
@@ -356,6 +358,8 @@ def _build_objects(command, p, lines, violations) -> dict:
                             lambda n=n: ManifoldSpec(n, _C1, eps=p["eps"]))
                       for n in p.get("n_list", [])]
         o["limit"] = build(("eps",), lambda: LimitParams(eps0=p["eps"]), o["spec"])
+        build(("n_samples", "n_particles"),
+              lambda: check_n_states(p["n_samples"] // p["n_particles"]), o["spec"])
         o["probes"] = [build(("radial_points",),
                              lambda s=s: radial_probe(s, p["radial_points"]), s)
                        for s in o["specs"]]
@@ -384,7 +388,7 @@ def _build_objects(command, p, lines, violations) -> dict:
                 lambda i=i, n=n: SimConfig(
                     dt=p["dt"], t_end=p["t_end"],
                     n_replicas=max(8, int(math.ceil(p["pair_samples"] / (n * (n - 1))))),
-                    seed=p["seed"] + i, process="pair", kernel=o["kernel"]),
+                    seed=p["seed"] + i, kernel=o["kernel"]),
                 spec, o["kernel"]))
 
         def edges():
@@ -422,7 +426,9 @@ def _write_table(path: Path, header: list[str], rows: list[list], fmt: str):
     return path
 
 
+@lru_cache(maxsize=None)
 def _code_version() -> str:
+    """``git describe`` of the source tree, looked up once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -458,8 +464,8 @@ def _series_rows(result, names):
 
 def _cmd_sim(plan, seed, rng):
     params, o = plan.params, plan.objects
-    names = list(o["observables"])
-    result = run_ensemble(o["spec"], replace(o["config"], seed=seed), o["observables"],
+    names = o["observables"]
+    result = run_ensemble(o["spec"], replace(o["config"], seed=seed), names,
                           initial_sampler=o["sampler"],
                           snapshot_times=params["entropy_times"])
     header, rows = _series_rows(result, names)
@@ -484,8 +490,7 @@ def _cmd_sim(plan, seed, rng):
 
 
 def _cmd_spectrum(plan, seed, rng):
-    rows = [[j, unscaled, scaled, limit]
-            for j, unscaled, scaled, limit in plan.objects["table"].rows]
+    rows = [list(row) for row in plan.objects["table"]]
     return {"spectrum": (["j", "unscaled", "scaled", "limit"], rows)}, {}
 
 
@@ -530,7 +535,7 @@ def _cmd_gap_scan(plan, seed, rng):
 def _cmd_marginal_compare(plan, seed, rng):
     p, o = plan.params, plan.objects
     spec = o["spec"]
-    n_states = max(1, p["n_samples"] // spec.n_particles)
+    n_states = p["n_samples"] // spec.n_particles
     velocities = sample_uniform_batch(spec, n_states, rng)
     ks, pooled = radial_ks_statistic(velocities, spec)
     ks_rows = [[pooled, ks, ks_quantile_99(pooled)]]
@@ -604,7 +609,7 @@ def run(plan: ExperimentPlan, out_dir: str | Path, *, seed: int | None = None,
 
     manifest = {
         "command": plan.command,
-        "plan": plan.to_json(),
+        "plan": {"command": plan.command, "params": plan.params},
         "seed": eff_seed,
         "format": fmt,
         "version": _code_version(),

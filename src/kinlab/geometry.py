@@ -99,7 +99,7 @@ class ManifoldSpec:
 
     @property
     def n_constraints(self) -> int:
-        return 1 if self.mode is ConservationMode.ENERGY_ONLY else 4
+        return self.mode.value
 
     @property
     def dim(self) -> int:
@@ -125,6 +125,12 @@ class ManifoldSpec:
 # sampling and restoration
 
 
+def check_n_states(n_states: int) -> None:
+    """A sample holds at least one state."""
+    if n_states < 1:
+        raise ValueError(f"need at least one state, got {n_states}")
+
+
 def sample_uniform_batch(spec: ManifoldSpec, n_states: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Draw states from the uniform surface measure, shape (n_states, N, 3).
@@ -134,6 +140,7 @@ def sample_uniform_batch(spec: ManifoldSpec, n_states: int,
     radius the result is uniform on the sphere. Constraints hold to machine
     precision by construction.
     """
+    check_n_states(n_states)
     n = spec.n_particles
     xi = rng.standard_normal((n_states, n, 3))
     if spec.mode is ConservationMode.ENERGY_MOMENTUM:

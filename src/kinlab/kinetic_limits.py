@@ -138,11 +138,11 @@ def radial_probe(spec: ManifoldSpec, points: int) -> np.ndarray:
 # relative entropy
 
 
-def entropy_grid_edges(p: LimitParams, bins: int = 24, half_width: float = 5.0):
+def entropy_grid_edges(p: LimitParams, bins: int = 24):
     """Per-axis cubic-bin edges over [u - 5 sigma, u + 5 sigma]^3."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    h = half_width * p.sigma
+    h = 5.0 * p.sigma
     return tuple(np.linspace(p.u[i] - h, p.u[i] + h, bins + 1) for i in range(3))
 
 

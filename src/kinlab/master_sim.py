@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,8 @@ class KernelSpec:
 
     The pair weight is |v_k - v_l|^{2+gamma}; gamma = -3 reproduces the
     Coulomb weight |v_k - v_l|^{-1}. ``cutoff=None`` resolves to the
-    manifold default (1e-8 sqrt(eps)) at use time.
+    manifold default (1e-8 sqrt(eps)) at use time; a given cutoff must be
+    positive, since a coincident pair has no separation direction.
     """
 
     gamma: float
@@ -58,6 +59,8 @@ class KernelSpec:
     def __post_init__(self):
         if not self.gamma > -5.0:
             raise ValueError("kernel exponent must satisfy gamma > -5")
+        if self.cutoff is not None and not self.cutoff > 0.0:
+            raise ValueError("cutoff must be positive")
 
     def resolve_cutoff(self, spec: ManifoldSpec) -> float:
         return spec.cutoff if self.cutoff is None else self.cutoff
@@ -69,24 +72,19 @@ def check_seed(seed: int) -> None:
         raise ValueError("seed must be >= 0")
 
 
-SPHERE_DIFFUSION = "sphere"
-PAIR_DIFFUSION = "pair"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Ensemble run parameters.
 
     dt > 0; t_end must be a multiple of dt (t_end = 0 is the degenerate
-    "no records" case), and n_steps = t_end / dt is set on construction;
-    process is "sphere" or "pair" (the latter requires a kernel).
+    "no records" case), and n_steps = t_end / dt is set on construction.
+    A run with a kernel is a pair diffusion, one without a sphere diffusion.
     """
 
     dt: float
     t_end: float
     n_replicas: int
     seed: int
-    process: str = SPHERE_DIFFUSION
     kernel: KernelSpec | None = None
     record_every: int = 1
     n_steps: int = field(init=False)
@@ -101,14 +99,15 @@ class SimConfig:
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         check_seed(self.seed)
-        if self.process not in (SPHERE_DIFFUSION, PAIR_DIFFUSION):
-            raise ValueError(f"unknown process {self.process!r}")
-        if self.process == PAIR_DIFFUSION and self.kernel is None:
-            raise ValueError("pair diffusion requires a kernel")
         n = int(round(self.t_end / self.dt))
         if abs(n * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
         object.__setattr__(self, "n_steps", n)
+
+    @property
+    def process(self) -> str:
+        """"pair" for a run with a kernel, else "sphere"."""
+        return "sphere" if self.kernel is None else "pair"
 
     def snapshot_steps(self, times: Sequence[float]) -> dict[int, float]:
         """Map each snapshot time to its step; every time must be a step
@@ -409,49 +408,43 @@ def uniform_sampler(spec: ManifoldSpec, n_states: int,
     return sample_uniform_batch(spec, n_states, rng)
 
 
-def shifted_sampler(delta: Sequence[float]) -> Sampler:
-    """Uniform sample, then add a common shift to every particle and
+def shifted_sampler(strength: float) -> Sampler:
+    """Uniform sample, then add ``strength`` to every particle's v_1 and
     renormalize. Biases the mean observables (energy-only mode; a momentum
     constraint would undo the shift)."""
-    delta = np.asarray(delta, dtype=float).reshape(3)
 
     def sample(spec, n_states, rng):
         out = sample_uniform_batch(spec, n_states, rng)
-        out += delta
+        out[..., 0] += strength
         return renormalize_batch(spec, out)
 
     return sample
 
 
-def sheared_sampler(strength: float, axes: tuple[int, int] = (0, 1)) -> Sampler:
-    """Uniform sample, then v[a] += strength * v[b] and renormalize.
+def sheared_sampler(strength: float) -> Sampler:
+    """Uniform sample, then v_1 += strength * (v_2 - u_2) and renormalize.
 
-    Biases the off-diagonal second moment sum_k v_{k,a} v_{k,b} while
+    Biases the off-diagonal second moment sum_k v_{k,1} v_{k,2} while
     preserving the momentum constraint.
     """
-    a, b = axes
 
     def sample(spec, n_states, rng):
         out = sample_uniform_batch(spec, n_states, rng)
-        out[..., a] += strength * (out[..., b] - spec.u[b])
+        out[..., 0] += strength * (out[..., 1] - spec.u[1])
         return renormalize_batch(spec, out)
 
     return sample
 
 
-def tagged_shift_sampler(delta: Sequence[float], tagged: int = 0) -> Sampler:
-    """Uniform sample, then shift one tagged particle (compensated by the
-    others so the momentum constraint is kept) and renormalize. Biases the
-    tagged one-particle mean."""
-    delta = np.asarray(delta, dtype=float).reshape(3)
+def tagged_shift_sampler(strength: float) -> Sampler:
+    """Uniform sample, then add ``strength`` to particle 0's v_1 (compensated
+    by the others so the momentum constraint is kept) and renormalize.
+    Biases the tagged one-particle mean."""
 
     def sample(spec, n_states, rng):
         out = sample_uniform_batch(spec, n_states, rng)
-        out[:, tagged] += delta
-        comp = delta / (spec.n_particles - 1)
-        mask = np.ones(spec.n_particles, dtype=bool)
-        mask[tagged] = False
-        out[:, mask] -= comp
+        out[:, 0, 0] += strength
+        out[:, 1:, 0] -= strength / (spec.n_particles - 1)
         return renormalize_batch(spec, out)
 
     return sample
@@ -462,13 +455,14 @@ def tagged_shift_sampler(delta: Sequence[float], tagged: int = 0) -> Sampler:
 
 
 def run_ensemble(spec: ManifoldSpec, config: SimConfig,
-                 observables: Sequence[str] | Mapping[str, Callable], *,
+                 observables: Sequence[str], *,
                  initial_sampler: Sampler | None = None,
                  snapshot_times: Sequence[float] = ()) -> SimResult:
     """Evolve n_replicas independent states and record observable series.
 
-    ``observables`` names catalog entries, or maps names to functions of
-    (R, N, 3) states, as ``observables.get_observable`` returns them.
+    ``observables`` names catalog entries (``observables.OBSERVABLES``).
+    The run is a pair diffusion when ``config.kernel`` is set, else a
+    sphere diffusion.
 
     Fully deterministic given config.seed: a single PCG64 stream drives
     sampling, schedules and noise in a fixed order, so identical configs
@@ -478,8 +472,7 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     A step that leaves NaN or inf in some replica raises
     NonFiniteStateError naming that step and those replicas.
     """
-    fns = observables if isinstance(observables, Mapping) else {
-        name: obs_mod.get_observable(name) for name in observables}
+    fns = {name: obs_mod.get_observable(name) for name in observables}
     snap_steps = config.snapshot_steps(snapshot_times)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     sampler = initial_sampler if initial_sampler is not None else uniform_sampler
@@ -508,7 +501,7 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
         record(0)
     for step in range(1, n_steps + 1):
         try:
-            if config.process == SPHERE_DIFFUSION:
+            if config.kernel is None:
                 xi = rng.standard_normal(states.shape)
                 states = step_sphere_diffusion(spec, states, config.dt, xi)
             else:
@@ -522,11 +515,9 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     t_arr = np.asarray(times)
     series = {
         name: obs_mod.ObservableSeries(
-            name=name,
             times=t_arr,
             means=np.asarray([m for m, _ in rec]),
             stderrs=np.asarray([e for _, e in rec]),
-            n_replicas=config.n_replicas,
         )
         for name, rec in records.items()
     }

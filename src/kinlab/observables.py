@@ -15,13 +15,11 @@ from .geometry import ConservationMode, ManifoldSpec
 
 @dataclass
 class ObservableSeries:
-    """Time-indexed ensemble averages of one named observable."""
+    """Time-indexed ensemble averages of one observable."""
 
-    name: str
     times: np.ndarray
     means: np.ndarray
     stderrs: np.ndarray
-    n_replicas: int
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -254,16 +252,14 @@ class DecayFit:
     ci_high: float
     r_squared: float
     low_r2_warning: bool
-    n_points: int
     window: tuple[float, float]
 
 
 def decay_rate_fit(series: ObservableSeries,
-                   window: tuple[float, float] | None = None,
-                   min_snr: float = 5.0) -> DecayFit:
+                   window: tuple[float, float] | None = None) -> DecayFit:
     """Weighted linear regression of ln|mean| against time.
 
-    The default window keeps points with |mean| > min_snr * stderr
+    The default window keeps points with |mean| > 5 stderr
     (trimming the noise floor); the mean must be sign-constant there.
     The fit is ``weighted_log_linear_fit``; the returned rate is the
     negated slope with a 95% confidence interval. A weighted R^2 below 0.9
@@ -277,7 +273,7 @@ def decay_rate_fit(series: ObservableSeries,
     if window is not None:
         keep = (t >= window[0]) & (t <= window[1])
     else:
-        keep = np.abs(m) > min_snr * e
+        keep = np.abs(m) > 5.0 * e
     t, m, e = t[keep], m[keep], e[keep]
     if len(t) < 2:
         raise ValueError("fewer than 2 usable points in the fit window")
@@ -288,4 +284,4 @@ def decay_rate_fit(series: ObservableSeries,
     return DecayFit(rate=rate, rate_stderr=se,
                     ci_low=rate - 1.96 * se, ci_high=rate + 1.96 * se,
                     r_squared=r2, low_r2_warning=bool(r2 < 0.9),
-                    n_points=len(t), window=(float(t[0]), float(t[-1])))
+                    window=(float(t[0]), float(t[-1])))

@@ -37,13 +37,10 @@ from .observables import weighted_log_linear_fit
 
 
 def eigenvalue_unscaled(spec: ManifoldSpec, j: int) -> float:
-    """Unit-sphere eigenvalue j(j + 3N - 2) or j(j + 3N - 5)."""
+    """Unit D-sphere eigenvalue j(j + D - 1): j(j + 3N - 2) or j(j + 3N - 5)."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    n = spec.n_particles
-    if spec.mode is ConservationMode.ENERGY_ONLY:
-        return float(j * (j + 3 * n - 2))
-    return float(j * (j + 3 * n - 5))
+    return float(j * (j + spec.dim - 1))
 
 
 def eigenvalue_scaled(spec: ManifoldSpec, j: int) -> float:
@@ -60,23 +57,16 @@ def limit_eigenvalue(j: int, eps_eff: float) -> float:
     return 1.5 * j / eps_eff
 
 
-@dataclass
-class SpectrumTable:
+def spectrum_table(spec: ManifoldSpec,
+                   j_max: int) -> list[tuple[int, float, float, float]]:
     """Rows (j, unscaled, scaled, limit) for j = 0..j_max."""
-
-    spec: ManifoldSpec
-    rows: list[tuple[int, float, float, float]]
-
-
-def spectrum_table(spec: ManifoldSpec, j_max: int) -> SpectrumTable:
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    rows = [
+    return [
         (j, eigenvalue_unscaled(spec, j), eigenvalue_scaled(spec, j),
          limit_eigenvalue(j, spec.eps0))
         for j in range(j_max + 1)
     ]
-    return SpectrumTable(spec=spec, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +114,12 @@ def check_mc_budget(n_samples: int) -> None:
 
 def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
                          kernel: KernelSpec, n_samples: int,
-                         rng: np.random.Generator,
-                         chunk: int = 20000) -> tuple[float, float]:
+                         rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate of the quadratic form of the trial function.
 
-    Averages (N/2) w_12 |P_perp (d_2 - d_1) psi|^2 over uniform samples;
-    the difference gradient is A (v_{2,1} - v_{1,1}) e_1 in closed form.
-    Returns (estimate, standard error).
+    Averages (N/2) w_12 |P_perp (d_2 - d_1) psi|^2 over uniform samples,
+    drawn 20000 states at a time; the difference gradient is
+    A (v_{2,1} - v_{1,1}) e_1 in closed form. Returns (estimate, stderr).
     """
     _require_standard(spec)
     if tf.n_particles != spec.n_particles:
@@ -142,7 +131,7 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
     total_sq = 0.0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(20000, n_samples - done)
         v = sample_uniform_batch(spec, m, rng)
         d = v[:, 1] - v[:, 0]
         beta = np.maximum(np.linalg.norm(d, axis=1), cutoff)

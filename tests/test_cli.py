@@ -251,6 +251,12 @@ INVALID_CONFIGS = {
                              ["s0_diag"]),
     "fpe_s0_offdiag_not_psd": ("fpe-moments", [("t_list", "0,1"),
                                                ("s0_offdiag", "2,0,0")], ["s0_offdiag"]),
+    "bp_cutoff_negative": ("sim-bp", _with(SIM, gamma="-3", cutoff="-1"), ["cutoff"]),
+    "bp_cutoff_zero": ("sim-bp", _with(SIM, gamma="-3", cutoff="0"), ["cutoff"]),
+    "sample_n_samples_negative": ("sample", [("n_particles", "4"), ("n_samples", "-3")],
+                                  ["n_samples"]),
+    "marginal_n_samples_below_n_particles": ("marginal-compare", [
+        ("n_particles", "8"), ("n_list", "8,32"), ("n_samples", "7")], ["n_samples"]),
 }
 
 

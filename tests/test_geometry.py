@@ -47,6 +47,12 @@ def test_sample_momentum_exact(rng):
     assert abs(_energy(v)[0] - 8.0) <= 1e-12 * 8.0
 
 
+@pytest.mark.parametrize("n_states", [0, -3])
+def test_sample_needs_a_state(spec_c1, rng, n_states):
+    with pytest.raises(ValueError, match="at least one state"):
+        sample_uniform_batch(spec_c1, n_states, rng)
+
+
 def test_sample_mean_symmetry(spec_c1, rng):
     # antithetic pairing V <-> -V shows the exact mean is 0; the empirical
     # mean over 1e5 samples must sit within 3 standard errors of it.

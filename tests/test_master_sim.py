@@ -59,6 +59,9 @@ def test_kernel_validation():
     spec = ManifoldSpec(4, ConservationMode.ENERGY_MOMENTUM, eps=4.0)
     assert k.resolve_cutoff(spec) == pytest.approx(2e-8)
     assert KernelSpec(-3.0, cutoff=1e-6).resolve_cutoff(spec) == 1e-6
+    for cutoff in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="cutoff"):
+            KernelSpec(-3.0, cutoff=cutoff)
 
 
 def test_config_validation():
@@ -66,8 +69,6 @@ def test_config_validation():
         SimConfig(dt=0.0, t_end=1.0, n_replicas=1, seed=0)
     with pytest.raises(ValueError):
         SimConfig(dt=0.1, t_end=0.05, n_replicas=1, seed=0)
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.1, t_end=1.0, n_replicas=1, seed=0, process="pair")
     cfg = SimConfig(dt=0.1, t_end=0.0, n_replicas=1, seed=0)
     assert cfg.n_steps == 0
 
@@ -337,7 +338,7 @@ def test_pair_process_equilibrium_preservation(rng):
     # stationary from a uniform start
     spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
     cfg = SimConfig(dt=2e-3, t_end=0.2, n_replicas=512, seed=3,
-                    process="pair", kernel=COULOMB, record_every=20)
+                    kernel=COULOMB, record_every=20)
     res = run_ensemble(spec, cfg, ["energy_per_particle",
                                    "momentum_per_particle_1", "sum_v1v2"])
     np.testing.assert_allclose(res.series["energy_per_particle"].means, 1.0,
@@ -355,8 +356,9 @@ def test_run_ensemble_names_breakdown_step_and_replica(process, spec_c4):
         states[3, 1, 2] = np.nan
         return states
 
-    cfg = SimConfig(dt=1e-3, t_end=0.005, n_replicas=6, seed=1, process=process,
-                    kernel=COULOMB)
+    cfg = SimConfig(dt=1e-3, t_end=0.005, n_replicas=6, seed=1,
+                    kernel=COULOMB if process == "pair" else None)
+    assert cfg.process == process
     with pytest.raises(NonFiniteStateError, match="step 1") as info:
         run_ensemble(spec_c4, cfg, ["sum_v1v2"], initial_sampler=nan_in_replica_3)
     assert info.value.step == 1

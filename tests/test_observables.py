@@ -20,11 +20,11 @@ from kinlab.observables import (
 
 def test_series_validation():
     with pytest.raises(ValueError):
-        ObservableSeries("x", [0, 1], [1.0], [0.0], 4)
+        ObservableSeries([0, 1], [1.0], [0.0])
     with pytest.raises(ValueError):
-        ObservableSeries("x", [0, 1], [1.0, 2.0], [0.0, np.inf], 4)
+        ObservableSeries([0, 1], [1.0, 2.0], [0.0, np.inf])
     with pytest.raises(ValueError):
-        ObservableSeries("x", [1, 0], [1.0, 2.0], [0.0, 0.0], 4)
+        ObservableSeries([1, 0], [1.0, 2.0], [0.0, 0.0])
 
 
 def test_unknown_observable_rejected():
@@ -157,7 +157,7 @@ def test_radial_ks_rejects_momentum_constraint(rng):
 
 def test_decay_fit_exact_synthetic():
     t = np.linspace(0, 2, 21)
-    s = ObservableSeries("x", t, 3.0 * np.exp(-2.0 * t), np.zeros_like(t), 100)
+    s = ObservableSeries(t, 3.0 * np.exp(-2.0 * t), np.zeros_like(t))
     fit = decay_rate_fit(s)
     assert fit.rate == pytest.approx(2.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -169,14 +169,14 @@ def test_decay_fit_noisy_synthetic(rng):
     amp = 3.0 * np.exp(-2.0 * t)
     noise = 0.01 * amp[0]
     means = amp + rng.normal(0, noise, len(t))
-    s = ObservableSeries("x", t, means, np.full_like(t, noise), 100)
+    s = ObservableSeries(t, means, np.full_like(t, noise))
     fit = decay_rate_fit(s)
     assert fit.rate == pytest.approx(2.0, abs=0.1)
 
 
 def test_decay_fit_constant_series():
     t = np.linspace(0, 1, 11)
-    s = ObservableSeries("x", t, np.full_like(t, 0.7), np.zeros_like(t), 10)
+    s = ObservableSeries(t, np.full_like(t, 0.7), np.zeros_like(t))
     fit = decay_rate_fit(s)
     assert fit.rate == pytest.approx(0.0, abs=1e-12)
     assert fit.ci_low <= 0.0 <= fit.ci_high
@@ -186,24 +186,24 @@ def test_decay_fit_scale_invariance(rng):
     t = np.linspace(0, 2, 31)
     means = 2.0 * np.exp(-1.3 * t) * (1 + 0.01 * rng.standard_normal(len(t)))
     errs = np.full_like(t, 0.02)
-    s = ObservableSeries("x", t, means, errs, 50)
+    s = ObservableSeries(t, means, errs)
     f1 = decay_rate_fit(s)
-    f2 = decay_rate_fit(ObservableSeries("x", t, 137.0 * means, 137.0 * errs, 50))
+    f2 = decay_rate_fit(ObservableSeries(t, 137.0 * means, 137.0 * errs))
     assert f2.rate == pytest.approx(f1.rate, rel=1e-10)
 
 
 def test_decay_fit_low_r2_warning_flag(rng):
     t = np.linspace(0, 1, 30)
     means = 1.0 + 0.5 * np.sin(20 * t)
-    s = ObservableSeries("x", t, means, np.full_like(t, 0.01), 10)
+    s = ObservableSeries(t, means, np.full_like(t, 0.01))
     fit = decay_rate_fit(s, window=(0.0, 1.0))
     assert fit.low_r2_warning
 
 
 def test_decay_fit_sign_change_rejected():
     t = np.linspace(0, 1, 5)
-    s = ObservableSeries("x", t, np.array([1.0, 0.5, -0.5, -1.0, -2.0]),
-                         np.zeros(5), 10)
+    s = ObservableSeries(t, np.array([1.0, 0.5, -0.5, -1.0, -2.0]),
+                         np.zeros(5))
     with pytest.raises(ValueError):
         decay_rate_fit(s, window=(0.0, 1.0))
 
@@ -212,7 +212,7 @@ def test_decay_fit_window_trims_noise_floor():
     t = np.linspace(0, 3, 31)
     means = np.exp(-2.0 * t)
     errs = np.full_like(t, 0.02)     # floor crosses 5x stderr around t ~ 1.15
-    s = ObservableSeries("x", t, means, errs, 10)
+    s = ObservableSeries(t, means, errs)
     fit = decay_rate_fit(s)
     assert fit.window[1] <= 1.2
     assert fit.rate == pytest.approx(2.0, rel=1e-6)

@@ -77,11 +77,11 @@ def test_limit_convergence_monotone():
 def test_spectrum_table():
     spec = ManifoldSpec(16, ConservationMode.ENERGY_ONLY, eps=1.0)
     tab = spectrum_table(spec, 4)
-    js = [row[0] for row in tab.rows]
+    js = [row[0] for row in tab]
     assert js == [0, 1, 2, 3, 4]
-    scaled = [row[2] for row in tab.rows]
+    scaled = [row[2] for row in tab]
     assert all(b > a for a, b in zip(scaled, scaled[1:]))
-    assert tab.rows[1][2] == pytest.approx(1.46875, abs=0)
+    assert tab[1][2] == pytest.approx(1.46875, abs=0)
 
 
 def test_symmetric_eigenfunction_values(spec_c1):

@@ -2,7 +2,10 @@
 a run must still call through them."""
 
 import importlib.util
+import time
 from pathlib import Path
+
+import pytest
 
 from kinlab import cli, kinetic_limits, master_sim, observables, spectral
 
@@ -40,3 +43,46 @@ def test_perfbench_spans_cover_a_sim_bp_run(tmp_path):
             "observables.record", "kinetic_limits.entropy"} <= set(names)
     # the grid once, then a histogram and an entropy per snapshot
     assert names.count("kinetic_limits.entropy") == 1 + 2 * 2
+
+
+# command -> (config, spans the traced run must record, per-layer counts it
+# must report); the frozen benchmark's sphere and equilibrium workloads run
+# these commands
+TRACED_RUNS = {
+    "sim-sphere": ("n_particles = 4\nmode = energy\ndt = 0.01\nt_end = 0.02\n"
+                   "n_replicas = 4\nobservables = sum_v1\ninit = shift\n"
+                   "init_strength = 0.5\nseed = 3\n",
+                   {"master_sim.run_ensemble", "master_sim.init_sample",
+                    "geometry.sample", "geometry.project", "geometry.renorm"},
+                   {"geometry.sample_calls": 1, "geometry.project_calls": 2,
+                    "geometry.renorm_calls": 3, "master_sim.pair_updates": 0}),
+    "gap-scan": ("n_list = 4,5,6\nn_samples = 1000\nseed = 3\n",
+                 {"spectral.gap_scan", "spectral.rayleigh", "geometry.sample"},
+                 {"geometry.sample_calls": 3, "spectral.samples": 3000}),
+    "marginal-compare": ("n_particles = 4\nn_samples = 40\nn_list = 4,8\n"
+                         "radial_points = 8\nseed = 3\n",
+                         {"geometry.sample", "observables.ks",
+                          "kinetic_limits.marginal_eval"},
+                         {"geometry.sample_calls": 1}),
+    "sample": ("n_particles = 4\nn_samples = 5\nseed = 3\n", {"geometry.sample"},
+               {"geometry.sample_calls": 1}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACED_RUNS))
+def test_perfbench_spans_cover_the_work_functions(command, tmp_path):
+    # the work functions read the call arguments (config.process, the
+    # Rayleigh and sampler signatures); a change there fails here, not in
+    # the next traced benchmark run
+    spans = _load_spans()
+    config, expected_spans, expected_counts = TRACED_RUNS[command]
+    with spans.installed(spans.SpanRecorder(), MODULES) as rec:
+        t0 = time.perf_counter()
+        cli.run(cli.parse_config(config, command), tmp_path)
+        wall = time.perf_counter() - t0
+    assert expected_spans <= {span[0] for span in rec.spans}
+    normal_ns = 1e9 * spans.Probes.normal_s((4, 4, 3)) / 48
+    metrics = spans.layer_metrics(rec, wall, spans.Probes(), normal_ns)
+    assert {k: metrics[k] for k in expected_counts} == expected_counts
+    if command == "sim-sphere":
+        assert metrics["master_sim.sphere_ns_per_coord"] > 0
