@@ -46,8 +46,8 @@ def test_perfbench_spans_cover_a_sim_bp_run(tmp_path):
 
 
 # command -> (config, spans the traced run must record, per-layer counts it
-# must report); the frozen benchmark's sphere and equilibrium workloads run
-# these commands
+# must report); the benchmark's sphere and equilibrium workloads run these
+# commands
 TRACED_RUNS = {
     "sim-sphere": ("n_particles = 4\nmode = energy\ndt = 0.01\nt_end = 0.02\n"
                    "n_replicas = 4\nobservables = sum_v1\ninit = shift\n"
