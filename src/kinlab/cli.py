@@ -494,6 +494,25 @@ def _cmd_spectrum(plan, seed, rng):
     return {"spectrum": (["j", "unscaled", "scaled", "limit"], rows)}, {}
 
 
+# Entries of the (states, N, N) pair arrays built at once: 128 states at N = 64.
+_PAIR_BLOCK_ENTRIES = 1 << 19
+
+
+def _max_pair_sq(states: np.ndarray) -> np.ndarray:
+    """Largest squared pair separation of each (N, 3) state of ``states``,
+    taken over blocks of states so that the pair arrays stay small."""
+    n = states.shape[1]
+    block = max(1, _PAIR_BLOCK_ENTRIES // (n * n))
+    out = np.empty(states.shape[0])
+    for start in range(0, states.shape[0], block):
+        b = states[start:start + block]
+        sq = (b * b).sum(-1)
+        dots = np.einsum("rkc,rlc->rkl", b, b)
+        pair_sq = sq[:, :, None] + sq[:, None, :] - 2 * dots
+        out[start:start + block] = pair_sq.max(axis=(1, 2))
+    return out
+
+
 def _cmd_sample(plan, seed, rng):
     spec = plan.objects["spec"]
     n = plan.params["n_samples"]
@@ -501,10 +520,7 @@ def _cmd_sample(plan, seed, rng):
     max_ratio = 0.0
     for start in range(0, n, 4096):
         batch = sample_uniform_batch(spec, min(4096, n - start), rng)
-        sq = (batch * batch).sum(-1)
-        dots = np.einsum("rkc,rlc->rkl", batch, batch)
-        pair_sq = sq[:, :, None] + sq[:, None, :] - 2 * dots
-        ratio = pair_sq.max(axis=(1, 2)) / (4 * spec.n_particles * spec.eps)
+        ratio = _max_pair_sq(batch) / (4 * spec.n_particles * spec.eps)
         max_ratio = max(max_ratio, float(ratio.max()))
         energy_err, mom_err = constraint_errors(spec, batch)
         for i in range(batch.shape[0]):

@@ -5,7 +5,8 @@ order O(dt):
 
 * isotropic sphere diffusion, generator Delta_M (Laplace-Beltrami on the
   full manifold): projected Euler-Maruyama increments sqrt(2 dt) P xi
-  followed by exact constraint restoration;
+  followed by exact constraint restoration, fused into one closed-form
+  map per replica;
 
 * pairwise diffusion, generator (1/(N-1)) sum_{k != l} w_kl Delta_{B_kl}
   with weight w_kl = |v_k - v_l|^{2+gamma} (gamma = -3 is the Coulomb
@@ -35,11 +36,13 @@ import numpy as np
 
 from . import observables as obs_mod
 from .geometry import (
+    ConservationMode,
+    DegenerateStateError,
     ManifoldSpec,
     NonFiniteStateError,
     renormalize_batch,
     sample_uniform_batch,
-    tangent_project_batch,
+    tangent_project_batch,  # noqa: F401 - perfbench/spans.py wraps it by name
 )
 
 
@@ -146,11 +149,59 @@ def step_sphere_diffusion(spec: ManifoldSpec, states: np.ndarray, dt: float,
                           xi: np.ndarray) -> np.ndarray:
     """One projected Euler-Maruyama step of Brownian motion on the manifold.
 
-    states and the standard normals xi have shape (R, N, 3); returns the
-    renormalized new states.
+    states and the standard normals xi have shape (R, N, 3) and are only
+    read; returns the new states, on the manifold, as a new array.
+
+    The projection and the renormalization are one affine map per replica.
+    With w the deviation of the states about their mean and y that of xi
+    (w = states and y = xi for C=1, where u = 0), a = sqrt(2 dt) and
+    c = <w,y>/<w,w>, the projected move is w + a (y - c w) = b w + a y with
+    b = 1 - a c. Its squared norm is b^2 <w,w> + 2ab <w,y> + a^2 <y,y>, or
+    <w,w> + a^2 (<y,y> - c <w,y>) without the cancelling O(a) terms, and
+    the new state is u + (radius / |b w + a y|)(b w + a y). So a step costs
+    one centering, three per-replica reductions and one scaled sum.
+    y is never formed: w sums to zero over the particles, so <w,y> = <w,xi>
+    and <y,y> = <xi,xi> - N |mean xi|^2, and the mean of xi goes into the
+    final per-replica shift.
+
+    Raises NonFiniteStateError, naming the replicas, when the per-replica
+    norm is not finite (NaN or inf in states or xi), and
+    DegenerateStateError when a replica's deviation is zero.
     """
-    moved = states + math.sqrt(2.0 * dt) * tangent_project_batch(spec, states, xi)
-    return renormalize_batch(spec, moved)
+    n = states.shape[1]
+    a = math.sqrt(2.0 * dt)
+    xx = np.einsum("rij,rij->r", xi, xi)
+    if spec.mode is ConservationMode.ENERGY_ONLY:
+        w = states
+    else:
+        ones = np.ones(n)
+        mean_v = (ones @ states) / n
+        mean_xi = (ones @ xi) / n
+        w = np.empty_like(states)
+        # per-replica means go in one component at a time: a (R, 1, 3)
+        # broadcast would run numpy's inner loop over 3 elements, this over N
+        for j in range(3):
+            np.subtract(states[:, :, j], mean_v[:, j, None], out=w[:, :, j])
+        xx -= n * np.einsum("rj,rj->r", mean_xi, mean_xi)
+    wsq = np.einsum("rij,rij->r", w, w)
+    if np.any(wsq == 0.0):
+        raise DegenerateStateError("all velocities equal u; cannot rescale")
+    wy = np.einsum("rij,rij->r", w, xi)
+    c = wy / wsq
+    norm = np.sqrt(wsq + a * a * (xx - c * wy))
+    if not np.isfinite(norm).all():
+        raise NonFiniteStateError(np.flatnonzero(~np.isfinite(norm)))
+    scale = a * spec.radius / norm
+    # (b/a) w + y, times a * radius / norm, plus u
+    out = np.multiply(w, ((1.0 - a * c) / a)[:, None, None],
+                      out=None if w is states else w)
+    out += xi
+    out *= scale[:, None, None]
+    if spec.mode is ConservationMode.ENERGY_MOMENTUM:
+        shift = spec.u - scale[:, None] * mean_xi
+        for j in range(3):
+            out[:, :, j] += shift[:, j, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +550,13 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     maybe_snapshot(0)
     if n_steps > 0:
         record(0)
+    # the sphere step's normals, refilled in place each step (same stream)
+    noise = np.empty(states.shape) if config.kernel is None else None
     for step in range(1, n_steps + 1):
         try:
             if config.kernel is None:
-                xi = rng.standard_normal(states.shape)
-                states = step_sphere_diffusion(spec, states, config.dt, xi)
+                states = step_sphere_diffusion(spec, states, config.dt,
+                                               rng.standard_normal(out=noise))
             else:
                 states = step_pair_diffusion(spec, states, config.kernel, config.dt, rng)
         except NonFiniteStateError as exc:

@@ -20,6 +20,7 @@ from kinlab.geometry import (
     ManifoldSpec,
     renormalize_batch,
     sample_uniform_batch,
+    tangent_project_batch,
 )
 from kinlab.kinetic_limits import stationary_marginal_eval
 from kinlab.master_sim import TestPolynomial, _round_robin_rounds, generator_apply
@@ -322,6 +323,14 @@ def fpe_mean_rhs_quadrature(p, m0):
         val, _ = quad(integrand, m0[axis] - 12 * sigma, m0[axis] + 12 * sigma, limit=200)
         out[axis] = val
     return out
+
+
+def step_sphere_diffusion_reference(spec, states, dt, xi):
+    """The sphere step as two calls, the plain reference for
+    ``master_sim.step_sphere_diffusion``: the projected Euler-Maruyama
+    increment sqrt(2 dt) P xi, then exact constraint restoration."""
+    moved = states + math.sqrt(2.0 * dt) * tangent_project_batch(spec, states, xi)
+    return renormalize_batch(spec, moved)
 
 
 def step_pair_diffusion_reference(spec, states, kernel, dt, rng, antithetic=False):

@@ -1,8 +1,11 @@
-"""Golden trajectories of the pair sweep (tests/data/pair_golden.npz).
+"""Golden trajectories of the pair sweep and the sphere step.
 
-The cases and the runner live in tests/data/make_pair_golden.py, which wrote
-the data file; a kernel rewrite that keeps the RNG draw order and the
-per-pair arithmetic reproduces it.
+The cases and the runners live in tests/data/make_pair_golden.py and
+tests/data/make_sphere_golden.py, which wrote tests/data/pair_golden.npz
+and tests/data/sphere_golden.npz. A pair-kernel rewrite that keeps the RNG
+draw order and the per-pair arithmetic reproduces its file to 1e-13. The
+sphere file was written by the project-then-renormalize step; the fused
+closed-form step reorders the arithmetic, so it is compared to 1e-12.
 """
 
 import importlib.util
@@ -12,19 +15,37 @@ import numpy as np
 import pytest
 
 DATA = Path(__file__).resolve().parent / "data"
-_spec = importlib.util.spec_from_file_location("make_pair_golden",
-                                               DATA / "make_pair_golden.py")
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, DATA / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = _load("make_pair_golden")
+sphere_golden = _load("make_sphere_golden")
 
 HINT = ("pair sweep differs from tests/data/pair_golden.npz; if the dynamics "
         "are meant to change, rerun tests/data/make_pair_golden.py")
+SPHERE_HINT = ("sphere step differs from tests/data/sphere_golden.npz; if the "
+               "dynamics are meant to change, rerun tests/data/make_sphere_golden.py")
+
+
+def _read(path):
+    with np.load(path) as data:
+        return {key: data[key] for key in data.files}
 
 
 @pytest.fixture(scope="module")
 def stored():
-    with np.load(golden.OUT) as data:
-        return {key: data[key] for key in data.files}
+    return _read(golden.OUT)
+
+
+@pytest.fixture(scope="module")
+def stored_sphere():
+    return _read(sphere_golden.OUT)
 
 
 @pytest.mark.parametrize("name", sorted(golden.CASES))
@@ -37,5 +58,12 @@ def test_pair_sweep_matches_golden(name, stored):
                                atol=1e-13, err_msg=HINT)
 
 
-def test_golden_file_records_its_commit(stored):
+@pytest.mark.parametrize("name", sorted(sphere_golden.CASES))
+def test_sphere_step_matches_golden(name, stored_sphere):
+    np.testing.assert_allclose(sphere_golden.run_case(name), stored_sphere[name],
+                               rtol=1e-12, atol=1e-12, err_msg=SPHERE_HINT)
+
+
+def test_golden_file_records_its_commit(stored, stored_sphere):
     assert len(str(stored["commit"])) == 40
+    assert len(str(stored_sphere["commit"])) == 40

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from kinlab.geometry import (
     ConservationMode,
+    DegenerateStateError,
     ManifoldSpec,
     NonFiniteStateError,
     constraint_errors,
@@ -30,6 +32,7 @@ from oracles import (
     generator_conservation_residuals,
     pair_projector_apply,
     step_pair_diffusion_reference,
+    step_sphere_diffusion_reference,
 )
 
 
@@ -131,6 +134,77 @@ def test_sphere_step_preserves_constraints(rng):
         assert abs(energy_err[0]) <= 1e-12
         assert mom_err[0] <= 1e-12
 
+
+
+SPHERE_SPECS = {
+    "c1": ManifoldSpec(7, ConservationMode.ENERGY_ONLY, eps=1.5),
+    "c4_u": ManifoldSpec(7, ConservationMode.ENERGY_MOMENTUM, eps=1.5,
+                         u=[1.0, -0.5, 0.25]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
+@pytest.mark.parametrize("dt", [1e-6, 1e-3, 0.1])
+def test_sphere_step_matches_two_call_reference(mode, dt, rng):
+    spec = SPHERE_SPECS[mode]
+    states = sample_uniform_batch(spec, 5, rng)
+    ref = states.copy()
+    for _ in range(4):
+        xi = rng.standard_normal(states.shape)
+        states = step_sphere_diffusion(spec, states, dt, xi)
+        ref = step_sphere_diffusion_reference(spec, ref, dt, xi)
+        np.testing.assert_allclose(states, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
+def test_sphere_step_leaves_its_inputs_unchanged(mode, rng):
+    spec = SPHERE_SPECS[mode]
+    states = sample_uniform_batch(spec, 4, rng)
+    xi = rng.standard_normal(states.shape)
+    states_before, xi_before = states.copy(), xi.copy()
+    out = step_sphere_diffusion(spec, states, 1e-2, xi)
+    np.testing.assert_array_equal(states, states_before)
+    np.testing.assert_array_equal(xi, xi_before)
+    assert not np.shares_memory(out, states) and not np.shares_memory(out, xi)
+
+
+@pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
+@pytest.mark.parametrize("where", ["states", "xi"])
+def test_sphere_step_names_non_finite_replica(mode, where, rng):
+    spec = SPHERE_SPECS[mode]
+    arrays = {"states": sample_uniform_batch(spec, 6, rng)}
+    arrays["xi"] = rng.standard_normal(arrays["states"].shape)
+    arrays[where][3, 2, 1] = np.nan
+    with pytest.raises(NonFiniteStateError) as info:
+        step_sphere_diffusion(spec, arrays["states"], 1e-3, arrays["xi"])
+    assert info.value.replicas == [3]
+
+
+@pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
+def test_sphere_step_rejects_zero_deviation(mode, rng):
+    spec = SPHERE_SPECS[mode]
+    states = sample_uniform_batch(spec, 3, rng)
+    states[1] = spec.u
+    with pytest.raises(DegenerateStateError):
+        step_sphere_diffusion(spec, states, 1e-3, rng.standard_normal(states.shape))
+
+
+@pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
+def test_sphere_step_peak_allocation(mode, rng):
+    # one fused step holds at most the new states plus small per-replica
+    # vectors; the two-call step held two to four (R, N, 3) temporaries
+    spec = ManifoldSpec(64, SPHERE_SPECS[mode].mode, eps=1.5, u=SPHERE_SPECS[mode].u)
+    states = sample_uniform_batch(spec, 256, rng)
+    xi = rng.standard_normal(states.shape)
+    step_sphere_diffusion(spec, states, 1e-3, xi)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        step_sphere_diffusion(spec, states, 1e-3, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * states.nbytes
 
 def test_pair_step_conserves_and_restores_pairs(rng):
     spec = ManifoldSpec(6, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
