@@ -82,8 +82,15 @@ def _parse_int(s):
     return int(s, 0)
 
 
+def _parse_float(s):
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"need a finite number, got {s.strip()!r}")
+    return x
+
+
 def _parse_vec3(s):
-    parts = [float(x) for x in s.split(",")]
+    parts = [_parse_float(x) for x in s.split(",")]
     if len(parts) != 3:
         raise ValueError("need three comma-separated numbers")
     return parts
@@ -94,7 +101,7 @@ def _parse_int_list(s):
 
 
 def _parse_float_list(s):
-    return [float(x) for x in s.split(",")]
+    return [_parse_float(x) for x in s.split(",")]
 
 
 def _one_of(choices):
@@ -131,18 +138,18 @@ class Field:
 _MANIFOLD = {
     "n_particles": Field(_parse_int, required=True),
     "mode": Field(_one_of(_MODES), default="energy-momentum"),
-    "eps": Field(float, default=1.0),
+    "eps": Field(_parse_float, default=1.0),
     "u": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
 }
 _SIM = {
     **_MANIFOLD,
-    "dt": Field(float, required=True),
-    "t_end": Field(float, required=True),
+    "dt": Field(_parse_float, required=True),
+    "t_end": Field(_parse_float, required=True),
     "n_replicas": Field(_parse_int, default=1024),
     "record_every": Field(_parse_int, default=1),
     "observables": Field(str, default="energy_per_particle"),
     "init": Field(_one_of(_INITS), default="uniform"),
-    "init_strength": Field(float, default=0.0),
+    "init_strength": Field(_parse_float, default=0.0),
     "fit_observable": Field(str, default=""),
     "entropy_times": Field(_parse_float_list, default=[]),
     "entropy_bins": Field(_parse_int, default=20),
@@ -155,24 +162,24 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "sample": {**_MANIFOLD, "n_samples": Field(_parse_int, default=1000),
                "seed": Field(_parse_int, default=12345)},
     "sim-sphere": dict(_SIM),
-    "sim-bp": {**_SIM, "gamma": Field(float, required=True),
-               "cutoff": Field(float)},
+    "sim-bp": {**_SIM, "gamma": Field(_parse_float, required=True),
+               "cutoff": Field(_parse_float)},
     "rayleigh": {"n_particles": Field(_parse_int, required=True),
-                 "gamma": Field(float, default=-3.0),
+                 "gamma": Field(_parse_float, default=-3.0),
                  "n_samples": Field(_parse_int, default=100000),
                  "seed": Field(_parse_int, default=12345)},
     "gap-scan": {"n_list": Field(_parse_int_list, required=True),
-                 "gamma": Field(float, default=-3.0),
+                 "gamma": Field(_parse_float, default=-3.0),
                  "n_samples": Field(_parse_int, default=100000),
                  "seed": Field(_parse_int, default=12345)},
     "marginal-compare": {"n_particles": Field(_parse_int, required=True),
-                         "eps": Field(float, default=1.0),
+                         "eps": Field(_parse_float, default=1.0),
                          "n_samples": Field(_parse_int, default=1000000),
                          "n_list": Field(_parse_int_list, default=[8, 32, 128]),
                          "radial_points": Field(_parse_int, default=512),
                          "seed": Field(_parse_int, default=12345)},
     "fpe-moments": {"flow": Field(_one_of(_FLOWS), default="fpe"),
-                    "eps0": Field(float, default=1.0),
+                    "eps0": Field(_parse_float, default=1.0),
                     "u": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
                     "m0": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
                     "s0_diag": Field(_parse_vec3, default=[1.0, 1.0, 1.0]),
@@ -180,10 +187,10 @@ SCHEMAS: dict[str, dict[str, Field]] = {
                     "t_list": Field(_parse_float_list, required=True),
                     "seed": Field(_parse_int, default=12345)},
     "chaos": {"n_list": Field(_parse_int_list, default=[8, 32, 128]),
-              "eps": Field(float, default=1.0),
-              "gamma": Field(float, default=-3.0),
-              "dt": Field(float, default=0.004),
-              "t_end": Field(float, default=0.4),
+              "eps": Field(_parse_float, default=1.0),
+              "gamma": Field(_parse_float, default=-3.0),
+              "dt": Field(_parse_float, default=0.004),
+              "t_end": Field(_parse_float, default=0.4),
               "pair_samples": Field(_parse_int, default=1000000),
               "bins": Field(_parse_int, default=16),
               "component": Field(_parse_int, default=1),
@@ -258,7 +265,7 @@ def parse_config(text: str, command: str | None = None) -> ExperimentPlan:
         except ValueError as exc:
             violations.append(f"line {lineno}: bad value for {key!r}: {exc}")
     for key, fld in schema.items():
-        if key in params:
+        if key in entries:   # parsed, or reported above
             continue
         if fld.required:
             violations.append(f"missing required key {key!r}")

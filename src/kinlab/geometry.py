@@ -135,46 +135,68 @@ def sample_uniform_batch(spec: ManifoldSpec, n_states: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Draw states from the uniform surface measure, shape (n_states, N, 3).
 
-    Gaussian construction: 3N iid standard normals are isotropic, so after
-    projecting out the constrained directions and rescaling to the exact
-    radius the result is uniform on the sphere. Constraints hold to machine
-    precision by construction.
+    Gaussian construction: 3N iid standard normals are isotropic, so their
+    restoration onto the manifold (``restore_batch``, run in place on the
+    draw) is uniform on the sphere. Constraints hold to machine precision
+    by construction.
     """
     check_n_states(n_states)
-    n = spec.n_particles
-    xi = rng.standard_normal((n_states, n, 3))
-    if spec.mode is ConservationMode.ENERGY_MOMENTUM:
-        xi -= xi.mean(axis=1, keepdims=True)
-    norm = np.sqrt((xi * xi).sum(axis=(1, 2), keepdims=True))
-    if np.any(norm == 0.0):
-        raise DegenerateStateError("zero-norm Gaussian draw")
-    out = xi * (spec.radius / norm)
-    if spec.mode is ConservationMode.ENERGY_MOMENTUM:
-        out += spec.u
-    return out
+    xi = rng.standard_normal((n_states, spec.n_particles, 3))
+    return restore_batch(spec, xi, xi)
 
 
 def renormalize_batch(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
     """Restore constraints exactly on an (R, N, 3) array (returns new array).
 
-    Momentum is restored by a uniform shift of all particles; energy by
-    rescaling the deviations about u. Directions of the deviations are
-    unchanged. Raises NonFiniteStateError, naming the replicas, when a
-    state holds NaN or inf (read off the per-replica norm).
+    ``restore_batch`` into a new array; the input is left unchanged.
     """
     states = np.asarray(states, dtype=float)
-    if spec.mode is ConservationMode.ENERGY_MOMENTUM:
-        centered = states - states.mean(axis=1, keepdims=True)
-    else:
-        centered = states
-    norm = np.sqrt((centered * centered).sum(axis=(1, 2), keepdims=True))
+    return restore_batch(spec, states, np.empty_like(states))
+
+
+def center_batch(spec: ManifoldSpec, x: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Deviation of (R, N, 3) x about its per-replica particle mean.
+
+    For C=4 it is written to ``out`` (a new array when None; x itself is
+    allowed). For C=1, where u = 0 and the sphere is centered at the
+    origin, x is returned as it is.
+    """
+    if spec.mode is ConservationMode.ENERGY_ONLY:
+        return x
+    n = x.shape[1]
+    mean = (np.ones(n) @ x) / n
+    if out is None:
+        out = np.empty_like(x)
+    # per-replica means go in one component at a time: a (R, 1, 3)
+    # broadcast would run numpy's inner loop over 3 elements, this over N
+    for j in range(3):
+        np.subtract(x[:, :, j], mean[:, j, None], out=out[:, :, j])
+    return out
+
+
+def restore_batch(spec: ManifoldSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Restore the constraints of (R, N, 3) x exactly, writing into ``out``
+    (which may be x); returns ``out``.
+
+    Momentum is restored by a uniform shift of all particles to mean u,
+    energy by rescaling the deviations about the particle mean
+    (``center_batch``) to the radius. Directions of the deviations are
+    unchanged. Raises NonFiniteStateError,
+    naming the replicas, when a state holds NaN or inf, and
+    DegenerateStateError when a deviation is zero; both are read off the
+    per-replica norm.
+    """
+    w = center_batch(spec, x, out)
+    norm = np.sqrt(np.einsum("rij,rij->r", w, w))
     if not np.isfinite(norm).all():
         raise NonFiniteStateError(np.flatnonzero(~np.isfinite(norm)))
     if np.any(norm == 0.0):
         raise DegenerateStateError("all velocities equal u; cannot rescale")
-    out = centered * (spec.radius / norm)
+    np.multiply(w, (spec.radius / norm)[:, None, None], out=out)
     if spec.mode is ConservationMode.ENERGY_MOMENTUM:
-        out += spec.u
+        for j in range(3):
+            out[:, :, j] += spec.u[j]
     return out
 
 

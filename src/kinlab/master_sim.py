@@ -36,11 +36,12 @@ import numpy as np
 
 from . import observables as obs_mod
 from .geometry import (
-    ConservationMode,
     DegenerateStateError,
     ManifoldSpec,
     NonFiniteStateError,
+    center_batch,
     renormalize_batch,
+    restore_batch,
     sample_uniform_batch,
     tangent_project_batch,  # noqa: F401 - perfbench/spans.py wraps it by name
 )
@@ -153,55 +154,29 @@ def step_sphere_diffusion(spec: ManifoldSpec, states: np.ndarray, dt: float,
     read; returns the new states, on the manifold, as a new array.
 
     The projection and the renormalization are one affine map per replica.
-    With w the deviation of the states about their mean and y that of xi
-    (w = states and y = xi for C=1, where u = 0), a = sqrt(2 dt) and
-    c = <w,y>/<w,w>, the projected move is w + a (y - c w) = b w + a y with
-    b = 1 - a c. Its squared norm is b^2 <w,w> + 2ab <w,y> + a^2 <y,y>, or
-    <w,w> + a^2 (<y,y> - c <w,y>) without the cancelling O(a) terms, and
-    the new state is u + (radius / |b w + a y|)(b w + a y). So a step costs
-    one centering, three per-replica reductions and one scaled sum.
-    y is never formed: w sums to zero over the particles, so <w,y> = <w,xi>
-    and <y,y> = <xi,xi> - N |mean xi|^2, and the mean of xi goes into the
-    final per-replica shift.
+    With w the deviation of the states about their mean (``center_batch``;
+    w = states for C=1, where u = 0), y that of xi, a = sqrt(2 dt) and
+    c = <w,y>/<w,w>, the projected move is w + a (y - c w) = b w + a y
+    with b = 1 - a c. Restoration centers its input and ignores a positive
+    factor, so restoring (b/a) w + xi gives the restored b w + a y and the
+    projected array is never built: a step costs two per-replica
+    reductions (<w,y> = <w,xi>, as w sums to zero over the particles), one
+    scaled sum, and ``restore_batch`` run in place on it.
 
-    Raises NonFiniteStateError, naming the replicas, when the per-replica
-    norm is not finite (NaN or inf in states or xi), and
-    DegenerateStateError when a replica's deviation is zero.
+    Raises NonFiniteStateError, naming the replicas, when NaN or inf in
+    states or xi reaches the restored norm, and DegenerateStateError when a
+    replica's deviation is zero.
     """
-    n = states.shape[1]
     a = math.sqrt(2.0 * dt)
-    xx = np.einsum("rij,rij->r", xi, xi)
-    if spec.mode is ConservationMode.ENERGY_ONLY:
-        w = states
-    else:
-        ones = np.ones(n)
-        mean_v = (ones @ states) / n
-        mean_xi = (ones @ xi) / n
-        w = np.empty_like(states)
-        # per-replica means go in one component at a time: a (R, 1, 3)
-        # broadcast would run numpy's inner loop over 3 elements, this over N
-        for j in range(3):
-            np.subtract(states[:, :, j], mean_v[:, j, None], out=w[:, :, j])
-        xx -= n * np.einsum("rj,rj->r", mean_xi, mean_xi)
+    w = center_batch(spec, states)
     wsq = np.einsum("rij,rij->r", w, w)
     if np.any(wsq == 0.0):
         raise DegenerateStateError("all velocities equal u; cannot rescale")
-    wy = np.einsum("rij,rij->r", w, xi)
-    c = wy / wsq
-    norm = np.sqrt(wsq + a * a * (xx - c * wy))
-    if not np.isfinite(norm).all():
-        raise NonFiniteStateError(np.flatnonzero(~np.isfinite(norm)))
-    scale = a * spec.radius / norm
-    # (b/a) w + y, times a * radius / norm, plus u
+    c = np.einsum("rij,rij->r", w, xi) / wsq
     out = np.multiply(w, ((1.0 - a * c) / a)[:, None, None],
                       out=None if w is states else w)
     out += xi
-    out *= scale[:, None, None]
-    if spec.mode is ConservationMode.ENERGY_MOMENTUM:
-        shift = spec.u - scale[:, None] * mean_xi
-        for j in range(3):
-            out[:, :, j] += shift[:, j, None]
-    return out
+    return restore_batch(spec, out, out)
 
 
 # ---------------------------------------------------------------------------

@@ -255,11 +255,10 @@ class DecayFit:
     window: tuple[float, float]
 
 
-def decay_rate_fit(series: ObservableSeries,
-                   window: tuple[float, float] | None = None) -> DecayFit:
+def decay_rate_fit(series: ObservableSeries) -> DecayFit:
     """Weighted linear regression of ln|mean| against time.
 
-    The default window keeps points with |mean| > 5 stderr
+    The fit window keeps points with |mean| > 5 stderr
     (trimming the noise floor); the mean must be sign-constant there.
     The fit is ``weighted_log_linear_fit``; the returned rate is the
     negated slope with a 95% confidence interval. A weighted R^2 below 0.9
@@ -270,10 +269,7 @@ def decay_rate_fit(series: ObservableSeries,
     wider than the propagated one.
     """
     t, m, e = series.times, series.means, series.stderrs
-    if window is not None:
-        keep = (t >= window[0]) & (t <= window[1])
-    else:
-        keep = np.abs(m) > 5.0 * e
+    keep = np.abs(m) > 5.0 * e
     t, m, e = t[keep], m[keep], e[keep]
     if len(t) < 2:
         raise ValueError("fewer than 2 usable points in the fit window")

@@ -17,7 +17,9 @@ from scipy.special import betaln
 
 from kinlab.geometry import (
     ConservationMode,
+    DegenerateStateError,
     ManifoldSpec,
+    NonFiniteStateError,
     renormalize_batch,
     sample_uniform_batch,
     tangent_project_batch,
@@ -69,6 +71,26 @@ def pair_projector_apply(spec: ManifoldSpec, v: np.ndarray, k: int, l: int,
     out = np.zeros(np.broadcast_shapes(v.shape, x.shape))
     out[..., k, :] = c_perp
     out[..., l, :] = -c_perp
+    return out
+
+
+def renormalize_reference(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
+    """Exact constraint restoration written out with broadcast means and
+    sums, the plain reference for ``geometry.restore_batch``: center about
+    the per-replica mean (C=4), rescale to the radius, add u."""
+    states = np.asarray(states, dtype=float)
+    if spec.mode is ConservationMode.ENERGY_MOMENTUM:
+        centered = states - states.mean(axis=1, keepdims=True)
+    else:
+        centered = states
+    norm = np.sqrt((centered * centered).sum(axis=(1, 2), keepdims=True))
+    if not np.isfinite(norm).all():
+        raise NonFiniteStateError(np.flatnonzero(~np.isfinite(norm)))
+    if np.any(norm == 0.0):
+        raise DegenerateStateError("all velocities equal u; cannot rescale")
+    out = centered * (spec.radius / norm)
+    if spec.mode is ConservationMode.ENERGY_MOMENTUM:
+        out += spec.u
     return out
 
 
@@ -328,9 +350,10 @@ def fpe_mean_rhs_quadrature(p, m0):
 def step_sphere_diffusion_reference(spec, states, dt, xi):
     """The sphere step as two calls, the plain reference for
     ``master_sim.step_sphere_diffusion``: the projected Euler-Maruyama
-    increment sqrt(2 dt) P xi, then exact constraint restoration."""
+    increment sqrt(2 dt) P xi, then exact constraint restoration. It shares
+    no code with the library's centering and restoration."""
     moved = states + math.sqrt(2.0 * dt) * tangent_project_batch(spec, states, xi)
-    return renormalize_batch(spec, moved)
+    return renormalize_reference(spec, moved)
 
 
 def step_pair_diffusion_reference(spec, states, kernel, dt, rng, antithetic=False):

@@ -257,6 +257,14 @@ INVALID_CONFIGS = {
                                   ["n_samples"]),
     "marginal_n_samples_below_n_particles": ("marginal-compare", [
         ("n_particles", "8"), ("n_list", "8,32"), ("n_samples", "7")], ["n_samples"]),
+    # every float key, scalar or in a list, is finite
+    "t_end_inf": ("sim-sphere", _with(SIM, t_end="inf"), ["t_end"]),
+    "spectrum_eps_inf": ("spectrum", [("n_particles", "8"), ("eps", "inf")], ["eps"]),
+    "sample_eps_inf": ("sample", [("n_particles", "4"), ("eps", "inf")], ["eps"]),
+    "fpe_eps0_inf": ("fpe-moments", [("t_list", "0,1"), ("eps0", "inf")], ["eps0"]),
+    "bp_gamma_inf": ("sim-bp", _with(SIM, gamma="inf"), ["gamma"]),
+    "u_nan": ("sim-sphere", _with(SIM, mode="energy-momentum", u="nan,0,0"), ["u"]),
+    "fpe_t_list_inf": ("fpe-moments", [("t_list", "0,inf")], ["t_list"]),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from kinlab.geometry import (
     ConservationMode,
     DegenerateStateError,
     ManifoldSpec,
+    NonFiniteStateError,
     constraint_errors,
     log_sphere_area,
     renormalize_batch,
@@ -14,7 +16,12 @@ from kinlab.geometry import (
     tangent_project_batch,
 )
 
-from oracles import DegeneratePairError, pair_projector_apply, state_from_standard
+from oracles import (
+    DegeneratePairError,
+    pair_projector_apply,
+    renormalize_reference,
+    state_from_standard,
+)
 
 
 def test_spec_validation():
@@ -122,6 +129,83 @@ def test_renormalize_shift_preserves_relative_geometry(rng):
 def test_renormalize_degenerate(spec_c1):
     with pytest.raises(DegenerateStateError):
         renormalize_batch(spec_c1, np.zeros((1, 8, 3)))
+
+
+# C=1, and C=4 about a nonzero u
+RESTORE_MODES = {
+    "c1": (ConservationMode.ENERGY_ONLY, 1.5, (0.0, 0.0, 0.0)),
+    "c4_u": (ConservationMode.ENERGY_MOMENTUM, 1.5, (1.0, -0.5, 0.25)),
+}
+
+
+def _restore_spec(mode, n):
+    kind, eps, u = RESTORE_MODES[mode]
+    return ManifoldSpec(n, kind, eps=eps, u=u)
+
+
+@pytest.mark.parametrize("mode", sorted(RESTORE_MODES))
+@pytest.mark.parametrize("n", [2, 5, 16])
+@pytest.mark.parametrize("r", [1, 4])
+def test_renormalize_matches_reference(mode, n, r, rng):
+    spec = _restore_spec(mode, n)
+    # off the manifold, with a mean that the C=4 restoration must remove
+    states = 0.8 * rng.standard_normal((r, n, 3)) + [0.3, -0.7, 0.2]
+    before = states.copy()
+    out = renormalize_batch(spec, states)
+    np.testing.assert_allclose(out, renormalize_reference(spec, before),
+                               rtol=1e-13, atol=1e-13)
+    # the input is read only; the pair sweep's golden data rely on it
+    np.testing.assert_array_equal(states, before)
+    assert not np.shares_memory(out, states)
+
+
+@pytest.mark.parametrize("mode", sorted(RESTORE_MODES))
+@pytest.mark.parametrize("n", [2, 5, 16])
+@pytest.mark.parametrize("r", [1, 4])
+def test_sample_is_the_restored_normal_draw(mode, n, r):
+    spec = _restore_spec(mode, n)
+    draw = np.random.default_rng(77).standard_normal((r, n, 3))
+    np.testing.assert_allclose(sample_uniform_batch(spec, r, np.random.default_rng(77)),
+                               renormalize_reference(spec, draw), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("mode", sorted(RESTORE_MODES))
+def test_renormalize_names_non_finite_replica(mode, rng):
+    spec = _restore_spec(mode, 5)
+    states = sample_uniform_batch(spec, 4, rng)
+    states[2, 3, 1] = np.nan
+    with pytest.raises(NonFiniteStateError) as info:
+        renormalize_batch(spec, states)
+    assert info.value.replicas == [2]
+
+
+@pytest.mark.parametrize("mode", sorted(RESTORE_MODES))
+def test_renormalize_rejects_zero_deviation(mode, rng):
+    spec = _restore_spec(mode, 5)
+    states = sample_uniform_batch(spec, 3, rng)
+    states[1] = spec.u
+    with pytest.raises(DegenerateStateError):
+        renormalize_batch(spec, states)
+
+
+@pytest.mark.parametrize("mode", sorted(RESTORE_MODES))
+@pytest.mark.parametrize("which", ["sample", "renormalize"])
+def test_restoration_peak_allocation(mode, which, rng):
+    # sampling restores its own draw in place, renormalization writes one
+    # new array: each holds one (R, N, 3) array plus per-replica vectors
+    spec = _restore_spec(mode, 64)
+    states = sample_uniform_batch(spec, 256, rng)
+    run = {"sample": lambda: sample_uniform_batch(spec, 256, rng),
+           "renormalize": lambda: renormalize_batch(spec, states)}[which]
+    run()  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * states.nbytes
 
 
 def test_projector_annihilates_normals(rng):

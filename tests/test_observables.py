@@ -196,7 +196,7 @@ def test_decay_fit_low_r2_warning_flag(rng):
     t = np.linspace(0, 1, 30)
     means = 1.0 + 0.5 * np.sin(20 * t)
     s = ObservableSeries(t, means, np.full_like(t, 0.01))
-    fit = decay_rate_fit(s, window=(0.0, 1.0))
+    fit = decay_rate_fit(s)
     assert fit.low_r2_warning
 
 
@@ -205,7 +205,7 @@ def test_decay_fit_sign_change_rejected():
     s = ObservableSeries(t, np.array([1.0, 0.5, -0.5, -1.0, -2.0]),
                          np.zeros(5))
     with pytest.raises(ValueError):
-        decay_rate_fit(s, window=(0.0, 1.0))
+        decay_rate_fit(s)
 
 
 def test_decay_fit_window_trims_noise_floor():

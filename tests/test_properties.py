@@ -1,6 +1,6 @@
-"""Property tests of the constraint contracts on randomly drawn manifolds:
-C = 1 and C = 4, N from 2 to 9 (odd N included), and a nonzero drift u
-with eps > |u|^2/2 on the energy-momentum sphere."""
+"""Property tests of the constraint contracts, and of exchangeability, on
+randomly drawn manifolds: C = 1 and C = 4, N from 2 to 9 (odd N included),
+and a nonzero drift u with eps > |u|^2/2 on the energy-momentum sphere."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -85,3 +85,26 @@ def test_pair_sweep_conserves_kicked_momentum(spec, seed, dt, gamma):
     before = states.sum(axis=1)
     step_pair_diffusion(spec, states, KernelSpec(gamma), dt, rng)
     np.testing.assert_allclose(states.sum(axis=1), before, rtol=0, atol=TOL)
+
+
+@SETTINGS
+@given(specs(), seeds, st.floats(0.01, 1.0))
+def test_renormalize_commutes_with_particle_permutation(spec, seed, size):
+    rng = np.random.default_rng(seed)
+    states = sample_uniform_batch(spec, 3, rng)
+    states += size * rng.standard_normal(states.shape)
+    perm = rng.permutation(spec.n_particles)
+    np.testing.assert_allclose(renormalize_batch(spec, states[:, perm]),
+                               renormalize_batch(spec, states)[:, perm], rtol=0, atol=TOL)
+
+
+@SETTINGS
+@given(specs(), seeds, steps)
+def test_sphere_step_commutes_with_particle_permutation(spec, seed, dt):
+    rng = np.random.default_rng(seed)
+    states = sample_uniform_batch(spec, 3, rng)
+    xi = rng.standard_normal(states.shape)
+    perm = rng.permutation(spec.n_particles)
+    np.testing.assert_allclose(step_sphere_diffusion(spec, states[:, perm], dt, xi[:, perm]),
+                               step_sphere_diffusion(spec, states, dt, xi)[:, perm],
+                               rtol=0, atol=TOL)
