@@ -15,8 +15,8 @@ from kinlab.observables import decay_rate_fit, moment_series
 
 # degree-1 observable on the energy-only sphere
 spec = ManifoldSpec(16, ConservationMode.ENERGY_ONLY, eps=1.0)
-cfg = SimConfig(dt=1e-3, t_end=1.5, n_replicas=2048, seed=31, record_every=50)
-res = run_ensemble(spec, cfg, ["sum_v1"],
+cfg = SimConfig(dt=1e-3, t_end=1.5, n_replicas=2048, record_every=50)
+res = run_ensemble(spec, cfg, ["sum_v1"], rng=np.random.default_rng(31),
                    initial_sampler=shifted_sampler(0.7))
 fit = decay_rate_fit(moment_series(res, "sum_v1"))
 lam = eigenvalue_scaled(spec, 1)
@@ -25,8 +25,8 @@ print(f"C=1, sum_k v_k1:  fitted rate {fit.rate:.4f} +- {fit.rate_stderr:.4f}"
 
 # degree-2 observable on the energy-momentum sphere
 spec4 = ManifoldSpec(16, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-cfg4 = SimConfig(dt=2e-3, t_end=1.0, n_replicas=2048, seed=32, record_every=20)
-res4 = run_ensemble(spec4, cfg4, ["sum_v1v2"],
+cfg4 = SimConfig(dt=2e-3, t_end=1.0, n_replicas=2048, record_every=20)
+res4 = run_ensemble(spec4, cfg4, ["sum_v1v2"], rng=np.random.default_rng(32),
                     initial_sampler=sheared_sampler(0.5))
 fit4 = decay_rate_fit(moment_series(res4, "sum_v1v2"))
 lam4 = eigenvalue_scaled(spec4, 2)
@@ -34,6 +34,6 @@ print(f"C=4, sum_k v_k1 v_k2:  fitted rate {fit4.rate:.4f} +- {fit4.rate_stderr:
       f"   exact {lam4:.5f}")
 
 print("\nfrom equilibrium the same observables are statistically flat:")
-res_eq = run_ensemble(spec, cfg, ["sum_v1"])
+res_eq = run_ensemble(spec, cfg, ["sum_v1"], rng=np.random.default_rng(31))
 s = moment_series(res_eq, "sum_v1")
 print("  max |mean|/stderr =", float(np.max(np.abs(s.means) / s.stderrs)))

@@ -24,8 +24,8 @@ p = LimitParams(eps0=1.0)
 
 # --- tagged mean vs the linear Fokker-Planck flow (N = 256 keeps it quick)
 spec = ManifoldSpec(256, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-cfg = SimConfig(dt=2.5e-3, t_end=1.0, n_replicas=512, seed=61, record_every=80)
-res = run_ensemble(spec, cfg, ["tagged_v1"],
+cfg = SimConfig(dt=2.5e-3, t_end=1.0, n_replicas=512, record_every=80)
+res = run_ensemble(spec, cfg, ["tagged_v1"], rng=np.random.default_rng(61),
                    initial_sampler=tagged_shift_sampler(1.2))
 s = moment_series(res, "tagged_v1")
 print("tagged mean vs Fokker-Planck flow (mean relaxes at 3/(2 eps0)):")
@@ -37,9 +37,9 @@ for i, t in enumerate(s.times):
 
 # --- Maxwell-molecule (gamma = 0) anisotropy rate
 spec = ManifoldSpec(128, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-cfg = SimConfig(dt=2e-3, t_end=0.25, n_replicas=64, seed=62,
+cfg = SimConfig(dt=2e-3, t_end=0.25, n_replicas=64,
                 kernel=KernelSpec(0.0), record_every=5)
-res = run_ensemble(spec, cfg, ["mean_v1v2"],
+res = run_ensemble(spec, cfg, ["mean_v1v2"], rng=np.random.default_rng(62),
                    initial_sampler=sheared_sampler(0.6))
 fit = decay_rate_fit(moment_series(res, "mean_v1v2"))
 s0 = (2 / 3) * np.eye(3) + 0.2 * (np.eye(3) == 0)
@@ -50,8 +50,8 @@ print(f"\ngamma=0 anisotropy rate: fitted {fit.rate:.2f} vs moment flow {flow_ra
 # --- H theorem along the isotropic diffusion
 spec = ManifoldSpec(16, ConservationMode.ENERGY_ONLY, eps=1.0)
 times = [0.0, 0.25, 0.5, 1.0, 1.5]
-cfg = SimConfig(dt=2.5e-3, t_end=1.5, n_replicas=4096, seed=63, record_every=200)
-res = run_ensemble(spec, cfg, ["sum_v1"],
+cfg = SimConfig(dt=2.5e-3, t_end=1.5, n_replicas=4096, record_every=200)
+res = run_ensemble(spec, cfg, ["sum_v1"], rng=np.random.default_rng(63),
                    initial_sampler=shifted_sampler(0.8),
                    snapshot_times=times)
 edges = entropy_grid_edges(p, bins=20)

@@ -18,7 +18,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from pathlib import Path
 
@@ -46,7 +46,7 @@ from .kinetic_limits import (
 from .master_sim import (
     KernelSpec,
     SimConfig,
-    check_seed,
+    check_shiftable,
     run_ensemble,
     sheared_sampler,
     shifted_sampler,
@@ -80,6 +80,15 @@ class ConfigError(ValueError):
 
 def _parse_int(s):
     return int(s, 0)
+
+
+def check_seed(s):
+    """A seed is an integer >= 0: the entropy of the run's numpy
+    SeedSequence. The one parser of every ``seed`` key and of --seed."""
+    seed = int(s, 0)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
+    return seed
 
 
 def _parse_float(s):
@@ -135,6 +144,7 @@ class Field:
     required: bool = False
 
 
+_SEED = Field(check_seed, default=12345)
 _MANIFOLD = {
     "n_particles": Field(_parse_int, required=True),
     "mode": Field(_one_of(_MODES), default="energy-momentum"),
@@ -153,31 +163,31 @@ _SIM = {
     "fit_observable": Field(str, default=""),
     "entropy_times": Field(_parse_float_list, default=[]),
     "entropy_bins": Field(_parse_int, default=20),
-    "seed": Field(_parse_int, default=12345),
+    "seed": _SEED,
 }
 
 SCHEMAS: dict[str, dict[str, Field]] = {
     "spectrum": {**_MANIFOLD, "j_max": Field(_parse_int, default=4),
-                 "seed": Field(_parse_int, default=12345)},
+                 "seed": _SEED},
     "sample": {**_MANIFOLD, "n_samples": Field(_parse_int, default=1000),
-               "seed": Field(_parse_int, default=12345)},
+               "seed": _SEED},
     "sim-sphere": dict(_SIM),
     "sim-bp": {**_SIM, "gamma": Field(_parse_float, required=True),
                "cutoff": Field(_parse_float)},
     "rayleigh": {"n_particles": Field(_parse_int, required=True),
                  "gamma": Field(_parse_float, default=-3.0),
                  "n_samples": Field(_parse_int, default=100000),
-                 "seed": Field(_parse_int, default=12345)},
+                 "seed": _SEED},
     "gap-scan": {"n_list": Field(_parse_int_list, required=True),
                  "gamma": Field(_parse_float, default=-3.0),
                  "n_samples": Field(_parse_int, default=100000),
-                 "seed": Field(_parse_int, default=12345)},
+                 "seed": _SEED},
     "marginal-compare": {"n_particles": Field(_parse_int, required=True),
                          "eps": Field(_parse_float, default=1.0),
                          "n_samples": Field(_parse_int, default=1000000),
                          "n_list": Field(_parse_int_list, default=[8, 32, 128]),
                          "radial_points": Field(_parse_int, default=512),
-                         "seed": Field(_parse_int, default=12345)},
+                         "seed": _SEED},
     "fpe-moments": {"flow": Field(_one_of(_FLOWS), default="fpe"),
                     "eps0": Field(_parse_float, default=1.0),
                     "u": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
@@ -185,7 +195,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
                     "s0_diag": Field(_parse_vec3, default=[1.0, 1.0, 1.0]),
                     "s0_offdiag": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
                     "t_list": Field(_parse_float_list, required=True),
-                    "seed": Field(_parse_int, default=12345)},
+                    "seed": _SEED},
     "chaos": {"n_list": Field(_parse_int_list, default=[8, 32, 128]),
               "eps": Field(_parse_float, default=1.0),
               "gamma": Field(_parse_float, default=-3.0),
@@ -194,7 +204,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
               "pair_samples": Field(_parse_int, default=1000000),
               "bins": Field(_parse_int, default=16),
               "component": Field(_parse_int, default=1),
-              "seed": Field(_parse_int, default=12345)},
+              "seed": _SEED},
 }
 
 _COMMANDS = sorted(SCHEMAS)
@@ -304,8 +314,6 @@ def _build_objects(command, p, lines, violations) -> dict:
 
     schema = SCHEMAS[command]
     o: dict = {}
-    if command not in ("sim-sphere", "sim-bp", "chaos"):   # SimConfig checks it there
-        build(("seed",), lambda: check_seed(p["seed"]))
     if "gamma" in schema:
         o["kernel"] = build([k for k in ("gamma", "cutoff") if k in schema],
                             lambda: KernelSpec(p["gamma"], p.get("cutoff")))
@@ -321,15 +329,16 @@ def _build_objects(command, p, lines, violations) -> dict:
     if command in ("sim-sphere", "sim-bp"):
         pair = command == "sim-bp"
         o["config"] = build(
-            ("dt", "t_end", "n_replicas", "record_every", "seed"),
+            ("dt", "t_end", "n_replicas", "record_every"),
             lambda: SimConfig(dt=p["dt"], t_end=p["t_end"],
-                              n_replicas=p["n_replicas"], seed=p["seed"],
-                              kernel=o.get("kernel"),
+                              n_replicas=p["n_replicas"], kernel=o.get("kernel"),
                               record_every=p["record_every"]),
             *((o["kernel"],) if pair else ()))
         names = [n.strip() for n in p["observables"].split(",") if n.strip()]
 
         def known_names():
+            if not names:
+                raise ValueError("need at least one observable")
             for name in names:
                 observables.get_observable(name)   # raises on a name not in the catalog
             return names
@@ -337,6 +346,8 @@ def _build_objects(command, p, lines, violations) -> dict:
         o["observables"] = build(("observables",), known_names)
         o["sampler"] = build(("init", "init_strength"),
                              lambda: _INITS[p["init"]](p["init_strength"]))
+        if p.get("init") == "shift":
+            build(("init", "mode"), lambda: check_shiftable(o["spec"]), o["spec"])
         build(("entropy_times", "dt", "t_end"),
               lambda: o["config"].snapshot_steps(p["entropy_times"]), o["config"])
         if p.get("entropy_times") and o["spec"] is not None:
@@ -387,15 +398,15 @@ def _build_objects(command, p, lines, violations) -> dict:
             build(("t_list",), lambda t=t: check_time(t))
     elif command == "chaos":
         o["specs"], o["configs"] = [], []
-        for i, n in enumerate(p.get("n_list", [])):
+        for n in p.get("n_list", []):
             spec = build(("n_list", "eps"), lambda n=n: ManifoldSpec(n, _C4, eps=p["eps"]))
             o["specs"].append(spec)
             o["configs"].append(build(
-                ("n_list", "pair_samples", "dt", "t_end", "seed"),
-                lambda i=i, n=n: SimConfig(
+                ("n_list", "pair_samples", "dt", "t_end"),
+                lambda n=n: SimConfig(
                     dt=p["dt"], t_end=p["t_end"],
                     n_replicas=max(8, int(math.ceil(p["pair_samples"] / (n * (n - 1))))),
-                    seed=p["seed"] + i, kernel=o["kernel"]),
+                    kernel=o["kernel"]),
                 spec, o["kernel"]))
 
         def edges():
@@ -453,15 +464,13 @@ def _series_rows(result, names):
     header = ["time"]
     for name in names:
         header += [f"{name}_mean", f"{name}_stderr"]
-    some = result.series[names[0]] if names else None
     rows = []
-    if some is not None:
-        for i, t in enumerate(some.times):
-            row = [t]
-            for name in names:
-                s = result.series[name]
-                row += [s.means[i], s.stderrs[i]]
-            rows.append(row)
+    for i, t in enumerate(result.series[names[0]].times):
+        row = [t]
+        for name in names:
+            s = result.series[name]
+            row += [s.means[i], s.stderrs[i]]
+        rows.append(row)
     return header, rows
 
 
@@ -469,10 +478,10 @@ def _series_rows(result, names):
 # command runners (each returns (tables, extras); tables: name -> (header, rows))
 
 
-def _cmd_sim(plan, seed, rng):
+def _cmd_sim(plan, rng):
     params, o = plan.params, plan.objects
     names = o["observables"]
-    result = run_ensemble(o["spec"], replace(o["config"], seed=seed), names,
+    result = run_ensemble(o["spec"], o["config"], names, rng=rng,
                           initial_sampler=o["sampler"],
                           snapshot_times=params["entropy_times"])
     header, rows = _series_rows(result, names)
@@ -496,7 +505,7 @@ def _cmd_sim(plan, seed, rng):
     return tables, extras
 
 
-def _cmd_spectrum(plan, seed, rng):
+def _cmd_spectrum(plan, rng):
     rows = [list(row) for row in plan.objects["table"]]
     return {"spectrum": (["j", "unscaled", "scaled", "limit"], rows)}, {}
 
@@ -505,38 +514,24 @@ def _cmd_spectrum(plan, seed, rng):
 _PAIR_BLOCK_ENTRIES = 1 << 19
 
 
-def _max_pair_sq(states: np.ndarray) -> np.ndarray:
-    """Largest squared pair separation of each (N, 3) state of ``states``,
-    taken over blocks of states so that the pair arrays stay small."""
-    n = states.shape[1]
-    block = max(1, _PAIR_BLOCK_ENTRIES // (n * n))
-    out = np.empty(states.shape[0])
-    for start in range(0, states.shape[0], block):
-        b = states[start:start + block]
-        sq = (b * b).sum(-1)
-        dots = np.einsum("rkc,rlc->rkl", b, b)
-        pair_sq = sq[:, :, None] + sq[:, None, :] - 2 * dots
-        out[start:start + block] = pair_sq.max(axis=(1, 2))
-    return out
-
-
-def _cmd_sample(plan, seed, rng):
+def _cmd_sample(plan, rng):
     spec = plan.objects["spec"]
-    n = plan.params["n_samples"]
+    n, n_states = spec.n_particles, plan.params["n_samples"]
+    block = max(1, _PAIR_BLOCK_ENTRIES // (n * n))
     rows = []
-    max_ratio = 0.0
-    for start in range(0, n, 4096):
-        batch = sample_uniform_batch(spec, min(4096, n - start), rng)
-        ratio = _max_pair_sq(batch) / (4 * spec.n_particles * spec.eps)
-        max_ratio = max(max_ratio, float(ratio.max()))
-        energy_err, mom_err = constraint_errors(spec, batch)
-        for i in range(batch.shape[0]):
-            rows.append([start + i, energy_err[i], mom_err[i], ratio[i]])
+    for start in range(0, n_states, block):
+        b = sample_uniform_batch(spec, min(block, n_states - start), rng)
+        sq = (b * b).sum(-1)
+        pair_sq = sq[:, :, None] + sq[:, None, :] - 2 * np.einsum("rkc,rlc->rkl", b, b)
+        ratio = pair_sq.max(axis=(1, 2)) / (4 * n * spec.eps)
+        energy_err, mom_err = constraint_errors(spec, b)
+        rows += [[start + i, *errs] for i, errs in enumerate(zip(energy_err, mom_err, ratio))]
     header = ["sample", "energy_rel_error", "momentum_error", "max_pair_sep_sq_over_4Neps"]
-    return {"samples": (header, rows)}, {"max_pair_sep_sq_over_4Neps": max_ratio}
+    return {"samples": (header, rows)}, \
+        {"max_pair_sep_sq_over_4Neps": float(max(row[3] for row in rows))}
 
 
-def _cmd_rayleigh(plan, seed, rng):
+def _cmd_rayleigh(plan, rng):
     o = plan.objects
     n = o["spec"].n_particles
     est, err = rayleigh_quotient_mc(o["spec"], o["trial"], o["kernel"],
@@ -546,7 +541,7 @@ def _cmd_rayleigh(plan, seed, rng):
         {"estimate": est, "stderr": err}
 
 
-def _cmd_gap_scan(plan, seed, rng):
+def _cmd_gap_scan(plan, rng):
     p = plan.params
     res = gap_scan(p["n_list"], plan.objects["kernel"], p["n_samples"], rng)
     rows = [[n, e, s, b] for n, e, s, b in
@@ -555,7 +550,7 @@ def _cmd_gap_scan(plan, seed, rng):
     return {"gap_scan": (["N", "estimate", "stderr", "bound"], rows)}, extras
 
 
-def _cmd_marginal_compare(plan, seed, rng):
+def _cmd_marginal_compare(plan, rng):
     p, o = plan.params, plan.objects
     spec = o["spec"]
     n_states = p["n_samples"] // spec.n_particles
@@ -573,7 +568,7 @@ def _cmd_marginal_compare(plan, seed, rng):
     }, {"ks_statistic": ks}
 
 
-def _cmd_fpe_moments(plan, seed, rng):
+def _cmd_fpe_moments(plan, rng):
     p = plan.params
     rows = []
     for t in p["t_list"]:
@@ -585,14 +580,15 @@ def _cmd_fpe_moments(plan, seed, rng):
     return {"moments": (header, rows)}, {}
 
 
-def _cmd_chaos(plan, seed, rng):
+def _cmd_chaos(plan, rng):
     p, o = plan.params, plan.objects
     rows = []
     edges = o["edges"]
     component = p["component"] - 1
-    for i, (spec, config) in enumerate(zip(o["specs"], o["configs"])):
-        result = run_ensemble(spec, replace(config, seed=seed + i),
-                              ["energy_per_particle"], snapshot_times=[p["t_end"]])
+    # one stream: each N's simulation, then its pair subsample
+    for spec, config in zip(o["specs"], o["configs"]):
+        result = run_ensemble(spec, config, ["energy_per_particle"], rng=rng,
+                              snapshot_times=[p["t_end"]])
         velocities = result.snapshots[-1].velocities
         h2 = marginal_histogram(velocities, 2, edges, component,
                                 max_pairs=p["pair_samples"], rng=rng)
@@ -609,10 +605,12 @@ def _cmd_chaos(plan, seed, rng):
 def run(plan: ExperimentPlan, out_dir: str | Path, *, seed: int | None = None,
         fmt: str = "csv") -> dict:
     """Execute a validated plan; writes artifacts and returns the manifest."""
+    eff_seed = int(plan.params["seed"] if seed is None else seed)
+    # the one place a seed becomes a Generator: every draw of the run
+    # comes from this stream (a negative seed raises before any output)
+    rng = np.random.default_rng(np.random.SeedSequence(eff_seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    eff_seed = int(plan.params.get("seed", 12345) if seed is None else seed)
-    rng = np.random.default_rng(np.random.SeedSequence(eff_seed))
 
     runner = {
         "spectrum": _cmd_spectrum,
@@ -625,7 +623,7 @@ def run(plan: ExperimentPlan, out_dir: str | Path, *, seed: int | None = None,
         "fpe-moments": _cmd_fpe_moments,
         "chaos": _cmd_chaos,
     }[plan.command]
-    tables, extras = runner(plan, eff_seed, rng)
+    tables, extras = runner(plan, rng)
 
     outputs = [_write_table(out / f"{name}.csv", header, rows, fmt).name
                for name, (header, rows) in tables.items()]
@@ -653,20 +651,19 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+        p.add_argument("--seed", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
 
     try:
         text = Path(args.config).read_text()
         plan = parse_config(text, args.command)
-        if args.seed is not None:
-            try:
-                check_seed(args.seed)
-            except ValueError as exc:
-                raise ConfigError([f"--seed: {exc}"]) from None
+        try:
+            seed = None if args.seed is None else check_seed(args.seed)
+        except ValueError as exc:
+            raise ConfigError([f"--seed: {exc}"]) from None
         out_dir = args.out if args.out is not None else f"out-{args.command}"
-        run(plan, out_dir, seed=args.seed, fmt=args.format)
+        run(plan, out_dir, seed=seed, fmt=args.format)
     except ConfigError as exc:
         print(json.dumps({"error": "invalid config",
                           "violations": exc.violations}, indent=1))

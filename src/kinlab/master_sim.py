@@ -36,6 +36,7 @@ import numpy as np
 
 from . import observables as obs_mod
 from .geometry import (
+    ConservationMode,
     DegenerateStateError,
     ManifoldSpec,
     NonFiniteStateError,
@@ -70,12 +71,6 @@ class KernelSpec:
         return spec.cutoff if self.cutoff is None else self.cutoff
 
 
-def check_seed(seed: int) -> None:
-    """Seeds are the entropy of a numpy SeedSequence, so must be >= 0."""
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Ensemble run parameters.
@@ -88,7 +83,6 @@ class SimConfig:
     dt: float
     t_end: float
     n_replicas: int
-    seed: int
     kernel: KernelSpec | None = None
     record_every: int = 1
     n_steps: int = field(init=False)
@@ -102,7 +96,6 @@ class SimConfig:
             raise ValueError("n_replicas must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        check_seed(self.seed)
         n = int(round(self.t_end / self.dt))
         if abs(n * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
             raise ValueError("t_end must be an integer multiple of dt")
@@ -184,41 +177,33 @@ def step_sphere_diffusion(spec: ManifoldSpec, states: np.ndarray, dt: float,
 
 
 @lru_cache(maxsize=None)
-def _round_robin_rounds(n: int) -> np.ndarray:
-    """Circle-method schedule: array (n_rounds, n/2 pairs, 2) covering each
-    unordered pair of range(n) exactly once; rounds are perfect matchings.
-    For odd n the bye pair is dropped (rounds have (n-1)/2 pairs)."""
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < n and b < n:
-                pairs.append((min(a, b), max(a, b)))
-        rounds.append(pairs)
-        players = [players[0], players[-1]] + players[1:-1]
-    return np.asarray(rounds, dtype=np.intp)
-
-
-@lru_cache(maxsize=None)
 def _round_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Particle layout of each round for the relabeled sweep.
+    """Circle-method round-robin schedule, as the particle layout of each
+    round for the relabeled sweep.
 
     Returns (layout, inverse), both (n_rounds, n) and read-only. Row t of
-    ``layout`` lists round t's k sides, then its l sides (in the order of
-    ``_round_robin_rounds(n)[t]``), then the bye particle when n is odd, so
-    the round's pairs are positions (i, P + i) for i < P = n // 2.
-    ``inverse[t]`` is the inverse permutation: the position of each label.
+    ``layout`` lists round t's P = n // 2 pairs (k < l) as its k sides,
+    then its l sides, then the bye particle when n is odd: the pairs are
+    positions (i, P + i), i < P. The rounds are perfect matchings covering
+    each unordered pair once. ``inverse[t]`` gives the position of each
+    label. In round t, position j >= 1 holds player 1 + (j - 1 - t) mod
+    (m - 1), m = n rounded up to even, and position 0 player 0; position
+    i plays m-1-i. For odd n, player n is a dummy whose partner sits out.
     """
-    rounds = _round_robin_rounds(n)
+    m = n + n % 2
+    t = np.arange(m - 1)[:, None]
+    i = np.arange(m // 2)
+    a = 1 + (i - 1 - t) % (m - 1)       # player at position i
+    a[:, 0] = 0
+    b = 1 + (m - 2 - i - t) % (m - 1)   # player at position m-1-i
+    k, l = np.minimum(a, b), np.maximum(a, b)
+    real = l < n                        # drops the dummy's match
     p = n // 2
-    layout = np.empty((rounds.shape[0], n), dtype=np.intp)
-    layout[:, :p] = rounds[:, :, 0]
-    layout[:, p:2 * p] = rounds[:, :, 1]
+    layout = np.empty((m - 1, n), dtype=np.intp)
+    layout[:, :p] = k[real].reshape(m - 1, p)
+    layout[:, p:2 * p] = l[real].reshape(m - 1, p)
     if n % 2:
-        layout[:, -1] = n * (n - 1) // 2 - layout[:, :-1].sum(axis=1)
+        layout[:, -1] = k[~real]
     inverse = np.argsort(layout, axis=1)
     layout.setflags(write=False)
     inverse.setflags(write=False)
@@ -434,12 +419,20 @@ def uniform_sampler(spec: ManifoldSpec, n_states: int,
     return sample_uniform_batch(spec, n_states, rng)
 
 
+def check_shiftable(spec: ManifoldSpec) -> None:
+    """A shift of every particle survives only on the energy-only sphere."""
+    if spec.mode is not ConservationMode.ENERGY_ONLY:
+        raise ValueError("the momentum restoration removes a shift of every "
+                         "particle; use the energy-only mode")
+
+
 def shifted_sampler(strength: float) -> Sampler:
     """Uniform sample, then add ``strength`` to every particle's v_1 and
-    renormalize. Biases the mean observables (energy-only mode; a momentum
-    constraint would undo the shift)."""
+    renormalize. Biases the mean observables; raises ValueError on the
+    energy-momentum sphere (``check_shiftable``)."""
 
     def sample(spec, n_states, rng):
+        check_shiftable(spec)
         out = sample_uniform_batch(spec, n_states, rng)
         out[..., 0] += strength
         return renormalize_batch(spec, out)
@@ -481,7 +474,7 @@ def tagged_shift_sampler(strength: float) -> Sampler:
 
 
 def run_ensemble(spec: ManifoldSpec, config: SimConfig,
-                 observables: Sequence[str], *,
+                 observables: Sequence[str], *, rng: np.random.Generator,
                  initial_sampler: Sampler | None = None,
                  snapshot_times: Sequence[float] = ()) -> SimResult:
     """Evolve n_replicas independent states and record observable series.
@@ -490,9 +483,9 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     The run is a pair diffusion when ``config.kernel`` is set, else a
     sphere diffusion.
 
-    Fully deterministic given config.seed: a single PCG64 stream drives
-    sampling, schedules and noise in a fixed order, so identical configs
-    give bit-identical results. Ensemble means are reported with standard
+    Every draw comes from ``rng``, in a fixed order: the initial sample,
+    then each step's schedule and noise. Generators in the same state give
+    bit-identical results. Ensemble means are reported with standard
     errors (std/sqrt(R), ddof=1).
 
     A step that leaves NaN or inf in some replica raises
@@ -500,7 +493,6 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     """
     fns = {name: obs_mod.get_observable(name) for name in observables}
     snap_steps = config.snapshot_steps(snapshot_times)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     sampler = initial_sampler if initial_sampler is not None else uniform_sampler
     states = np.array(sampler(spec, config.n_replicas, rng), dtype=float)
 

@@ -25,7 +25,7 @@ from kinlab.geometry import (
     tangent_project_batch,
 )
 from kinlab.kinetic_limits import stationary_marginal_eval
-from kinlab.master_sim import TestPolynomial, _round_robin_rounds, generator_apply
+from kinlab.master_sim import TestPolynomial, _round_layout, generator_apply
 from kinlab.observables import OBSERVABLES, Observable
 from kinlab.spectral import (
     TrialFunction,
@@ -366,7 +366,9 @@ def step_pair_diffusion_reference(spec, states, kernel, dt, rng, antithetic=Fals
     library kernel must reproduce it bit for bit.
     """
     r, n, _ = states.shape
-    rounds = _round_robin_rounds(n)
+    layout, _ = _round_layout(n)
+    p = n // 2
+    rounds = np.stack([layout[:, :p], layout[:, p:2 * p]], axis=-1)   # (rounds, P, 2)
     n_rounds = rounds.shape[0]
     r_draw = r // 2 if antithetic else r
     perm = np.argsort(rng.random((r_draw, n)), axis=1)

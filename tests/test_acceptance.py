@@ -99,8 +99,8 @@ def test_criterion_01_spectrum_tables():
 
 def test_criterion_02_sphere_decay_energy_only():
     spec = ManifoldSpec(16, ConservationMode.ENERGY_ONLY, eps=1.0)
-    cfg = SimConfig(dt=1e-3, t_end=2.0, n_replicas=4096, seed=210, record_every=50)
-    res = run_ensemble(spec, cfg, ["sum_v1"],
+    cfg = SimConfig(dt=1e-3, t_end=2.0, n_replicas=4096, record_every=50)
+    res = run_ensemble(spec, cfg, ["sum_v1"], rng=np.random.default_rng(210),
                        initial_sampler=shifted_sampler(0.7))
     fit = decay_rate_fit(moment_series(res, "sum_v1"))
     target = 1.46875
@@ -112,8 +112,8 @@ def test_criterion_02_sphere_decay_energy_only():
 
 def test_criterion_03_sphere_decay_energy_momentum():
     spec = ManifoldSpec(16, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-    cfg = SimConfig(dt=2e-3, t_end=1.2, n_replicas=4096, seed=310, record_every=15)
-    res = run_ensemble(spec, cfg, ["sum_v1v2"],
+    cfg = SimConfig(dt=2e-3, t_end=1.2, n_replicas=4096, record_every=15)
+    res = run_ensemble(spec, cfg, ["sum_v1v2"], rng=np.random.default_rng(310),
                        initial_sampler=sheared_sampler(0.5))
     fit = decay_rate_fit(moment_series(res, "sum_v1v2"))
     target = 2.8125
@@ -155,8 +155,8 @@ def test_criterion_05_fpe_mean_tracking():
     exact = np.allclose(st.mean - p.u, 0.5 * (m0 - p.u), rtol=1e-12)
 
     spec = ManifoldSpec(512, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-    cfg = SimConfig(dt=2.5e-3, t_end=1.0, n_replicas=1024, seed=510, record_every=40)
-    res = run_ensemble(spec, cfg, ["tagged_v1"],
+    cfg = SimConfig(dt=2.5e-3, t_end=1.0, n_replicas=1024, record_every=40)
+    res = run_ensemble(spec, cfg, ["tagged_v1"], rng=np.random.default_rng(510),
                        initial_sampler=tagged_shift_sampler(1.2))
     s = moment_series(res, "tagged_v1")
     m_hat0, se0 = s.means[0], s.stderrs[0]
@@ -288,17 +288,19 @@ def test_criterion_09_h_theorem():
     times = [0.0, 0.15, 0.3, 0.5, 0.75, 1.0, 1.5]
 
     spec1 = ManifoldSpec(16, ConservationMode.ENERGY_ONLY, eps=1.0)
-    cfg1 = SimConfig(dt=2.5e-3, t_end=1.5, n_replicas=8192, seed=910, record_every=600)
+    cfg1 = SimConfig(dt=2.5e-3, t_end=1.5, n_replicas=8192, record_every=600)
     res1 = run_ensemble(spec1, cfg1, ["energy_per_particle"],
+                        rng=np.random.default_rng(910),
                         initial_sampler=shifted_sampler(0.8),
                         snapshot_times=times)
     ser1 = _entropy_series(res1.snapshots, p, edges)
     ok1, why1 = _monotone_within_noise(ser1)
 
     spec2 = ManifoldSpec(16, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-    cfg2 = SimConfig(dt=2.5e-3, t_end=1.5, n_replicas=2048, seed=911,
+    cfg2 = SimConfig(dt=2.5e-3, t_end=1.5, n_replicas=2048,
                      kernel=COULOMB, record_every=600)
     res2 = run_ensemble(spec2, cfg2, ["energy_per_particle"],
+                        rng=np.random.default_rng(911),
                         initial_sampler=sheared_sampler(0.9),
                         snapshot_times=times)
     ser2 = _entropy_series(res2.snapshots, p, edges)
@@ -319,9 +321,9 @@ def test_criterion_09_chaos_distance():
     for i, n in enumerate((8, 32, 128)):
         spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
         n_rep = max(8, int(math.ceil(target / (n * (n - 1)))))
-        cfg = SimConfig(dt=4e-3, t_end=0.4, n_replicas=n_rep, seed=9200 + i,
-                        kernel=COULOMB)
+        cfg = SimConfig(dt=4e-3, t_end=0.4, n_replicas=n_rep, kernel=COULOMB)
         res = run_ensemble(spec, cfg, ["energy_per_particle"],
+                           rng=np.random.default_rng(9200 + i),
                            snapshot_times=[0.4])
         vel = res.snapshots[-1].velocities
         h2 = marginal_histogram(vel, 2, edges, 0, max_pairs=target, rng=rng)
@@ -335,9 +337,9 @@ def test_criterion_09_chaos_distance():
 
 def test_criterion_10_maxwell_molecule_cross_check():
     spec = ManifoldSpec(256, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-    cfg = SimConfig(dt=2e-3, t_end=0.25, n_replicas=48, seed=1010,
+    cfg = SimConfig(dt=2e-3, t_end=0.25, n_replicas=48,
                     kernel=KernelSpec(0.0), record_every=5)
-    res = run_ensemble(spec, cfg, ["mean_v1v2"],
+    res = run_ensemble(spec, cfg, ["mean_v1v2"], rng=np.random.default_rng(1010),
                        initial_sampler=sheared_sampler(0.6))
     fit = decay_rate_fit(moment_series(res, "mean_v1v2"))
     # oracle rate extracted from the moment flow itself

@@ -89,6 +89,13 @@ def test_seed_override_changes_output(tmp_path):
         (tmp_path / "c/series.csv").read_bytes()
 
 
+def test_negative_seed_to_run_raises_before_output(tmp_path):
+    plan = parse_config(SPECTRUM_CFG, "spectrum")
+    with pytest.raises(ValueError):
+        run(plan, tmp_path / "out", seed=-1)
+    assert not (tmp_path / "out").exists()
+
+
 def test_t_end_zero_header_only(tmp_path):
     cfg = ("n_particles = 4\nmode = energy\ndt = 0.01\nt_end = 0\n"
            "n_replicas = 2\nobservables = sum_v1,energy_per_particle\n")
@@ -208,7 +215,8 @@ def _with(base, **changes):
         [(k, v) for k, v in changes.items() if k not in keys]
 
 
-# (command, config lines, one key per expected violation)
+# (command, config lines, one entry per expected violation: a key, or a
+# tuple of keys that one violation cites together)
 INVALID_CONFIGS = {
     "record_every_zero": ("sim-sphere", _with(SIM, record_every="0"), ["record_every"]),
     "no_replicas": ("sim-sphere", _with(SIM, n_replicas="0"), ["n_replicas"]),
@@ -265,6 +273,13 @@ INVALID_CONFIGS = {
     "bp_gamma_inf": ("sim-bp", _with(SIM, gamma="inf"), ["gamma"]),
     "u_nan": ("sim-sphere", _with(SIM, mode="energy-momentum", u="nan,0,0"), ["u"]),
     "fpe_t_list_inf": ("fpe-moments", [("t_list", "0,inf")], ["t_list"]),
+    # the momentum restoration would remove the shift
+    "shift_on_energy_momentum": ("sim-sphere", _with(SIM, mode="energy-momentum",
+                                                     init="shift", init_strength="0.5"),
+                                 [("init", "mode")]),
+    # a series with no observable would drop the recorded times
+    "observables_empty": ("sim-bp", _with(SIM, gamma="-3", observables=""),
+                          ["observables"]),
 }
 
 
@@ -278,9 +293,14 @@ def test_invalid_config_exits_2_before_output(case, tmp_path, capsys):
     violations = json.loads(capsys.readouterr().out)["violations"]
     assert len(violations) == len(keys)
     line_of = {k: n for n, (k, _) in enumerate(lines, start=1)}
-    for key in keys:
-        cites = (f"line {line_of[key]} ({key})", f"line {line_of[key]}: bad value for {key!r}")
-        assert any(c in v for v in violations for c in cites), violations
+
+    def cites(v, key):
+        return (f"line {line_of[key]} ({key})" in v
+                or f"line {line_of[key]}: bad value for {key!r}" in v)
+
+    for entry in keys:
+        group = entry if isinstance(entry, tuple) else (entry,)
+        assert any(all(cites(v, key) for key in group) for v in violations), violations
     assert not out.exists()
 
 
@@ -292,6 +312,32 @@ def test_negative_seed_flag_exits_2_before_output(tmp_path, capsys):
     violations = json.loads(capsys.readouterr().out)["violations"]
     assert len(violations) == 1 and "--seed" in violations[0]
     assert not out.exists()
+
+
+def test_chaos_draws_from_one_stream(tmp_path, monkeypatch):
+    # the run's one Generator is handed to each N's simulation and pair
+    # subsample in turn, so every call starts from a new state; the
+    # 1-marginal draws nothing
+    calls = []
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            rng = kwargs.get("rng")
+            calls.append((name, None if rng is None else
+                          json.dumps(rng.bit_generator.state, sort_keys=True)))
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "run_ensemble", recording("sim", cli.run_ensemble))
+    monkeypatch.setattr(cli, "marginal_histogram",
+                        recording("hist", cli.marginal_histogram))
+    cfg = ("n_list = 4,8,16\ngamma = -3\ndt = 0.01\nt_end = 0.02\n"
+           "pair_samples = 2000\nbins = 8\nseed = 912\n")
+    run(parse_config(cfg, "chaos"), tmp_path)
+    assert [name for name, _ in calls] == ["sim", "hist", "hist"] * 3
+    assert [state is None for _, state in calls] == [False, False, True] * 3
+    states = [state for _, state in calls if state is not None]
+    assert len(set(states)) == len(states)
 
 
 def test_manifest_independent_of_out_dir(tmp_path):

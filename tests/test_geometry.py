@@ -60,14 +60,19 @@ def test_sample_needs_a_state(spec_c1, rng, n_states):
         sample_uniform_batch(spec_c1, n_states, rng)
 
 
-def test_sample_mean_symmetry(spec_c1, rng):
-    # antithetic pairing V <-> -V shows the exact mean is 0; the empirical
-    # mean over 1e5 samples must sit within 3 standard errors of it.
+def test_sample_mean_symmetry(spec_c1, spec_c4, rng):
+    # V -> -V maps a sphere centered at 0 onto itself, so the exact mean is
+    # 0; the empirical mean over 1e5 samples must sit within 3 standard
+    # errors of it.
     batch = sample_uniform_batch(spec_c1, 100000, rng)
     vals = batch[:, 0, 0]
     assert abs(vals.mean()) <= 3.0 * vals.std(ddof=1) / math.sqrt(len(vals))
-    anti = 0.5 * (vals + (-batch)[:, 0, 0])
-    assert np.all(anti == 0.0)
+    # the restoration that turns normals into the sample commutes with that
+    # map bit for bit (C=1, and C=4 with u = 0)
+    xi = rng.standard_normal((64, 8, 3))
+    for spec in (spec_c1, spec_c4):
+        np.testing.assert_array_equal(renormalize_batch(spec, -xi),
+                                      -renormalize_batch(spec, xi))
 
 
 def test_sample_moments(rng):

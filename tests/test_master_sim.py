@@ -18,7 +18,6 @@ from kinlab.master_sim import (
     TestPolynomial,
     _pair_round_kick,
     _round_layout,
-    _round_robin_rounds,
     generator_apply,
     run_ensemble,
     step_pair_diffusion,
@@ -69,38 +68,29 @@ def test_kernel_validation():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SimConfig(dt=0.0, t_end=1.0, n_replicas=1, seed=0)
+        SimConfig(dt=0.0, t_end=1.0, n_replicas=1)
     with pytest.raises(ValueError):
-        SimConfig(dt=0.1, t_end=0.05, n_replicas=1, seed=0)
-    cfg = SimConfig(dt=0.1, t_end=0.0, n_replicas=1, seed=0)
+        SimConfig(dt=0.1, t_end=0.05, n_replicas=1)
+    cfg = SimConfig(dt=0.1, t_end=0.0, n_replicas=1)
     assert cfg.n_steps == 0
 
 
-def test_round_robin_covers_all_pairs():
-    for n in (2, 4, 5, 8, 9):
-        rounds = _round_robin_rounds(n)
-        seen = set()
-        for rnd in rounds:
-            particles = set()
-            for a, b in rnd:
-                assert a < b
-                assert a not in particles and b not in particles
-                particles.update((a, b))
-                seen.add((int(a), int(b)))
-        assert len(seen) == n * (n - 1) // 2
-
-
-def test_round_layout_lists_each_round_pairs_first():
-    for n in (2, 4, 5, 8, 9):
-        rounds = _round_robin_rounds(n)
+def test_round_layout_is_a_round_robin_schedule():
+    # each row is a permutation whose positions (i, P + i) form round t's
+    # pairs with k < l; over the rows every unordered pair appears exactly
+    # once, and inverse inverts each row
+    for n in (2, 3, 4, 5, 8, 9, 16, 33):
         layout, inverse = _round_layout(n)
         p = n // 2
-        assert layout.shape == (rounds.shape[0], n)
-        for t, row in enumerate(layout):
+        n_rounds = n - 1 + n % 2
+        assert layout.shape == inverse.shape == (n_rounds, n)
+        pairs = set()
+        for row, inv in zip(layout, inverse):
             assert sorted(row) == list(range(n))
             assert (row[:p] < row[p:2 * p]).all()
-            np.testing.assert_array_equal(np.stack([row[:p], row[p:2 * p]], 1), rounds[t])
-            np.testing.assert_array_equal(inverse[t][row], np.arange(n))
+            np.testing.assert_array_equal(inv[row], np.arange(n))
+            pairs.update(zip(row[:p].tolist(), row[p:2 * p].tolist()))
+        assert len(pairs) == n_rounds * p == n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("n, mode, gamma, antithetic", [
@@ -374,33 +364,35 @@ def test_sphere_weak_consistency_small(rng):
 
 
 def test_run_ensemble_determinism(spec_c1):
-    cfg = SimConfig(dt=1e-3, t_end=0.01, n_replicas=16, seed=99, record_every=2)
-    a = run_ensemble(spec_c1, cfg, ["sum_v1", "energy_per_particle"])
-    b = run_ensemble(spec_c1, cfg, ["sum_v1", "energy_per_particle"])
+    cfg = SimConfig(dt=1e-3, t_end=0.01, n_replicas=16, record_every=2)
+    a = run_ensemble(spec_c1, cfg, ["sum_v1", "energy_per_particle"],
+                     rng=np.random.default_rng(99))
+    b = run_ensemble(spec_c1, cfg, ["sum_v1", "energy_per_particle"],
+                     rng=np.random.default_rng(99))
     for name in a.series:
         np.testing.assert_array_equal(a.series[name].means, b.series[name].means)
         np.testing.assert_array_equal(a.series[name].stderrs, b.series[name].stderrs)
 
 
 def test_run_ensemble_single_snapshot_pair(spec_c1):
-    cfg = SimConfig(dt=1e-3, t_end=1e-3, n_replicas=1, seed=1)
-    res = run_ensemble(spec_c1, cfg, ["energy_per_particle"])
+    cfg = SimConfig(dt=1e-3, t_end=1e-3, n_replicas=1)
+    res = run_ensemble(spec_c1, cfg, ["energy_per_particle"], rng=np.random.default_rng(1))
     s = res.series["energy_per_particle"]
     np.testing.assert_allclose(s.times, [0.0, 1e-3])
     np.testing.assert_allclose(s.means, [1.0, 1.0], atol=1e-12)
 
 
 def test_run_ensemble_t_end_zero_is_empty(spec_c1):
-    cfg = SimConfig(dt=1e-3, t_end=0.0, n_replicas=2, seed=1)
-    res = run_ensemble(spec_c1, cfg, ["sum_v1"])
+    cfg = SimConfig(dt=1e-3, t_end=0.0, n_replicas=2)
+    res = run_ensemble(spec_c1, cfg, ["sum_v1"], rng=np.random.default_rng(1))
     assert res.series["sum_v1"].times.size == 0
 
 
 def test_equilibrium_moments_stationary(rng):
     # from a uniform start every moment observable is statistically flat
     spec = ManifoldSpec(8, ConservationMode.ENERGY_ONLY, eps=1.0)
-    cfg = SimConfig(dt=2e-3, t_end=0.5, n_replicas=4096, seed=7, record_every=50)
-    res = run_ensemble(spec, cfg, ["sum_v1", "sum_v1v2"],
+    cfg = SimConfig(dt=2e-3, t_end=0.5, n_replicas=4096, record_every=50)
+    res = run_ensemble(spec, cfg, ["sum_v1", "sum_v1v2"], rng=np.random.default_rng(7),
                        initial_sampler=uniform_sampler)
     for name in ("sum_v1", "sum_v1v2"):
         s = res.series[name]
@@ -411,10 +403,11 @@ def test_pair_process_equilibrium_preservation(rng):
     # conserved observables exactly flat; moment observables statistically
     # stationary from a uniform start
     spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-    cfg = SimConfig(dt=2e-3, t_end=0.2, n_replicas=512, seed=3,
+    cfg = SimConfig(dt=2e-3, t_end=0.2, n_replicas=512,
                     kernel=COULOMB, record_every=20)
     res = run_ensemble(spec, cfg, ["energy_per_particle",
-                                   "momentum_per_particle_1", "sum_v1v2"])
+                                   "momentum_per_particle_1", "sum_v1v2"],
+                       rng=np.random.default_rng(3))
     np.testing.assert_allclose(res.series["energy_per_particle"].means, 1.0,
                                atol=1e-12)
     np.testing.assert_allclose(res.series["momentum_per_particle_1"].means, 0.0,
@@ -430,10 +423,11 @@ def test_run_ensemble_names_breakdown_step_and_replica(process, spec_c4):
         states[3, 1, 2] = np.nan
         return states
 
-    cfg = SimConfig(dt=1e-3, t_end=0.005, n_replicas=6, seed=1,
+    cfg = SimConfig(dt=1e-3, t_end=0.005, n_replicas=6,
                     kernel=COULOMB if process == "pair" else None)
     assert cfg.process == process
     with pytest.raises(NonFiniteStateError, match="step 1") as info:
-        run_ensemble(spec_c4, cfg, ["sum_v1v2"], initial_sampler=nan_in_replica_3)
+        run_ensemble(spec_c4, cfg, ["sum_v1v2"], rng=np.random.default_rng(1),
+                     initial_sampler=nan_in_replica_3)
     assert info.value.step == 1
     assert info.value.replicas == [3]

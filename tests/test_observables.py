@@ -33,8 +33,8 @@ def test_unknown_observable_rejected():
 
 
 def test_moment_series_lookup(spec_c1):
-    cfg = SimConfig(dt=1e-3, t_end=1e-3, n_replicas=2, seed=0)
-    res = run_ensemble(spec_c1, cfg, ["energy_per_particle"])
+    cfg = SimConfig(dt=1e-3, t_end=1e-3, n_replicas=2)
+    res = run_ensemble(spec_c1, cfg, ["energy_per_particle"], rng=np.random.default_rng(0))
     s = moment_series(res, "energy_per_particle")
     np.testing.assert_allclose(s.means, 1.0, atol=1e-12)
     with pytest.raises(ValueError):
@@ -43,8 +43,9 @@ def test_moment_series_lookup(spec_c1):
 
 def test_conserved_series_exact(rng):
     spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.5, u=[1, 0, 0])
-    cfg = SimConfig(dt=1e-3, t_end=0.02, n_replicas=8, seed=5)
-    res = run_ensemble(spec, cfg, ["energy_per_particle", "momentum_per_particle_1"])
+    cfg = SimConfig(dt=1e-3, t_end=0.02, n_replicas=8)
+    res = run_ensemble(spec, cfg, ["energy_per_particle", "momentum_per_particle_1"],
+                       rng=np.random.default_rng(5))
     np.testing.assert_allclose(res.series["energy_per_particle"].means, 1.5,
                                atol=1e-12)
     np.testing.assert_allclose(res.series["momentum_per_particle_1"].means, 1.0,

@@ -1,6 +1,8 @@
 """The traced benchmark wraps kinlab names by setattr; each must exist, and
-a run must still call through them."""
+a run must still call through them. The library seeds no Generator of its
+own."""
 
+import ast
 import importlib.util
 import time
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 from kinlab import cli, kinetic_limits, master_sim, observables, spectral
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 MODULES = {"cli": cli, "master_sim": master_sim, "spectral": spectral,
            "observables": observables, "kinetic_limits": kinetic_limits}
 
@@ -88,3 +91,21 @@ def test_perfbench_spans_cover_the_work_functions(command, tmp_path):
     assert {k: metrics[k] for k in expected_counts} == expected_counts
     if command == "sim-sphere":
         assert metrics["master_sim.sphere_ns_per_coord"] > 0
+
+
+def test_only_cli_turns_a_seed_into_a_generator():
+    # one random stream per run: cli.run seeds it, and every library
+    # function that draws takes that Generator as an argument
+    modules = sorted((ROOT / "src" / "kinlab").glob("*.py"))
+    assert "cli.py" in {path.name for path in modules}
+    offenders = []
+    for path in modules:
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in ("default_rng", "SeedSequence"):
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
