@@ -3,7 +3,9 @@ config file, writing a run-manifest JSON plus CSV (or JSON) tables.
 
 Subcommands: spectrum, sample, sim-sphere, sim-bp, rayleigh, gap-scan,
 marginal-compare, fpe-moments, chaos. Flags: --config PATH, --out DIR,
---seed U64 (overrides config), --format {csv,json}.
+--seed U64 (overrides config), --format {csv,json}. A subcommand is one
+``COMMANDS`` entry: its config schema and the builder that makes its run
+objects at parse time and returns the runner that ``run`` calls.
 
 Config format: UTF-8 lines "key = value"; '#' starts a comment; unknown
 keys are rejected and all violations are reported together with their line
@@ -166,59 +168,15 @@ _SIM = {
     "seed": _SEED,
 }
 
-SCHEMAS: dict[str, dict[str, Field]] = {
-    "spectrum": {**_MANIFOLD, "j_max": Field(_parse_int, default=4),
-                 "seed": _SEED},
-    "sample": {**_MANIFOLD, "n_samples": Field(_parse_int, default=1000),
-               "seed": _SEED},
-    "sim-sphere": dict(_SIM),
-    "sim-bp": {**_SIM, "gamma": Field(_parse_float, required=True),
-               "cutoff": Field(_parse_float)},
-    "rayleigh": {"n_particles": Field(_parse_int, required=True),
-                 "gamma": Field(_parse_float, default=-3.0),
-                 "n_samples": Field(_parse_int, default=100000),
-                 "seed": _SEED},
-    "gap-scan": {"n_list": Field(_parse_int_list, required=True),
-                 "gamma": Field(_parse_float, default=-3.0),
-                 "n_samples": Field(_parse_int, default=100000),
-                 "seed": _SEED},
-    "marginal-compare": {"n_particles": Field(_parse_int, required=True),
-                         "eps": Field(_parse_float, default=1.0),
-                         "n_samples": Field(_parse_int, default=1000000),
-                         "n_list": Field(_parse_int_list, default=[8, 32, 128]),
-                         "radial_points": Field(_parse_int, default=512),
-                         "seed": _SEED},
-    "fpe-moments": {"flow": Field(_one_of(_FLOWS), default="fpe"),
-                    "eps0": Field(_parse_float, default=1.0),
-                    "u": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
-                    "m0": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
-                    "s0_diag": Field(_parse_vec3, default=[1.0, 1.0, 1.0]),
-                    "s0_offdiag": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
-                    "t_list": Field(_parse_float_list, required=True),
-                    "seed": _SEED},
-    "chaos": {"n_list": Field(_parse_int_list, default=[8, 32, 128]),
-              "eps": Field(_parse_float, default=1.0),
-              "gamma": Field(_parse_float, default=-3.0),
-              "dt": Field(_parse_float, default=0.004),
-              "t_end": Field(_parse_float, default=0.4),
-              "pair_samples": Field(_parse_int, default=1000000),
-              "bins": Field(_parse_int, default=16),
-              "component": Field(_parse_int, default=1),
-              "seed": _SEED},
-}
-
-_COMMANDS = sorted(SCHEMAS)
-
 
 @dataclass
 class ExperimentPlan:
-    """Validated experiment: command kind, typed parameters, and the run
-    objects built from them (manifold spec, kernel, sim config, observable
-    functions, sampler, ...), which ``run`` uses as they are."""
+    """Validated experiment: command kind, typed parameters, and the runner
+    ``rng -> (tables, extras)`` that the command's builder made from them."""
 
     command: str
     params: dict = field(default_factory=dict)
-    objects: dict = field(default_factory=dict)
+    runner: object = None
 
 
 def parse_config(text: str, command: str | None = None) -> ExperimentPlan:
@@ -258,11 +216,11 @@ def parse_config(text: str, command: str | None = None) -> ExperimentPlan:
     if command is None:
         violations.append("no command given (subcommand or 'command =' line)")
         raise ConfigError(violations)
-    if command not in SCHEMAS:
-        violations.append(f"unknown command {command!r}; known: {_COMMANDS}")
+    if command not in COMMANDS:
+        violations.append(f"unknown command {command!r}; known: {sorted(COMMANDS)}")
         raise ConfigError(violations)
 
-    schema = SCHEMAS[command]
+    schema, builder = COMMANDS[command]
     params: dict = {}
     for key, (lineno, value) in entries.items():
         if key not in schema:
@@ -282,142 +240,25 @@ def parse_config(text: str, command: str | None = None) -> ExperimentPlan:
         else:
             params[key] = fld.default
 
-    objects = _build_objects(command, params, seen, violations)
-    if violations:
-        raise ConfigError(violations)
-    return ExperimentPlan(command=command, params=params, objects=objects)
-
-
-def _cite(keys, lines) -> str:
-    cited = sorted((lines[k], k) for k in keys if k in lines)
-    return ", ".join(f"line {n} ({k})" for n, k in cited)
-
-
-def _build_objects(command, p, lines, violations) -> dict:
-    """Build the objects that ``run`` needs from the parsed params.
-
-    Each ValueError a constructor raises is appended to ``violations`` once,
-    citing the lines of the keys that fed the object. An object is skipped
-    when one of its keys failed to parse or an object it needs failed.
-    """
-
     def build(keys, make, *needs):
-        if any(k not in p for k in keys) or any(n is None for n in needs):
+        """Return ``make()``, or None when one of ``keys`` failed to parse,
+        an object it ``needs`` failed, or it raises ValueError; that error
+        is recorded once, citing the lines of ``keys``."""
+        if any(k not in params for k in keys) or any(n is None for n in needs):
             return None
         try:
             return make()
         except ValueError as exc:
-            msg = f"{_cite(keys, lines)}: {exc}"
+            cited = sorted((seen[k], k) for k in keys if k in seen)
+            msg = ", ".join(f"line {n} ({k})" for n, k in cited) + f": {exc}"
             if msg not in violations:
                 violations.append(msg)
             return None
 
-    schema = SCHEMAS[command]
-    o: dict = {}
-    if "gamma" in schema:
-        o["kernel"] = build([k for k in ("gamma", "cutoff") if k in schema],
-                            lambda: KernelSpec(p["gamma"], p.get("cutoff")))
-    if command in ("spectrum", "sample", "sim-sphere", "sim-bp"):
-        o["spec"] = build(("n_particles", "mode", "eps", "u"), lambda: ManifoldSpec(
-            p["n_particles"], _MODES[p["mode"]], eps=p["eps"], u=np.asarray(p["u"])))
-    if command == "spectrum":
-        o["table"] = build(("j_max",), lambda: spectrum_table(o["spec"], p["j_max"]),
-                           o["spec"])
-    elif command == "sample":
-        build(("n_samples",), lambda: check_n_states(p["n_samples"]))
-
-    if command in ("sim-sphere", "sim-bp"):
-        pair = command == "sim-bp"
-        o["config"] = build(
-            ("dt", "t_end", "n_replicas", "record_every"),
-            lambda: SimConfig(dt=p["dt"], t_end=p["t_end"],
-                              n_replicas=p["n_replicas"], kernel=o.get("kernel"),
-                              record_every=p["record_every"]),
-            *((o["kernel"],) if pair else ()))
-        names = [n.strip() for n in p["observables"].split(",") if n.strip()]
-
-        def known_names():
-            if not names:
-                raise ValueError("need at least one observable")
-            for name in names:
-                observables.get_observable(name)   # raises on a name not in the catalog
-            return names
-
-        o["observables"] = build(("observables",), known_names)
-        o["sampler"] = build(("init", "init_strength"),
-                             lambda: _INITS[p["init"]](p["init_strength"]))
-        if p.get("init") == "shift":
-            build(("init", "mode"), lambda: check_shiftable(o["spec"]), o["spec"])
-        build(("entropy_times", "dt", "t_end"),
-              lambda: o["config"].snapshot_steps(p["entropy_times"]), o["config"])
-        if p.get("entropy_times") and o["spec"] is not None:
-            o["limit"] = LimitParams(eps0=o["spec"].eps0, u=o["spec"].u)
-            o["entropy_edges"] = build(("entropy_bins",), lambda: (
-                kinetic_limits.entropy_grid_edges(o["limit"], bins=p["entropy_bins"])))
-        fit = p["fit_observable"]
-        if fit and fit not in names:
-            violations.append(f"{_cite(('fit_observable', 'observables'), lines)}: "
-                              f"fit_observable {fit!r} is not one of {names}")
-    elif command == "rayleigh":
-        o["spec"] = build(("n_particles",),
-                          lambda: ManifoldSpec(p["n_particles"], _C4, eps=1.0))
-        o["trial"] = build(("n_particles",),
-                           lambda: standard_trial_function(p["n_particles"]), o["spec"])
-        build(("n_samples",), lambda: check_mc_budget(p["n_samples"]))
-    elif command == "gap-scan":
-        build(("n_list",), lambda: check_scan_n_list(p["n_list"]))
-        for n in p.get("n_list", []):
-            build(("n_list",), lambda n=n: ManifoldSpec(n, _C4, eps=1.0))
-        build(("n_samples",), lambda: check_mc_budget(p["n_samples"]))
-    elif command == "marginal-compare":
-        o["spec"] = build(("n_particles", "eps"),
-                          lambda: ManifoldSpec(p["n_particles"], _C1, eps=p["eps"]))
-        o["specs"] = [build(("n_list", "eps"),
-                            lambda n=n: ManifoldSpec(n, _C1, eps=p["eps"]))
-                      for n in p.get("n_list", [])]
-        o["limit"] = build(("eps",), lambda: LimitParams(eps0=p["eps"]), o["spec"])
-        build(("n_samples", "n_particles"),
-              lambda: check_n_states(p["n_samples"] // p["n_particles"]), o["spec"])
-        o["probes"] = [build(("radial_points",),
-                             lambda s=s: radial_probe(s, p["radial_points"]), s)
-                       for s in o["specs"]]
-    elif command == "fpe-moments":
-        lim = build(("eps0", "u"), lambda: LimitParams(p["eps0"], u=np.asarray(p["u"])))
-        o["flow"] = build(("flow",), lambda: _FLOWS[p["flow"]](lim), lim)
-
-        def s0():
-            s = np.diag(p["s0_diag"]).astype(float)
-            off = p["s0_offdiag"]
-            s[0, 1] = s[1, 0] = off[0]
-            s[0, 2] = s[2, 0] = off[1]
-            s[1, 2] = s[2, 1] = off[2]
-            return check_covariance(s)
-
-        o["s0"] = build(("s0_diag", "s0_offdiag"), s0)
-        for t in p.get("t_list", []):
-            build(("t_list",), lambda t=t: check_time(t))
-    elif command == "chaos":
-        o["specs"], o["configs"] = [], []
-        for n in p.get("n_list", []):
-            spec = build(("n_list", "eps"), lambda n=n: ManifoldSpec(n, _C4, eps=p["eps"]))
-            o["specs"].append(spec)
-            o["configs"].append(build(
-                ("n_list", "pair_samples", "dt", "t_end"),
-                lambda n=n: SimConfig(
-                    dt=p["dt"], t_end=p["t_end"],
-                    n_replicas=max(8, int(math.ceil(p["pair_samples"] / (n * (n - 1))))),
-                    kernel=o["kernel"]),
-                spec, o["kernel"]))
-
-        def edges():
-            sigma = math.sqrt(2.0 * p["eps"] / 3.0)
-            return np.linspace(-4 * sigma, 4 * sigma, p["bins"] + 1)
-
-        o["edges"] = build(("bins",), edges, *o["specs"])
-        build(("bins",), lambda: check_marginal_args(edges=o["edges"]), o["edges"])
-        build(("component",), lambda: check_marginal_args(component=p["component"] - 1))
-        build(("pair_samples",), lambda: check_marginal_args(max_pairs=p["pair_samples"]))
-    return o
+    runner = builder(params, build)
+    if violations:
+        raise ConfigError(violations)
+    return ExperimentPlan(command=command, params=params, runner=runner)
 
 
 # ---------------------------------------------------------------------------
@@ -475,127 +316,293 @@ def _series_rows(result, names):
 
 
 # ---------------------------------------------------------------------------
-# command runners (each returns (tables, extras); tables: name -> (header, rows))
+# commands: each builder gets the parsed params and the violation-recording
+# ``build`` helper of parse_config, builds the run objects through ``build``
+# and returns the runner rng -> (tables, extras); tables: name -> (header, rows)
 
 
-def _cmd_sim(plan, rng):
-    params, o = plan.params, plan.objects
-    names = o["observables"]
-    result = run_ensemble(o["spec"], o["config"], names, rng=rng,
-                          initial_sampler=o["sampler"],
-                          snapshot_times=params["entropy_times"])
-    header, rows = _series_rows(result, names)
-    tables = {"series": (header, rows)}
-    extras = {}
-    if params["entropy_times"]:
-        ent_rows, edges = [], o["entropy_edges"]
-        for snap in result.snapshots:
-            h = kinetic_limits.velocity_histogram3d(snap.velocities, edges)
-            ent_rows.append([snap.time,
-                             kinetic_limits.relative_entropy(h, edges, o["limit"])])
-        tables["entropy"] = (["time", "relative_entropy"], ent_rows)
-    fit_name = params["fit_observable"]
-    if fit_name and result.series[fit_name].times.size >= 2:
-        fit = decay_rate_fit(moment_series(result, fit_name))
-        extras["decay_fit"] = {
-            "observable": fit_name, "rate": fit.rate,
-            "rate_stderr": fit.rate_stderr, "ci": [fit.ci_low, fit.ci_high],
-            "r_squared": fit.r_squared, "low_r2_warning": fit.low_r2_warning,
-        }
-    return tables, extras
+def _manifold(p, build):
+    return build(("n_particles", "mode", "eps", "u"), lambda: ManifoldSpec(
+        p["n_particles"], _MODES[p["mode"]], eps=p["eps"], u=np.asarray(p["u"])))
 
 
-def _cmd_spectrum(plan, rng):
-    rows = [list(row) for row in plan.objects["table"]]
-    return {"spectrum": (["j", "unscaled", "scaled", "limit"], rows)}, {}
+def _sim(p, build, pair=False):
+    kernel = build(("gamma", "cutoff"),
+                   lambda: KernelSpec(p["gamma"], p["cutoff"])) if pair else None
+    spec = _manifold(p, build)
+    config = build(("dt", "t_end", "n_replicas", "record_every"),
+                   lambda: SimConfig(dt=p["dt"], t_end=p["t_end"],
+                                     n_replicas=p["n_replicas"], kernel=kernel,
+                                     record_every=p["record_every"]),
+                   *((kernel,) if pair else ()))
+    names = [n.strip() for n in p["observables"].split(",") if n.strip()]
+
+    def known_names():
+        if not names:
+            raise ValueError("need at least one observable")
+        for i, name in enumerate(names):
+            observables.get_observable(name)   # raises on a name not in the catalog
+            if name in names[:i]:
+                raise ValueError(f"observable {name!r} is listed twice")
+        return names
+
+    obs_names = build(("observables",), known_names)
+    sampler = build(("init", "init_strength"),
+                    lambda: _INITS[p["init"]](p["init_strength"]))
+    if p.get("init") == "shift":
+        build(("init", "mode"), lambda: check_shiftable(spec), spec)
+    build(("entropy_times", "dt", "t_end"),
+          lambda: config.snapshot_steps(p["entropy_times"]), config)
+    limit = edges = None
+    if p.get("entropy_times") and spec is not None:
+        limit = LimitParams(eps0=spec.eps0, u=spec.u)
+        edges = build(("entropy_bins",), lambda: (
+            kinetic_limits.entropy_grid_edges(limit, bins=p["entropy_bins"])))
+    fit_name = p["fit_observable"]
+
+    def recorded_fit():
+        if fit_name not in names:
+            raise ValueError(f"fit_observable {fit_name!r} is not one of {names}")
+
+    if fit_name:
+        build(("fit_observable", "observables"), recorded_fit)
+
+    def run_sim(rng):
+        result = run_ensemble(spec, config, obs_names, rng=rng, initial_sampler=sampler,
+                              snapshot_times=p["entropy_times"])
+        tables = {"series": _series_rows(result, obs_names)}
+        extras = {}
+        if p["entropy_times"]:
+            ent_rows = []
+            for snap in result.snapshots:
+                h = kinetic_limits.velocity_histogram3d(snap.velocities, edges)
+                ent_rows.append([snap.time,
+                                 kinetic_limits.relative_entropy(h, edges, limit)])
+            tables["entropy"] = (["time", "relative_entropy"], ent_rows)
+        if fit_name and result.series[fit_name].times.size >= 2:
+            # a fit that cannot be made is reported like a poor one: the tables stay
+            try:
+                fit = decay_rate_fit(moment_series(result, fit_name))
+                report = {"rate": fit.rate, "rate_stderr": fit.rate_stderr,
+                          "ci": [fit.ci_low, fit.ci_high], "r_squared": fit.r_squared,
+                          "low_r2_warning": fit.low_r2_warning}
+            except ValueError as exc:
+                report = {"error": str(exc)}
+            extras["decay_fit"] = {"observable": fit_name, **report}
+        return tables, extras
+
+    return run_sim
+
+
+def _spectrum(p, build):
+    spec = _manifold(p, build)
+    table = build(("j_max",), lambda: spectrum_table(spec, p["j_max"]), spec)
+    return lambda rng: ({"spectrum": (["j", "unscaled", "scaled", "limit"],
+                                      [list(row) for row in table])}, {})
 
 
 # Entries of the (states, N, N) pair arrays built at once: 128 states at N = 64.
 _PAIR_BLOCK_ENTRIES = 1 << 19
 
 
-def _cmd_sample(plan, rng):
-    spec = plan.objects["spec"]
-    n, n_states = spec.n_particles, plan.params["n_samples"]
-    block = max(1, _PAIR_BLOCK_ENTRIES // (n * n))
-    rows = []
-    for start in range(0, n_states, block):
-        b = sample_uniform_batch(spec, min(block, n_states - start), rng)
-        sq = (b * b).sum(-1)
-        pair_sq = sq[:, :, None] + sq[:, None, :] - 2 * np.einsum("rkc,rlc->rkl", b, b)
-        ratio = pair_sq.max(axis=(1, 2)) / (4 * n * spec.eps)
-        energy_err, mom_err = constraint_errors(spec, b)
-        rows += [[start + i, *errs] for i, errs in enumerate(zip(energy_err, mom_err, ratio))]
-    header = ["sample", "energy_rel_error", "momentum_error", "max_pair_sep_sq_over_4Neps"]
-    return {"samples": (header, rows)}, \
-        {"max_pair_sep_sq_over_4Neps": float(max(row[3] for row in rows))}
+def _sample(p, build):
+    spec = _manifold(p, build)
+    build(("n_samples",), lambda: check_n_states(p["n_samples"]))
+
+    def run_sample(rng):
+        n, n_states = spec.n_particles, p["n_samples"]
+        block = max(1, _PAIR_BLOCK_ENTRIES // (n * n))
+        rows = []
+        for start in range(0, n_states, block):
+            b = sample_uniform_batch(spec, min(block, n_states - start), rng)
+            sq = (b * b).sum(-1)
+            pair_sq = (sq[:, :, None] + sq[:, None, :]
+                       - 2 * np.einsum("rkc,rlc->rkl", b, b))
+            ratio = pair_sq.max(axis=(1, 2)) / (4 * n * spec.eps)
+            energy_err, mom_err = constraint_errors(spec, b)
+            rows += [[start + i, *errs]
+                     for i, errs in enumerate(zip(energy_err, mom_err, ratio))]
+        header = ["sample", "energy_rel_error", "momentum_error",
+                  "max_pair_sep_sq_over_4Neps"]
+        return {"samples": (header, rows)}, \
+            {"max_pair_sep_sq_over_4Neps": float(max(row[3] for row in rows))}
+
+    return run_sample
 
 
-def _cmd_rayleigh(plan, rng):
-    o = plan.objects
-    n = o["spec"].n_particles
-    est, err = rayleigh_quotient_mc(o["spec"], o["trial"], o["kernel"],
-                                    plan.params["n_samples"], rng)
-    rows = [[n, est, err, lambda1_bound(n)]]
-    return {"rayleigh": (["N", "estimate", "stderr", "bound"], rows)}, \
-        {"estimate": est, "stderr": err}
+def _rayleigh(p, build):
+    kernel = build(("gamma",), lambda: KernelSpec(p["gamma"]))
+    spec = build(("n_particles",), lambda: ManifoldSpec(p["n_particles"], _C4, eps=1.0))
+    trial = build(("n_particles",), lambda: standard_trial_function(p["n_particles"]),
+                  spec)
+    build(("n_samples",), lambda: check_mc_budget(p["n_samples"]))
+
+    def run_rayleigh(rng):
+        n = spec.n_particles
+        est, err = rayleigh_quotient_mc(spec, trial, kernel, p["n_samples"], rng)
+        rows = [[n, est, err, lambda1_bound(n)]]
+        return {"rayleigh": (["N", "estimate", "stderr", "bound"], rows)}, \
+            {"estimate": est, "stderr": err}
+
+    return run_rayleigh
 
 
-def _cmd_gap_scan(plan, rng):
-    p = plan.params
-    res = gap_scan(p["n_list"], plan.objects["kernel"], p["n_samples"], rng)
-    rows = [[n, e, s, b] for n, e, s, b in
-            zip(res.n_values, res.estimates, res.stderrs, res.bounds)]
-    extras = {"exponent": res.exponent, "exponent_stderr": res.exponent_stderr}
-    return {"gap_scan": (["N", "estimate", "stderr", "bound"], rows)}, extras
+def _gap_scan(p, build):
+    kernel = build(("gamma",), lambda: KernelSpec(p["gamma"]))
+    build(("n_list",), lambda: check_scan_n_list(p["n_list"]))
+    for n in p.get("n_list", []):
+        build(("n_list",), lambda n=n: ManifoldSpec(n, _C4, eps=1.0))
+    build(("n_samples",), lambda: check_mc_budget(p["n_samples"]))
+
+    def run_gap_scan(rng):
+        res = gap_scan(p["n_list"], kernel, p["n_samples"], rng)
+        rows = [[n, e, s, b] for n, e, s, b in
+                zip(res.n_values, res.estimates, res.stderrs, res.bounds)]
+        extras = {"exponent": res.exponent, "exponent_stderr": res.exponent_stderr}
+        return {"gap_scan": (["N", "estimate", "stderr", "bound"], rows)}, extras
+
+    return run_gap_scan
 
 
-def _cmd_marginal_compare(plan, rng):
-    p, o = plan.params, plan.objects
-    spec = o["spec"]
-    n_states = p["n_samples"] // spec.n_particles
-    velocities = sample_uniform_batch(spec, n_states, rng)
-    ks, pooled = radial_ks_statistic(velocities, spec)
-    ks_rows = [[pooled, ks, ks_quantile_99(pooled)]]
-    sup_rows = []
-    for s, v in zip(o["specs"], o["probes"]):
-        fstat = stationary_marginal_eval(s, 1, v)
-        fm = maxwellian_eval(o["limit"], v[:, 0, :])
-        sup_rows.append([s.n_particles, float(np.max(np.abs(fstat - fm)))])
-    return {
-        "ks": (["n_pooled", "ks_statistic", "ks_quantile_99"], ks_rows),
-        "supnorm": (["N", "supnorm_distance_to_maxwellian"], sup_rows),
-    }, {"ks_statistic": ks}
+def _marginal_compare(p, build):
+    spec = build(("n_particles", "eps"),
+                 lambda: ManifoldSpec(p["n_particles"], _C1, eps=p["eps"]))
+    specs = [build(("n_list", "eps"), lambda n=n: ManifoldSpec(n, _C1, eps=p["eps"]))
+             for n in p.get("n_list", [])]
+    limit = build(("eps",), lambda: LimitParams(eps0=p["eps"]), spec)
+    build(("n_samples", "n_particles"),
+          lambda: check_n_states(p["n_samples"] // p["n_particles"]), spec)
+    probes = [build(("radial_points",),
+                    lambda s=s: radial_probe(s, p["radial_points"]), s) for s in specs]
+
+    def run_marginal_compare(rng):
+        velocities = sample_uniform_batch(spec, p["n_samples"] // spec.n_particles, rng)
+        ks, pooled = radial_ks_statistic(velocities, spec)
+        ks_rows = [[pooled, ks, ks_quantile_99(pooled)]]
+        sup_rows = []
+        for s, v in zip(specs, probes):
+            fstat = stationary_marginal_eval(s, 1, v)
+            fm = maxwellian_eval(limit, v[:, 0, :])
+            sup_rows.append([s.n_particles, float(np.max(np.abs(fstat - fm)))])
+        return {
+            "ks": (["n_pooled", "ks_statistic", "ks_quantile_99"], ks_rows),
+            "supnorm": (["N", "supnorm_distance_to_maxwellian"], sup_rows),
+        }, {"ks_statistic": ks}
+
+    return run_marginal_compare
 
 
-def _cmd_fpe_moments(plan, rng):
-    p = plan.params
-    rows = []
-    for t in p["t_list"]:
-        st = plan.objects["flow"](p["m0"], plan.objects["s0"], t)
-        c = st.centered
-        rows.append([t, *st.mean, c[0, 0], c[1, 1], c[2, 2],
-                     c[0, 1], c[0, 2], c[1, 2]])
-    header = ["t", "m1", "m2", "m3", "S11", "S22", "S33", "S12", "S13", "S23"]
-    return {"moments": (header, rows)}, {}
+def _fpe_moments(p, build):
+    lim = build(("eps0", "u"), lambda: LimitParams(p["eps0"], u=np.asarray(p["u"])))
+    flow = build(("flow",), lambda: _FLOWS[p["flow"]](lim), lim)
+
+    def s0():
+        s = np.diag(p["s0_diag"]).astype(float)
+        off = p["s0_offdiag"]
+        s[0, 1] = s[1, 0] = off[0]
+        s[0, 2] = s[2, 0] = off[1]
+        s[1, 2] = s[2, 1] = off[2]
+        return check_covariance(s)
+
+    cov = build(("s0_diag", "s0_offdiag"), s0)
+    for t in p.get("t_list", []):
+        build(("t_list",), lambda t=t: check_time(t))
+
+    def run_fpe_moments(rng):
+        rows = []
+        for t in p["t_list"]:
+            st = flow(p["m0"], cov, t)
+            c = st.centered
+            rows.append([t, *st.mean, c[0, 0], c[1, 1], c[2, 2],
+                         c[0, 1], c[0, 2], c[1, 2]])
+        header = ["t", "m1", "m2", "m3", "S11", "S22", "S33", "S12", "S13", "S23"]
+        return {"moments": (header, rows)}, {}
+
+    return run_fpe_moments
 
 
-def _cmd_chaos(plan, rng):
-    p, o = plan.params, plan.objects
-    rows = []
-    edges = o["edges"]
-    component = p["component"] - 1
-    # one stream: each N's simulation, then its pair subsample
-    for spec, config in zip(o["specs"], o["configs"]):
-        result = run_ensemble(spec, config, ["energy_per_particle"], rng=rng,
-                              snapshot_times=[p["t_end"]])
-        velocities = result.snapshots[-1].velocities
-        h2 = marginal_histogram(velocities, 2, edges, component,
-                                max_pairs=p["pair_samples"], rng=rng)
-        h1 = marginal_histogram(velocities, 1, edges, component)
-        rows.append([spec.n_particles, p["t_end"], chaos_distance(h2, h1),
-                     p["pair_samples"]])
-    return {"chaos": (["N", "t", "l1_distance", "n_pairs"], rows)}, {}
+def _chaos(p, build):
+    kernel = build(("gamma",), lambda: KernelSpec(p["gamma"]))
+    specs, configs = [], []
+    for n in p.get("n_list", []):
+        spec = build(("n_list", "eps"), lambda n=n: ManifoldSpec(n, _C4, eps=p["eps"]))
+        specs.append(spec)
+        configs.append(build(
+            ("n_list", "pair_samples", "dt", "t_end"),
+            lambda n=n: SimConfig(
+                dt=p["dt"], t_end=p["t_end"],
+                n_replicas=max(8, int(math.ceil(p["pair_samples"] / (n * (n - 1))))),
+                kernel=kernel),
+            spec, kernel))
+
+    def grid():
+        sigma = math.sqrt(2.0 * p["eps"] / 3.0)
+        return np.linspace(-4 * sigma, 4 * sigma, p["bins"] + 1)
+
+    edges = build(("bins",), grid, *specs)
+    build(("bins",), lambda: check_marginal_args(edges=edges), edges)
+    build(("component",), lambda: check_marginal_args(component=p["component"] - 1))
+    build(("pair_samples",), lambda: check_marginal_args(max_pairs=p["pair_samples"]))
+
+    def run_chaos(rng):
+        rows = []
+        component = p["component"] - 1
+        # one stream: each N's simulation, then its pair subsample
+        for spec, config in zip(specs, configs):
+            result = run_ensemble(spec, config, ["energy_per_particle"], rng=rng,
+                                  snapshot_times=[p["t_end"]])
+            velocities = result.snapshots[-1].velocities
+            h2 = marginal_histogram(velocities, 2, edges, component,
+                                    max_pairs=p["pair_samples"], rng=rng)
+            h1 = marginal_histogram(velocities, 1, edges, component)
+            rows.append([spec.n_particles, p["t_end"], chaos_distance(h2, h1),
+                         p["pair_samples"]])
+        return {"chaos": (["N", "t", "l1_distance", "n_pairs"], rows)}, {}
+
+    return run_chaos
+
+
+# command name -> (config schema, builder)
+COMMANDS: dict[str, tuple[dict[str, Field], object]] = {
+    "spectrum": ({**_MANIFOLD, "j_max": Field(_parse_int, default=4), "seed": _SEED},
+                 _spectrum),
+    "sample": ({**_MANIFOLD, "n_samples": Field(_parse_int, default=1000),
+                "seed": _SEED}, _sample),
+    "sim-sphere": (_SIM, _sim),
+    "sim-bp": ({**_SIM, "gamma": Field(_parse_float, required=True),
+                "cutoff": Field(_parse_float)}, partial(_sim, pair=True)),
+    "rayleigh": ({"n_particles": Field(_parse_int, required=True),
+                  "gamma": Field(_parse_float, default=-3.0),
+                  "n_samples": Field(_parse_int, default=100000),
+                  "seed": _SEED}, _rayleigh),
+    "gap-scan": ({"n_list": Field(_parse_int_list, required=True),
+                  "gamma": Field(_parse_float, default=-3.0),
+                  "n_samples": Field(_parse_int, default=100000),
+                  "seed": _SEED}, _gap_scan),
+    "marginal-compare": ({"n_particles": Field(_parse_int, required=True),
+                          "eps": Field(_parse_float, default=1.0),
+                          "n_samples": Field(_parse_int, default=1000000),
+                          "n_list": Field(_parse_int_list, default=[8, 32, 128]),
+                          "radial_points": Field(_parse_int, default=512),
+                          "seed": _SEED}, _marginal_compare),
+    "fpe-moments": ({"flow": Field(_one_of(_FLOWS), default="fpe"),
+                     "eps0": Field(_parse_float, default=1.0),
+                     "u": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
+                     "m0": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
+                     "s0_diag": Field(_parse_vec3, default=[1.0, 1.0, 1.0]),
+                     "s0_offdiag": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
+                     "t_list": Field(_parse_float_list, required=True),
+                     "seed": _SEED}, _fpe_moments),
+    "chaos": ({"n_list": Field(_parse_int_list, default=[8, 32, 128]),
+               "eps": Field(_parse_float, default=1.0),
+               "gamma": Field(_parse_float, default=-3.0),
+               "dt": Field(_parse_float, default=0.004),
+               "t_end": Field(_parse_float, default=0.4),
+               "pair_samples": Field(_parse_int, default=1000000),
+               "bins": Field(_parse_int, default=16),
+               "component": Field(_parse_int, default=1),
+               "seed": _SEED}, _chaos),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -612,18 +619,7 @@ def run(plan: ExperimentPlan, out_dir: str | Path, *, seed: int | None = None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    runner = {
-        "spectrum": _cmd_spectrum,
-        "sample": _cmd_sample,
-        "sim-sphere": _cmd_sim,
-        "sim-bp": _cmd_sim,
-        "rayleigh": _cmd_rayleigh,
-        "gap-scan": _cmd_gap_scan,
-        "marginal-compare": _cmd_marginal_compare,
-        "fpe-moments": _cmd_fpe_moments,
-        "chaos": _cmd_chaos,
-    }[plan.command]
-    tables, extras = runner(plan, rng)
+    tables, extras = plan.runner(rng)
 
     outputs = [_write_table(out / f"{name}.csv", header, rows, fmt).name
                for name, (header, rows) in tables.items()]
@@ -647,7 +643,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Reproducible experiments on velocity-sphere diffusions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in sorted(COMMANDS):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)

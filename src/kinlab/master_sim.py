@@ -108,13 +108,15 @@ class SimConfig:
 
     def snapshot_steps(self, times: Sequence[float]) -> dict[int, float]:
         """Map each snapshot time to its step; every time must be a step
-        multiple within the run."""
+        multiple within the run, and no two times the same step."""
         steps = {}
         for t in times:
             s = int(round(t / self.dt))
             if (abs(s * self.dt - t) > 1e-9 * max(self.dt, 1.0)
                     or not 0 <= s <= self.n_steps):
                 raise ValueError(f"snapshot time {t} is not a step of the run")
+            if s in steps:
+                raise ValueError(f"snapshot times {steps[s]} and {t} are the same step")
             steps[s] = t
         return steps
 

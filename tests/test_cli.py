@@ -1,11 +1,15 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kinlab import cli
 from kinlab.cli import ConfigError, main, parse_config, run
+from oracles import rayleigh_quotient_exact
+
+RECIPES = Path(__file__).resolve().parents[1] / "recipes"
 
 
 SPECTRUM_CFG = """
@@ -280,6 +284,12 @@ INVALID_CONFIGS = {
     # a series with no observable would drop the recorded times
     "observables_empty": ("sim-bp", _with(SIM, gamma="-3", observables=""),
                           ["observables"]),
+    # a repeated column or snapshot would make the tables disagree with the
+    # request (and the JSON table with the CSV one)
+    "observables_repeated": ("sim-sphere", _with(SIM, observables="sum_v1,sum_v1"),
+                             ["observables"]),
+    "entropy_times_repeated": ("sim-sphere", _with(SIM, entropy_times="0.02,0.02,0"),
+                               ["entropy_times"]),
 }
 
 
@@ -365,3 +375,90 @@ def test_breakdown_reported_with_step_and_replica(tmp_path, capsys, monkeypatch)
     report = json.loads(capsys.readouterr().out)
     assert report["error"] == "NonFiniteStateError"
     assert report["step"] == 1 and report["replicas"] == [3]
+
+
+def test_failed_decay_fit_reported_and_tables_written(tmp_path, capsys):
+    # four noisy points of sum_v1 leave no usable fit window; the fit error
+    # goes to the manifest, as a poor fit's low_r2_warning does
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("n_particles = 4\nmode = energy\nn_replicas = 64\ndt = 0.01\n"
+                   "t_end = 0.05\nobservables = sum_v1\nfit_observable = sum_v1\n"
+                   "entropy_times = 0.05\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["sim-sphere", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["series.csv", "entropy.csv"]
+    fit = manifest["extras"]["decay_fit"]
+    assert fit["observable"] == "sum_v1"
+    assert fit["error"] in ("fewer than 2 usable points in the fit window",
+                            "mean changes sign on the fit window")
+    assert len((out / "series.csv").read_text().strip().splitlines()) == 1 + 6
+
+
+# command -> (config, table name -> header); small sizes of every command
+COMMAND_RUNS = {
+    "spectrum": ("n_particles = 8\nj_max = 2\n",
+                 {"spectrum": "j,unscaled,scaled,limit"}),
+    "sample": ("n_particles = 6\nmode = energy-momentum\neps = 1.5\nu = 1,0,0\n"
+               "n_samples = 300\nseed = 5\n",
+               {"samples": "sample,energy_rel_error,momentum_error,"
+                           "max_pair_sep_sq_over_4Neps"}),
+    "sim-sphere": ("n_particles = 4\nmode = energy\ndt = 0.01\nt_end = 0.04\n"
+                   "n_replicas = 16\nobservables = sum_v1,energy_per_particle\n"
+                   "entropy_times = 0,0.04\nentropy_bins = 6\nseed = 5\n",
+                   {"series": "time,sum_v1_mean,sum_v1_stderr,"
+                              "energy_per_particle_mean,energy_per_particle_stderr",
+                    "entropy": "time,relative_entropy"}),
+    "sim-bp": ("n_particles = 4\ndt = 0.01\nt_end = 0.04\nn_replicas = 16\n"
+               "gamma = -3\nobservables = sum_v1v2\nseed = 5\n",
+               {"series": "time,sum_v1v2_mean,sum_v1v2_stderr"}),
+    "rayleigh": ("n_particles = 8\ngamma = -3\nn_samples = 20000\nseed = 5\n",
+                 {"rayleigh": "N,estimate,stderr,bound"}),
+    "gap-scan": ("n_list = 4,8,16\nn_samples = 2000\nseed = 5\n",
+                 {"gap_scan": "N,estimate,stderr,bound"}),
+    "marginal-compare": ("n_particles = 8\nn_samples = 800\nn_list = 8,16\n"
+                         "radial_points = 16\nseed = 5\n",
+                         {"ks": "n_pooled,ks_statistic,ks_quantile_99",
+                          "supnorm": "N,supnorm_distance_to_maxwellian"}),
+    "fpe-moments": ("flow = landau\nt_list = 0,0.5\n",
+                    {"moments": "t,m1,m2,m3,S11,S22,S33,S12,S13,S23"}),
+    "chaos": ("n_list = 4,8\ndt = 0.01\nt_end = 0.02\npair_samples = 500\n"
+              "bins = 6\nseed = 5\n",
+              {"chaos": "N,t,l1_distance,n_pairs"}),
+}
+
+
+def test_command_runs_cover_every_command():
+    assert sorted(COMMAND_RUNS) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+def test_every_command_runs_end_to_end(command, tmp_path):
+    config, headers = COMMAND_RUNS[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == [f"{name}.csv" for name in headers]
+    tables = {}
+    for name, header in headers.items():
+        with open(out / f"{name}.csv", newline="") as fh:
+            first, *rows = list(csv.reader(fh))
+        assert ",".join(first) == header
+        assert rows
+        tables[name] = [dict(zip(first, row)) for row in rows]
+    if command == "rayleigh":
+        (row,) = tables["rayleigh"]
+        exact = rayleigh_quotient_exact(8, -3.0)
+        assert abs(float(row["estimate"]) - exact) <= 6 * float(row["stderr"])
+    if command == "sample":
+        assert len(tables["samples"]) == 300
+        assert max(float(r["energy_rel_error"]) for r in tables["samples"]) <= 1e-12
+
+
+@pytest.mark.parametrize("recipe", sorted(p.name for p in RECIPES.glob("*.cfg")))
+def test_recipe_parses(recipe):
+    # the command comes from the recipe's own 'command =' line; nothing runs
+    plan = parse_config((RECIPES / recipe).read_text())
+    assert plan.command in cli.COMMANDS
