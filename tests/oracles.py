@@ -5,8 +5,9 @@ checks: Beta-moment identities on spheres, finite differences, plain Monte
 Carlo over Gaussians, and closed-form properties of the paper's objects
 (the pair-manifold projector, the affine map between manifolds, the
 stationary radial law, the eigenfunction catalog and its decay rates, the
-trial function, and the quadratic form on conserved quantities), which the
-library itself does not need.
+trial function, the quadratic form on conserved quantities, and the Rayleigh
+estimator over whole N-particle states), which the library itself does not
+need.
 """
 
 import math
@@ -30,6 +31,7 @@ from kinlab.observables import OBSERVABLES, Observable
 from kinlab.spectral import (
     TrialFunction,
     _require_standard,
+    check_mc_budget,
     eigenvalue_scaled,
     limit_eigenvalue,
 )
@@ -248,6 +250,37 @@ def rayleigh_quotient_exact(n: int, gamma: float) -> float:
         a, b = 1.5, 1.5 * (n - 2)
         moment = math.exp(s * math.log(4.0 * n) + betaln(a + s, b) - betaln(a, b))
     return (9.0 * (3 * n - 1) / (8.0 * n)) * (2.0 / 15.0) * moment
+
+
+def rayleigh_quotient_mc_reference(spec: ManifoldSpec, tf: TrialFunction, kernel,
+                                   n_samples: int,
+                                   rng: np.random.Generator) -> tuple[float, float]:
+    """The Rayleigh estimator over whole N-particle states: draws uniform
+    samples 20000 at a time and reads v_1 and v_2 of each. Independent of the
+    library's two-particle law; returns (estimate, stderr)."""
+    _require_standard(spec)
+    if tf.n_particles != spec.n_particles:
+        raise ValueError("trial function and manifold have different N")
+    check_mc_budget(n_samples)
+    n = spec.n_particles
+    cutoff = kernel.resolve_cutoff(spec)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < n_samples:
+        m = min(20000, n_samples - done)
+        v = sample_uniform_batch(spec, m, rng)
+        d = v[:, 1] - v[:, 0]
+        beta = np.maximum(np.linalg.norm(d, axis=1), cutoff)
+        w = beta ** (2.0 + kernel.gamma)
+        grad_sq = (tf.a_const * d[:, 0]) ** 2 * (1.0 - (d[:, 0] / beta) ** 2)
+        vals = 0.5 * n * w * grad_sq
+        total += vals.sum()
+        total_sq += (vals ** 2).sum()
+        done += m
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean ** 2, 0.0)
+    return float(mean), float(math.sqrt(var / n_samples))
 
 
 def _poly_gradient(phi, vflat, n):

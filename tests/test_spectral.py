@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from oracles import (
     get_family,
     is_constant_on,
     rayleigh_quotient_exact,
+    rayleigh_quotient_mc_reference,
     symmetric_eigenfunction,
     trial_eval,
 )
@@ -170,6 +173,37 @@ def test_rayleigh_matches_exact_closed_form(rng):
         exact = rayleigh_quotient_exact(n, gamma)
         assert est == pytest.approx(exact, abs=4.5 * err)
         assert est > 0
+
+
+def test_rayleigh_matches_n_particle_reference():
+    # the pair-law sampler against the estimator over whole N-particle
+    # states, which shares no sampling code with it
+    for k, (n, gamma) in enumerate(itertools.product((2, 3, 8), (-3.0, 0.0, 3.0))):
+        spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
+        tf = standard_trial_function(n)
+        kernel = KernelSpec(gamma)
+        est, err = rayleigh_quotient_mc(spec, tf, kernel, 40000,
+                                        np.random.default_rng(1300 + k))
+        ref, ref_err = rayleigh_quotient_mc_reference(
+            spec, tf, kernel, 40000, np.random.default_rng(1400 + k))
+        assert est == pytest.approx(ref, abs=4.5 * math.hypot(err, ref_err))
+
+
+def test_rayleigh_memory_flat_in_n():
+    # only the pair difference is drawn: no N-particle state is allocated
+    peaks = {}
+    for n in (8, 4096):
+        spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
+        tf = standard_trial_function(n)
+        tracemalloc.start()
+        try:
+            est, err = rayleigh_quotient_mc(spec, tf, COULOMB, 1000,
+                                            np.random.default_rng(1500 + n))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4096] <= 1.5 * peaks[8]
+    assert est == pytest.approx(rayleigh_quotient_exact(4096, -3.0), abs=6 * err)
 
 
 def test_rayleigh_exact_value_n2():
