@@ -40,6 +40,24 @@ for name, terms in sums.items():
     print(f"  generator[{name}] = {sum(terms):+.1e}   "
           f"(sum of |terms| {sum(map(abs, terms)):.1e})")
 
+
+class Antithetic:
+    """Generator stand-in whose second half of every draw mirrors the first:
+    the same schedule, the noise negated. Pairing each replica with its
+    mirror cancels the O(sqrt(dt)) fluctuation of the one-step drift."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        x = self.rng.random((shape[0] // 2, *shape[1:]))
+        return np.concatenate([x, x])
+
+    def standard_normal(self, shape):
+        x = self.rng.standard_normal((shape[0] // 2, *shape[1:]))
+        return np.concatenate([x, -x])
+
+
 print("\none-step weak drift vs closed-form generator (N=4, dt=1e-4):")
 spec4 = ManifoldSpec(4, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
 v0 = sample_uniform_batch(spec4, 1, np.random.default_rng(51))[0]
@@ -47,7 +65,7 @@ dt, m = 1e-4, 100000
 for phi in (TestPolynomial.coord(0, 0), TestPolynomial.quad(0, 0, 1, 1)):
     base = np.broadcast_to(v0, (2 * m, 4, 3)).copy()
     out = step_pair_diffusion(spec4, base, kernel, dt,
-                              np.random.default_rng(5), antithetic=True)
+                              Antithetic(np.random.default_rng(5)))
     vals = phi.evaluate(out)
     drift = (0.5 * (vals[:m] + vals[m:]) - phi.evaluate(v0))
     est = drift.mean() / dt

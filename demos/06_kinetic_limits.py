@@ -17,8 +17,8 @@ from kinlab.kinetic_limits import (LimitParams, entropy_grid_edges,
                                    relative_entropy, velocity_histogram3d)
 from kinlab.master_sim import (SimConfig, run_ensemble, sheared_sampler,
                                shifted_sampler, tagged_shift_sampler)
-from kinlab.observables import (chaos_distance, decay_rate_fit,
-                                marginal_histogram, moment_series)
+from kinlab.observables import (chaos_distance, decay_rate_fit, moment_series,
+                                one_marginal, pair_marginal)
 
 p = LimitParams(eps0=1.0)
 
@@ -68,6 +68,6 @@ print("\npair-marginal factorization distance (uniform ensembles):")
 for n in (8, 32, 128):
     spec = ManifoldSpec(n, ConservationMode.ENERGY_ONLY, eps=1.0)
     vel = sample_uniform_batch(spec, max(8, 400000 // (n * (n - 1))), rng)
-    h2 = marginal_histogram(vel, 2, edges1, 0, max_pairs=400000, rng=rng)
-    h1 = marginal_histogram(vel, 1, edges1, 0)
+    h2 = pair_marginal(vel, edges1, 0, 400000, rng)
+    h1 = one_marginal(vel, edges1, 0)
     print(f"  N={n:>4}: {chaos_distance(h2, h1):.4f}")

@@ -46,8 +46,9 @@ from .observables import (
     ObservableSeries,
     chaos_distance,
     decay_rate_fit,
-    marginal_histogram,
     moment_series,
+    one_marginal,
+    pair_marginal,
     radial_ks_statistic,
 )
 from .spectral import (

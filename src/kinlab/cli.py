@@ -60,8 +60,9 @@ from .observables import (
     decay_rate_fit,
     chaos_distance,
     ks_quantile_99,
-    marginal_histogram,
     moment_series,
+    one_marginal,
+    pair_marginal,
     radial_ks_statistic,
 )
 from .spectral import check_mc_budget, check_scan_n_list, gap_scan, \
@@ -327,8 +328,7 @@ def _manifold(p, build):
 
 
 def _sim(p, build, pair=False):
-    kernel = build(("gamma", "cutoff"),
-                   lambda: KernelSpec(p["gamma"], p["cutoff"])) if pair else None
+    kernel = build(("gamma",), lambda: KernelSpec(p["gamma"])) if pair else None
     spec = _manifold(p, build)
     config = build(("dt", "t_end", "n_replicas", "record_every"),
                    lambda: SimConfig(dt=p["dt"], t_end=p["t_end"],
@@ -542,19 +542,17 @@ def _chaos(p, build):
     edges = build(("bins",), grid, *specs)
     build(("bins",), lambda: check_marginal_args(edges=edges), edges)
     build(("component",), lambda: check_marginal_args(component=p["component"] - 1))
-    build(("pair_samples",), lambda: check_marginal_args(max_pairs=p["pair_samples"]))
+    build(("pair_samples",), lambda: check_marginal_args(n_pairs=p["pair_samples"]))
 
     def run_chaos(rng):
         rows = []
         component = p["component"] - 1
         # one stream: each N's simulation, then its pair subsample
         for spec, config in zip(specs, configs):
-            result = run_ensemble(spec, config, ["energy_per_particle"], rng=rng,
-                                  snapshot_times=[p["t_end"]])
+            result = run_ensemble(spec, config, [], rng=rng, snapshot_times=[p["t_end"]])
             velocities = result.snapshots[-1].velocities
-            h2 = marginal_histogram(velocities, 2, edges, component,
-                                    max_pairs=p["pair_samples"], rng=rng)
-            h1 = marginal_histogram(velocities, 1, edges, component)
+            h2 = pair_marginal(velocities, edges, component, p["pair_samples"], rng=rng)
+            h1 = one_marginal(velocities, edges, component)
             rows.append([spec.n_particles, p["t_end"], chaos_distance(h2, h1),
                          p["pair_samples"]])
         return {"chaos": (["N", "t", "l1_distance", "n_pairs"], rows)}, {}
@@ -569,8 +567,8 @@ COMMANDS: dict[str, tuple[dict[str, Field], object]] = {
     "sample": ({**_MANIFOLD, "n_samples": Field(_parse_int, default=1000),
                 "seed": _SEED}, _sample),
     "sim-sphere": (_SIM, _sim),
-    "sim-bp": ({**_SIM, "gamma": Field(_parse_float, required=True),
-                "cutoff": Field(_parse_float)}, partial(_sim, pair=True)),
+    "sim-bp": ({**_SIM, "gamma": Field(_parse_float, required=True)},
+               partial(_sim, pair=True)),
     "rayleigh": ({"n_particles": Field(_parse_int, required=True),
                   "gamma": Field(_parse_float, default=-3.0),
                   "n_samples": Field(_parse_int, default=100000),

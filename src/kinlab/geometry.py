@@ -241,14 +241,13 @@ def tangent_project_batch(spec: ManifoldSpec, states: np.ndarray,
 # sphere areas
 
 
-def log_sphere_area(dim: int, radius: float = 1.0) -> float:
-    """log surface measure of the dim-sphere of given radius.
+def log_sphere_area(dim: int) -> float:
+    """log surface measure of the unit dim-sphere.
 
-    |S^D_r| = 2 pi^{(D+1)/2} r^D / Gamma((D+1)/2); evaluated in log form so
-    that D ~ 3N stays finite for N ~ 1e3.
+    |S^D| = 2 pi^{(D+1)/2} / Gamma((D+1)/2); evaluated in log form so that
+    D ~ 3N stays finite for N ~ 1e3.
     """
     if dim < 0:
         raise ValueError("dim must be >= 0")
     half = 0.5 * (dim + 1)
-    return math.log(2.0) + half * math.log(math.pi) - gammaln(half) \
-        + dim * math.log(radius)
+    return math.log(2.0) + half * math.log(math.pi) - gammaln(half)

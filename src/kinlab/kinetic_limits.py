@@ -138,7 +138,7 @@ def radial_probe(spec: ManifoldSpec, points: int) -> np.ndarray:
 # relative entropy
 
 
-def entropy_grid_edges(p: LimitParams, bins: int = 24):
+def entropy_grid_edges(p: LimitParams, bins: int):
     """Per-axis cubic-bin edges over [u - 5 sigma, u + 5 sigma]^3."""
     if bins < 1:
         raise ValueError("bins must be >= 1")

@@ -50,25 +50,19 @@ from .geometry import (
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Collision-kernel exponent gamma (> -5) and singularity cutoff.
+    """Collision-kernel exponent gamma, finite and > -5.
 
     The pair weight is |v_k - v_l|^{2+gamma}; gamma = -3 reproduces the
-    Coulomb weight |v_k - v_l|^{-1}. ``cutoff=None`` resolves to the
-    manifold default (1e-8 sqrt(eps)) at use time; a given cutoff must be
-    positive, since a coincident pair has no separation direction.
+    Coulomb weight |v_k - v_l|^{-1}. A pair closer than the manifold's
+    cutoff (``ManifoldSpec.cutoff``, 1e-8 sqrt(eps)) has no separation
+    direction: the sweep skips it and the generator caps its separation.
     """
 
     gamma: float
-    cutoff: float | None = None
 
     def __post_init__(self):
-        if not self.gamma > -5.0:
-            raise ValueError("kernel exponent must satisfy gamma > -5")
-        if self.cutoff is not None and not self.cutoff > 0.0:
-            raise ValueError("cutoff must be positive")
-
-    def resolve_cutoff(self, spec: ManifoldSpec) -> float:
-        return spec.cutoff if self.cutoff is None else self.cutoff
+        if not (math.isfinite(self.gamma) and self.gamma > -5.0):
+            raise ValueError("kernel exponent must be finite with gamma > -5")
 
 
 @dataclass(frozen=True)
@@ -254,8 +248,7 @@ def _pair_round_kick(work: np.ndarray, eta: np.ndarray, gamma: float,
 
 
 def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
-                        dt: float, rng: np.random.Generator,
-                        antithetic: bool = False) -> np.ndarray:
+                        dt: float, rng: np.random.Generator) -> np.ndarray:
     """One weak-O(dt) sweep of the pairwise collision diffusion.
 
     Kicks every pair of the (R, N, 3) ``states`` in place, then returns the
@@ -264,9 +257,7 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
 
     Draw order per step (fixed, for reproducibility): particle relabeling
     (R, N), round order (R, n_rounds), then one (R, P, 3) normal block per
-    round slot. With ``antithetic`` (even R), the second half of the
-    replicas reuses the first half's schedule with negated noise
-    (variance reduction for one-step drift estimates).
+    round slot.
 
     The sweep runs on a component-major (3, N, R) copy of the states,
     relabeled into the layout of the current round (``_round_layout``), so
@@ -283,17 +274,8 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
     layout, inverse = _round_layout(n)
     n_rounds = layout.shape[0]
     p = n // 2
-    r_draw = r
-    if antithetic:
-        if r % 2:
-            raise ValueError("antithetic sweep needs an even replica count")
-        r_draw = r // 2
-    perm = np.argsort(rng.random((r_draw, n)), axis=1)
-    order = np.argsort(rng.random((r_draw, n_rounds)), axis=1)
-    if antithetic:
-        perm = np.concatenate([perm, perm])
-        order = np.concatenate([order, order])
-    cutoff = kernel.resolve_cutoff(spec)
+    perm = np.argsort(rng.random((r, n)), axis=1)
+    order = np.argsort(rng.random((r, n_rounds)), axis=1)
     diff_scale = 2.0 / (n - 1)
     replica = np.arange(r)
     # layout position i of replica q holds particle perm[q, layout[order[q, j], i]]
@@ -312,11 +294,8 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
             np.take(work.reshape(3, -1), moves.ravel(), axis=1,
                     out=spare.reshape(3, -1))
             work, spare = spare, work
-        noise = rng.standard_normal((r_draw, p, 3)).transpose(2, 1, 0)
-        eta[:, :, :r_draw] = noise
-        if antithetic:
-            np.negative(noise, out=eta[:, :, r_draw:])
-        _pair_round_kick(work, eta, kernel.gamma, cutoff, diff_scale, dt)
+        eta[...] = rng.standard_normal((r, p, 3)).transpose(2, 1, 0)
+        _pair_round_kick(work, eta, kernel.gamma, spec.cutoff, diff_scale, dt)
     particles = np.take_along_axis(perm, layout[order[:, -1]], axis=1)
     states[replica[:, None], particles] = work.transpose(2, 1, 0)
     return renormalize_batch(spec, states)
@@ -378,7 +357,7 @@ def generator_apply(spec: ManifoldSpec, v: np.ndarray, kernel: KernelSpec,
     """
     p = np.asarray(v, dtype=float)
     n = spec.n_particles
-    cutoff = kernel.resolve_cutoff(spec)
+    cutoff = spec.cutoff
     g = kernel.gamma
     scale = 2.0 / (n - 1)
 

@@ -111,60 +111,59 @@ def _masses(counts: np.ndarray) -> np.ndarray:
     return counts / total
 
 
-def _sample_ordered_pairs(velocities, max_pairs, rng):
-    """(n_pairs, 2, 3) array of velocities of distinct ordered pairs."""
-    r, n, _ = velocities.shape
-    if max_pairs is None:
-        rep = np.repeat(np.arange(r), n * (n - 1))
-        k, l = np.nonzero(~np.eye(n, dtype=bool))
-        k = np.tile(k, r)
-        l = np.tile(l, r)
-    else:
-        if rng is None:
-            raise ValueError("subsampling pairs requires an rng")
-        rep = rng.integers(0, r, size=max_pairs)
-        k = rng.integers(0, n, size=max_pairs)
-        l = (k + rng.integers(1, n, size=max_pairs)) % n
-    return np.stack([velocities[rep, k], velocities[rep, l]], axis=1)
-
-
 def check_marginal_args(edges=None, component: int | None = None,
-                        max_pairs: int | None = None) -> None:
-    """Arguments of ``marginal_histogram``: at least one bin, a component
-    that indexes one of the 3 velocity axes, and at least one sampled pair."""
+                        n_pairs: int | None = None) -> None:
+    """Arguments of ``one_marginal`` and ``pair_marginal``: at least one bin,
+    a component that indexes one of the 3 velocity axes, and at least one
+    sampled pair. An argument left as None is not checked."""
     if edges is not None and np.size(edges) < 2:
         raise ValueError("need at least one bin")
     if component is not None and component not in (0, 1, 2):
         raise ValueError("component must index one of the 3 velocity axes")
-    if max_pairs is not None and max_pairs < 1:
+    if n_pairs is not None and n_pairs < 1:
         raise ValueError("need at least one sampled pair")
 
 
-def marginal_histogram(velocities: np.ndarray, n: int, edges: np.ndarray,
-                       component: int, max_pairs: int | None = None,
-                       rng: np.random.Generator | None = None) -> np.ndarray:
-    """Pooled empirical n-velocity marginal of one velocity component.
-
-    Pools the (R, N, 3) velocities over replicas and (by exchangeability)
-    over particles or ordered particle pairs, and returns the bin masses on
-    the shared 1D ``edges``: 1D for n=1, 2D for n=2. Samples outside the
-    grid are dropped before normalization to mass 1. ``max_pairs``
-    subsamples ordered pairs for n=2; without it every pair is counted.
-    """
+def _component_values(velocities, edges, component):
+    """The (R, N) values of one velocity component and the checked edges."""
     if component is None:
         raise ValueError("a marginal needs a component")
-    check_marginal_args(edges, component, max_pairs)
-    velocities = np.asarray(velocities, dtype=float)
-    edges = np.asarray(edges, dtype=float)
-    if n == 1:
-        counts, _ = np.histogram(_pooled(velocities)[:, component], bins=edges)
-        return _masses(counts)
-    if n == 2:
-        pairs = _sample_ordered_pairs(velocities, max_pairs, rng)
-        x, y = pairs[:, 0, component], pairs[:, 1, component]
-        counts, _, _ = np.histogram2d(x, y, bins=(edges, edges))
-        return _masses(counts)
-    raise ValueError("marginal order must be 1 or 2")
+    check_marginal_args(edges, component)
+    return (np.asarray(velocities, dtype=float)[..., component],
+            np.asarray(edges, dtype=float))
+
+
+def one_marginal(velocities: np.ndarray, edges: np.ndarray,
+                 component: int) -> np.ndarray:
+    """Pooled empirical one-velocity marginal of one velocity component.
+
+    Pools the (R, N, 3) velocities over replicas and (by exchangeability)
+    over particles, and returns the bin masses on the 1D ``edges``. Samples
+    outside the grid are dropped before normalization to mass 1.
+    """
+    values, edges = _component_values(velocities, edges, component)
+    counts, _ = np.histogram(values.ravel(), bins=edges)
+    return _masses(counts)
+
+
+def pair_marginal(velocities: np.ndarray, edges: np.ndarray, component: int,
+                  n_pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """Empirical two-velocity marginal of one velocity component, as 2D bin
+    masses on ``edges`` x ``edges``.
+
+    Draws ``n_pairs`` ordered pairs of distinct particles of the (R, N, 3)
+    velocities, with replacement: the replicas, then the first particles k,
+    then the offsets 1..N-1 from k to the second. Samples outside the grid
+    are dropped before normalization to mass 1.
+    """
+    check_marginal_args(n_pairs=n_pairs)
+    values, edges = _component_values(velocities, edges, component)
+    r, n = values.shape
+    rep = rng.integers(0, r, size=n_pairs)
+    k = rng.integers(0, n, size=n_pairs)
+    l = (k + rng.integers(1, n, size=n_pairs)) % n
+    counts, _, _ = np.histogram2d(values[rep, k], values[rep, l], bins=(edges, edges))
+    return _masses(counts)
 
 
 def chaos_distance(h2: np.ndarray, h1: np.ndarray) -> float:

@@ -138,7 +138,6 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
         raise ValueError("trial function and manifold have different N")
     check_mc_budget(n_samples)
     n = spec.n_particles
-    cutoff = kernel.resolve_cutoff(spec)
     scale = math.sqrt(2.0 * spec.radius_sq)
     total = 0.0
     total_sq = 0.0
@@ -149,7 +148,7 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
         # Q ~ chi^2(3N-6) = 2 Gamma(3(N-2)/2); the pair spans the sphere at N=2
         q = 2.0 * rng.standard_gamma(1.5 * (n - 2), m) if n > 2 else 0.0
         d = g * (scale / np.sqrt((g ** 2).sum(axis=1) + q))[:, None]
-        beta = np.maximum(np.linalg.norm(d, axis=1), cutoff)
+        beta = np.maximum(np.linalg.norm(d, axis=1), spec.cutoff)
         w = beta ** (2.0 + kernel.gamma)
         grad_sq = (tf.a_const * d[:, 0]) ** 2 * (1.0 - (d[:, 0] / beta) ** 2)
         vals = 0.5 * n * w * grad_sq

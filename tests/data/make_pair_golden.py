@@ -5,11 +5,12 @@ a uniform sample of R = 4 states and stores the final (renormalized) states
 and the kicked, not renormalized array the last step left in ``states``.
 ``tests/test_golden.py`` reruns the cases and compares. A kernel rewrite
 must keep the RNG draw order and the per-pair arithmetic, so these files
-pin it; regenerate only when the dynamics are meant to change.
+pin it; regenerate only when the dynamics are meant to change. The
+antithetic case draws its steps through ``oracles.AntitheticGenerator``.
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/data/make_pair_golden.py
+    PYTHONPATH=src:tests python tests/data/make_pair_golden.py
 
 The commit the file was written at is stored under the key ``commit``.
 """
@@ -23,6 +24,7 @@ import numpy as np
 
 from kinlab.geometry import ConservationMode, ManifoldSpec, sample_uniform_batch
 from kinlab.master_sim import KernelSpec, step_pair_diffusion
+from oracles import AntitheticGenerator
 
 OUT = Path(__file__).resolve().parent / "pair_golden.npz"
 N_REPLICAS = 4
@@ -52,10 +54,10 @@ def run_case(name: str) -> tuple[np.ndarray, np.ndarray]:
     kernel = KernelSpec(gamma)
     rng = np.random.default_rng(seed)
     states = sample_uniform_batch(spec, N_REPLICAS, rng)
+    step_rng = AntitheticGenerator(rng) if antithetic else rng
     for _ in range(N_STEPS):
         kicked = states
-        states = step_pair_diffusion(spec, kicked, kernel, DT, rng,
-                                     antithetic=antithetic)
+        states = step_pair_diffusion(spec, kicked, kernel, DT, step_rng)
     return states, kicked
 
 

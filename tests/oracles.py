@@ -7,7 +7,8 @@ Carlo over Gaussians, and closed-form properties of the paper's objects
 stationary radial law, the eigenfunction catalog and its decay rates, the
 trial function, the quadratic form on conserved quantities, and the Rayleigh
 estimator over whole N-particle states), which the library itself does not
-need.
+need. It also holds the antithetic Generator stand-in of the weak-order
+tests.
 """
 
 import math
@@ -217,10 +218,9 @@ def conserved_quadratic_form_mc(spec: ManifoldSpec, which: str, kernel,
     if which != "energy":
         raise ValueError("which must be 'mass', 'momentum' or 'energy'")
     n = spec.n_particles
-    cutoff = kernel.resolve_cutoff(spec)
     v = sample_uniform_batch(spec, n_samples, rng)
     d = v[:, 1] - v[:, 0]
-    beta = np.maximum(np.linalg.norm(d, axis=1), cutoff)
+    beta = np.maximum(np.linalg.norm(d, axis=1), spec.cutoff)
     nhat = d / beta[:, None]
     resid = d - nhat * (nhat * d).sum(axis=1, keepdims=True)
     vals = 0.5 * n * beta ** (2.0 + kernel.gamma) * (resid ** 2).sum(axis=1)
@@ -263,7 +263,6 @@ def rayleigh_quotient_mc_reference(spec: ManifoldSpec, tf: TrialFunction, kernel
         raise ValueError("trial function and manifold have different N")
     check_mc_budget(n_samples)
     n = spec.n_particles
-    cutoff = kernel.resolve_cutoff(spec)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -271,7 +270,7 @@ def rayleigh_quotient_mc_reference(spec: ManifoldSpec, tf: TrialFunction, kernel
         m = min(20000, n_samples - done)
         v = sample_uniform_batch(spec, m, rng)
         d = v[:, 1] - v[:, 0]
-        beta = np.maximum(np.linalg.norm(d, axis=1), cutoff)
+        beta = np.maximum(np.linalg.norm(d, axis=1), spec.cutoff)
         w = beta ** (2.0 + kernel.gamma)
         grad_sq = (tf.a_const * d[:, 0]) ** 2 * (1.0 - (d[:, 0] / beta) ** 2)
         vals = 0.5 * n * w * grad_sq
@@ -389,7 +388,35 @@ def step_sphere_diffusion_reference(spec, states, dt, xi):
     return renormalize_reference(spec, moved)
 
 
-def step_pair_diffusion_reference(spec, states, kernel, dt, rng, antithetic=False):
+class AntitheticGenerator:
+    """A Generator stand-in whose draws come in antithetic halves.
+
+    ``random(shape)`` draws shape[0] // 2 rows and repeats them;
+    ``standard_normal(shape)`` draws half the rows and appends their
+    negation; an odd row count raises ValueError. Handed to
+    ``step_pair_diffusion`` with R replicas, replica q + R/2 then runs the
+    schedule of replica q with negated noise, which cancels the
+    O(sqrt(dt)) fluctuation of one-step drift estimates.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def _half(self, shape):
+        if shape[0] % 2:
+            raise ValueError("antithetic draws need an even row count")
+        return (shape[0] // 2, *shape[1:])
+
+    def random(self, shape):
+        x = self.rng.random(self._half(shape))
+        return np.concatenate([x, x])
+
+    def standard_normal(self, shape):
+        x = self.rng.standard_normal(self._half(shape))
+        return np.concatenate([x, -x])
+
+
+def step_pair_diffusion_reference(spec, states, kernel, dt, rng):
     """The pair sweep in natural particle order, the plain reference for
     ``master_sim.step_pair_diffusion``.
 
@@ -403,27 +430,20 @@ def step_pair_diffusion_reference(spec, states, kernel, dt, rng, antithetic=Fals
     p = n // 2
     rounds = np.stack([layout[:, :p], layout[:, p:2 * p]], axis=-1)   # (rounds, P, 2)
     n_rounds = rounds.shape[0]
-    r_draw = r // 2 if antithetic else r
-    perm = np.argsort(rng.random((r_draw, n)), axis=1)
-    order = np.argsort(rng.random((r_draw, n_rounds)), axis=1)
-    if antithetic:
-        perm = np.concatenate([perm, perm])
-        order = np.concatenate([order, order])
-    cutoff = kernel.resolve_cutoff(spec)
+    perm = np.argsort(rng.random((r, n)), axis=1)
+    order = np.argsort(rng.random((r, n_rounds)), axis=1)
     diff_scale = 2.0 / (n - 1)
     rows = np.arange(r)[:, None]
     for j in range(n_rounds):
         base = rounds[order[:, j]]
         k_idx = np.take_along_axis(perm, base[:, :, 0], axis=1)
         l_idx = np.take_along_axis(perm, base[:, :, 1], axis=1)
-        eta = rng.standard_normal((r_draw,) + k_idx.shape[1:] + (3,))
-        if antithetic:
-            eta = np.concatenate([eta, -eta])
+        eta = rng.standard_normal((r,) + k_idx.shape[1:] + (3,))
         vk = states[rows, k_idx]
         vl = states[rows, l_idx]
         d = vk - vl
         beta = np.sqrt((d * d).sum(-1))
-        ok = beta >= cutoff
+        ok = beta >= spec.cutoff
         safe = np.where(ok, beta, 1.0)
         amp = np.sqrt(diff_scale * dt * safe ** (2.0 + kernel.gamma))
         nhat = d / safe[..., None]

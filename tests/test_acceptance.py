@@ -49,8 +49,9 @@ from kinlab.observables import (
     chaos_distance,
     decay_rate_fit,
     ks_quantile_99,
-    marginal_histogram,
     moment_series,
+    one_marginal,
+    pair_marginal,
     radial_ks_statistic,
 )
 from kinlab.spectral import (
@@ -62,7 +63,7 @@ from kinlab.spectral import (
     standard_trial_function,
 )
 
-from oracles import generator_conservation_residuals
+from oracles import AntitheticGenerator, generator_conservation_residuals
 
 COULOMB = KernelSpec(-3.0)
 
@@ -204,8 +205,8 @@ def test_criterion_06_bp_conservation_and_generator():
         for start in range(0, total_pairs, chunk):
             m = min(chunk, total_pairs - start)
             base = np.broadcast_to(v0, (2 * m, 4, 3)).copy()
-            out = step_pair_diffusion(spec4, base, COULOMB, dt, step_rng,
-                                      antithetic=True)
+            out = step_pair_diffusion(spec4, base, COULOMB, dt,
+                                      AntitheticGenerator(step_rng))
             vals = phi.evaluate(out)
             pair_mean = 0.5 * (vals[:m] + vals[m:]) - phi0
             acc += pair_mean.sum()
@@ -326,8 +327,8 @@ def test_criterion_09_chaos_distance():
                            rng=np.random.default_rng(9200 + i),
                            snapshot_times=[0.4])
         vel = res.snapshots[-1].velocities
-        h2 = marginal_histogram(vel, 2, edges, 0, max_pairs=target, rng=rng)
-        h1 = marginal_histogram(vel, 1, edges, 0)
+        h2 = pair_marginal(vel, edges, 0, target, rng)
+        h1 = one_marginal(vel, edges, 0)
         dists.append(chaos_distance(h2, h1))
     ok = dists[0] > dists[1] > dists[2]
     _report("09b", ok,

@@ -21,6 +21,14 @@ j_max = 4
 """
 
 
+def test_readme_lists_every_command_and_config_key():
+    readme = (RECIPES.parent / "README.md").read_text()
+    section = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    missing = [f"{command}: {key}" for command, (schema, _) in cli.COMMANDS.items()
+               for key in (command, *schema) if f"`{key}`" not in section]
+    assert not missing, missing
+
+
 def test_parse_minimal_fills_defaults():
     plan = parse_config(SPECTRUM_CFG, "spectrum")
     assert plan.command == "spectrum"
@@ -263,8 +271,8 @@ INVALID_CONFIGS = {
                              ["s0_diag"]),
     "fpe_s0_offdiag_not_psd": ("fpe-moments", [("t_list", "0,1"),
                                                ("s0_offdiag", "2,0,0")], ["s0_offdiag"]),
-    "bp_cutoff_negative": ("sim-bp", _with(SIM, gamma="-3", cutoff="-1"), ["cutoff"]),
-    "bp_cutoff_zero": ("sim-bp", _with(SIM, gamma="-3", cutoff="0"), ["cutoff"]),
+    # the pair cutoff is the manifold's, not a config key
+    "bp_cutoff_unknown": ("sim-bp", _with(SIM, gamma="-3", cutoff="1e-6"), ["cutoff"]),
     "sample_n_samples_negative": ("sample", [("n_particles", "4"), ("n_samples", "-3")],
                                   ["n_samples"]),
     "marginal_n_samples_below_n_particles": ("marginal-compare", [
@@ -306,7 +314,8 @@ def test_invalid_config_exits_2_before_output(case, tmp_path, capsys):
 
     def cites(v, key):
         return (f"line {line_of[key]} ({key})" in v
-                or f"line {line_of[key]}: bad value for {key!r}" in v)
+                or f"line {line_of[key]}: bad value for {key!r}" in v
+                or f"line {line_of[key]}: unknown key {key!r}" in v)
 
     for entry in keys:
         group = entry if isinstance(entry, tuple) else (entry,)
@@ -339,12 +348,12 @@ def test_chaos_draws_from_one_stream(tmp_path, monkeypatch):
         return call
 
     monkeypatch.setattr(cli, "run_ensemble", recording("sim", cli.run_ensemble))
-    monkeypatch.setattr(cli, "marginal_histogram",
-                        recording("hist", cli.marginal_histogram))
+    monkeypatch.setattr(cli, "pair_marginal", recording("pair", cli.pair_marginal))
+    monkeypatch.setattr(cli, "one_marginal", recording("one", cli.one_marginal))
     cfg = ("n_list = 4,8,16\ngamma = -3\ndt = 0.01\nt_end = 0.02\n"
            "pair_samples = 2000\nbins = 8\nseed = 912\n")
     run(parse_config(cfg, "chaos"), tmp_path)
-    assert [name for name, _ in calls] == ["sim", "hist", "hist"] * 3
+    assert [name for name, _ in calls] == ["sim", "pair", "one"] * 3
     assert [state is None for _, state in calls] == [False, False, True] * 3
     states = [state for _, state in calls if state is not None]
     assert len(set(states)) == len(states)

@@ -12,8 +12,9 @@ from kinlab.observables import (
     decay_rate_fit,
     get_observable,
     ks_quantile_99,
-    marginal_histogram,
     moment_series,
+    one_marginal,
+    pair_marginal,
     radial_ks_statistic,
 )
 
@@ -55,10 +56,10 @@ def test_conserved_series_exact(rng):
 def test_histogram_counts_sum_to_one(spec_c1, rng):
     vel = sample_uniform_batch(spec_c1, 100, rng)
     edges = np.linspace(-4, 4, 17)
-    h1 = marginal_histogram(vel, 1, edges, 0)
+    h1 = one_marginal(vel, edges, 0)
     assert h1.shape == (16,)
     assert h1.sum() == pytest.approx(1.0, abs=1e-12)
-    h2 = marginal_histogram(vel, 2, edges, 1)
+    h2 = pair_marginal(vel, edges, 1, 2000, rng)
     assert h2.shape == (16, 16)
     assert h2.sum() == pytest.approx(1.0, abs=1e-12)
     h3 = velocity_histogram3d(vel, (edges,) * 3)
@@ -72,9 +73,9 @@ def test_histogram_mass_nan_rejected(spec_c1, rng):
     vel = sample_uniform_batch(spec_c1, 4, rng)
     edges = np.linspace(10.0, 11.0, 3)
     with pytest.raises(ValueError, match="inside the grid"):
-        marginal_histogram(vel, 1, edges, 0)
+        one_marginal(vel, edges, 0)
     with pytest.raises(ValueError, match="inside the grid"):
-        marginal_histogram(vel, 2, edges, 0)
+        pair_marginal(vel, edges, 0, 100, rng)
     with pytest.raises(ValueError, match="inside the grid"):
         velocity_histogram3d(vel, (edges,) * 3)
 
@@ -82,25 +83,29 @@ def test_histogram_mass_nan_rejected(spec_c1, rng):
 def test_histogram_arguments_checked(spec_c1, rng):
     vel = sample_uniform_batch(spec_c1, 4, rng)
     edges = np.linspace(-4, 4, 17)
-    with pytest.raises(ValueError):
-        marginal_histogram(vel, 1, edges[:1], 0)
-    for component in (-1, 3):
-        with pytest.raises(ValueError):
-            marginal_histogram(vel, 1, edges, component)
-    with pytest.raises(ValueError):
-        marginal_histogram(vel, 2, edges, 0, max_pairs=0, rng=rng)
-    with pytest.raises(ValueError, match="component"):
-        marginal_histogram(vel, 2, edges, None)
-    with pytest.raises(ValueError, match="order"):
-        marginal_histogram(vel, 3, edges, 0)
+    with pytest.raises(ValueError, match="bin"):
+        one_marginal(vel, edges[:1], 0)
+    with pytest.raises(ValueError, match="bin"):
+        pair_marginal(vel, edges[:1], 0, 10, rng)
+    for component in (-1, 3, None):
+        with pytest.raises(ValueError, match="component"):
+            one_marginal(vel, edges, component)
+        with pytest.raises(ValueError, match="component"):
+            pair_marginal(vel, edges, component, 10, rng)
+    for n_pairs in (0, -1):
+        with pytest.raises(ValueError, match="pair"):
+            pair_marginal(vel, edges, 0, n_pairs, rng)
 
 
 def test_histogram_two_pooled_points(rng):
     spec = ManifoldSpec(2, ConservationMode.ENERGY_ONLY, eps=1.0)
     vel = sample_uniform_batch(spec, 1, rng)
     edges = np.linspace(-3, 3, 7)
-    h = marginal_histogram(vel, 1, edges, 0)
+    h = one_marginal(vel, edges, 0)
     assert sorted(h[h > 0]) in ([0.5, 0.5], [1.0])
+    # the pairs of (-1, 1) are (-1, 1) and (1, -1), never a particle with itself
+    h2 = pair_marginal(np.array([[[-1.0, 0, 0], [1.0, 0, 0]]]), edges, 0, 1000, rng)
+    np.testing.assert_array_equal(np.argwhere(h2 > 0), [[2, 4], [4, 2]])
 
 
 def test_histogram_permutation_invariance(spec_c1, rng):
@@ -109,11 +114,8 @@ def test_histogram_permutation_invariance(spec_c1, rng):
     edges = np.linspace(-4, 4, 17)
     np.testing.assert_array_equal(velocity_histogram3d(vel, (edges,) * 3),
                                   velocity_histogram3d(vel[:, perm], (edges,) * 3))
-    np.testing.assert_array_equal(marginal_histogram(vel, 1, edges, 2),
-                                  marginal_histogram(vel[:, perm], 1, edges, 2))
-    # exhaustive pair enumeration (no subsampling)
-    np.testing.assert_array_equal(marginal_histogram(vel, 2, edges, 0),
-                                  marginal_histogram(vel[:, perm], 2, edges, 0))
+    np.testing.assert_array_equal(one_marginal(vel, edges, 2),
+                                  one_marginal(vel[:, perm], edges, 2))
 
 
 def test_chaos_distance_exact_product():
@@ -133,8 +135,8 @@ def test_chaos_distance_decreases_with_n_uniform(rng):
         spec = ManifoldSpec(n, ConservationMode.ENERGY_ONLY, eps=1.0)
         n_rep = max(8, 400000 // (n * (n - 1)))
         vel = sample_uniform_batch(spec, n_rep, rng)
-        h2 = marginal_histogram(vel, 2, edges, 0, max_pairs=400000, rng=rng)
-        h1 = marginal_histogram(vel, 1, edges, 0)
+        h2 = pair_marginal(vel, edges, 0, 400000, rng)
+        h1 = one_marginal(vel, edges, 0)
         dists.append(chaos_distance(h2, h1))
     assert dists[1] < dists[0]
 
