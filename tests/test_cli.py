@@ -271,7 +271,10 @@ INVALID_CONFIGS = {
                              ["s0_diag"]),
     "fpe_s0_offdiag_not_psd": ("fpe-moments", [("t_list", "0,1"),
                                                ("s0_offdiag", "2,0,0")], ["s0_offdiag"]),
-    # the pair cutoff is the manifold's, not a config key
+    # the pair cutoff is the manifold's, not a config key: every value of it,
+    # once valid or not, is an unknown key
+    "bp_cutoff_negative": ("sim-bp", _with(SIM, gamma="-3", cutoff="-1"), ["cutoff"]),
+    "bp_cutoff_zero": ("sim-bp", _with(SIM, gamma="-3", cutoff="0"), ["cutoff"]),
     "bp_cutoff_unknown": ("sim-bp", _with(SIM, gamma="-3", cutoff="1e-6"), ["cutoff"]),
     "sample_n_samples_negative": ("sample", [("n_particles", "4"), ("n_samples", "-3")],
                                   ["n_samples"]),
