@@ -9,7 +9,8 @@ marginal converging to the Maxwellian as N grows.
 
 import numpy as np
 
-from kinlab import ConservationMode, ManifoldSpec, sample_uniform_batch
+from kinlab import (ConservationMode, ManifoldSpec, max_pair_separation_sq,
+                    sample_uniform_batch)
 from kinlab.kinetic_limits import (LimitParams, maxwellian_eval,
                                    stationary_marginal_eval)
 from kinlab.observables import ks_quantile_99, radial_ks_statistic
@@ -22,9 +23,7 @@ energy = 0.5 * (batch ** 2).sum(axis=(1, 2))
 print(f"max |energy - N eps| over 5e4 samples: {np.abs(energy - 8).max():.2e}")
 
 # pair separations obey |v_k - v_l|^2 <= 4 N eps on the sphere
-sq = (batch ** 2).sum(-1)
-dots = np.einsum("rkc,rlc->rkl", batch, batch)
-pair_sq = sq[:, :, None] + sq[:, None, :] - 2 * dots
+pair_sq = max_pair_separation_sq(batch)
 print(f"max pair separation^2 / (4 N eps): {pair_sq.max() / 32:.4f}  (< 1)")
 
 ks, n_pool = radial_ks_statistic(batch, spec)

@@ -17,6 +17,7 @@ from .geometry import (
     ManifoldSpec,
     NonFiniteStateError,
     constraint_errors,
+    max_pair_separation_sq,
     renormalize_batch,
     sample_uniform_batch,
     tangent_project_batch,

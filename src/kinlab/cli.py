@@ -33,6 +33,7 @@ from .geometry import (
     NonFiniteStateError,
     check_n_states,
     constraint_errors,
+    max_pair_separation_sq,
     sample_uniform_batch,
 )
 from .kinetic_limits import (
@@ -401,8 +402,8 @@ def _spectrum(p, build):
                                       [list(row) for row in table])}, {})
 
 
-# Entries of the (states, N, N) pair arrays built at once: 128 states at N = 64.
-_PAIR_BLOCK_ENTRIES = 1 << 19
+# Coordinates (states x 3N) drawn and scanned at once: 341 states at N = 64.
+_STATE_BLOCK_ENTRIES = 1 << 16
 
 
 def _sample(p, build):
@@ -411,14 +412,11 @@ def _sample(p, build):
 
     def run_sample(rng):
         n, n_states = spec.n_particles, p["n_samples"]
-        block = max(1, _PAIR_BLOCK_ENTRIES // (n * n))
+        block = max(1, _STATE_BLOCK_ENTRIES // (3 * n))
         rows = []
         for start in range(0, n_states, block):
             b = sample_uniform_batch(spec, min(block, n_states - start), rng)
-            sq = (b * b).sum(-1)
-            pair_sq = (sq[:, :, None] + sq[:, None, :]
-                       - 2 * np.einsum("rkc,rlc->rkl", b, b))
-            ratio = pair_sq.max(axis=(1, 2)) / (4 * n * spec.eps)
+            ratio = max_pair_separation_sq(b) / (4 * n * spec.eps)
             energy_err, mom_err = constraint_errors(spec, b)
             rows += [[start + i, *errs]
                      for i, errs in enumerate(zip(energy_err, mom_err, ratio))]

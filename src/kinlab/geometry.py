@@ -9,8 +9,8 @@ families of constraint manifolds are supported:
   inside the zero-total-momentum subspace)
 
 This module provides uniform sampling, exact constraint restoration and its
-error measure, the tangent projector of the manifold, and log hypersphere
-surface areas.
+error measure, the largest pair separation of a state, the tangent projector
+of the manifold, and log hypersphere surface areas.
 
 States are float arrays of shape (..., N, 3); the batch functions take
 (R, N, 3), and a single state is the batch R = 1.
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 # Pairs closer than CUTOFF_SCALE * sqrt(eps) have an ill-defined separation
 # direction and are skipped by diffusion steps.
@@ -214,6 +213,33 @@ def constraint_errors(spec: ManifoldSpec,
     return energy / (n * spec.eps) - 1.0, momentum / math.sqrt(n)
 
 
+def max_pair_separation_sq(states: np.ndarray) -> np.ndarray:
+    """Largest squared pair separation max_{k<l} |v_k - v_l|^2 of each of
+    the (..., N, 3) states, shape (...).
+
+    Scans the particles k in turn: the differences d = v_{k+1:} - v_k are
+    taken component-major, with the states along the fast axis, and a
+    running per-state maximum keeps the largest |d|^2. Memory is O(N) per
+    state (no N x N array), and squaring the differences themselves has no
+    cancellation, unlike |v_k|^2 + |v_l|^2 - 2 v_k.v_l away from the origin.
+    """
+    states = np.asarray(states, dtype=float)
+    n = states.shape[-2]
+    # (3, N, R): one contiguous (N, R) plane per velocity component
+    comp = np.ascontiguousarray(np.moveaxis(states.reshape(-1, n, 3), (1, 2), (1, 0)))
+    diff = np.empty((3, n - 1, comp.shape[2]))
+    sq = np.empty(diff.shape[1:])
+    best = np.zeros(comp.shape[2])
+    for k in range(n - 1):
+        d, s = diff[:, :n - 1 - k], sq[:n - 1 - k]
+        np.subtract(comp[:, k + 1:], comp[:, k, None], out=d)
+        np.multiply(d, d, out=d)
+        np.add(d[0], d[1], out=s)
+        s += d[2]
+        np.maximum(best, s.max(axis=0), out=best)
+    return best.reshape(states.shape[:-2])
+
+
 # ---------------------------------------------------------------------------
 # tangent projector
 
@@ -249,5 +275,7 @@ def log_sphere_area(dim: int) -> float:
     """
     if dim < 0:
         raise ValueError("dim must be >= 0")
+    from scipy.special import gammaln  # here, so importing kinlab skips scipy
+
     half = 0.5 * (dim + 1)
     return math.log(2.0) + half * math.log(math.pi) - gammaln(half)

@@ -4,18 +4,18 @@ Everything here is derived by a route independent of the implementation it
 checks: Beta-moment identities on spheres, finite differences, plain Monte
 Carlo over Gaussians, and closed-form properties of the paper's objects
 (the pair-manifold projector, the affine map between manifolds, the
-stationary radial law, the eigenfunction catalog and its decay rates, the
-trial function, the quadratic form on conserved quantities, and the Rayleigh
-estimator over whole N-particle states), which the library itself does not
-need. It also holds the antithetic Generator stand-in of the weak-order
-tests.
+stationary radial law and its KS statistic over every point, the
+eigenfunction catalog and its decay rates, the trial function, the quadratic
+form on conserved quantities, and the Rayleigh estimator over whole
+N-particle states), which the library itself does not need. It also holds
+the antithetic Generator stand-in of the weak-order tests.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln
+from scipy.special import betainc, betaln
 
 from kinlab.geometry import (
     ConservationMode,
@@ -28,7 +28,7 @@ from kinlab.geometry import (
 )
 from kinlab.kinetic_limits import stationary_marginal_eval
 from kinlab.master_sim import TestPolynomial, _round_layout, generator_apply
-from kinlab.observables import OBSERVABLES, Observable
+from kinlab.observables import OBSERVABLES, Observable, _pooled
 from kinlab.spectral import (
     TrialFunction,
     _require_standard,
@@ -117,6 +117,23 @@ def stationary_radial_pdf(spec: ManifoldSpec, r) -> np.ndarray:
     v = np.zeros(r.shape + (1, 3))
     v[..., 0, 0] = r
     return 4.0 * math.pi * r ** 2 * stationary_marginal_eval(spec, 1, v)
+
+
+def radial_ks_statistic_full(velocities: np.ndarray,
+                             spec: ManifoldSpec) -> tuple[float, int]:
+    """``radial_ks_statistic`` with the radial CDF evaluated at every pooled
+    speed, the reference for the library's bracketed scan."""
+    if spec.mode is not ConservationMode.ENERGY_ONLY:
+        raise ValueError("the radial law is for the energy-only manifold")
+    n = spec.n_particles
+    r = np.sort(np.linalg.norm(_pooled(velocities) - spec.u, axis=1))
+    s = np.clip(r ** 2 / (2.0 * n * spec.eps0), 0.0, 1.0)
+    cdf = betainc(1.5, 1.5 * (n - 1), s)
+    m = len(r)
+    grid = np.arange(1, m + 1) / m
+    d_plus = np.max(grid - cdf)
+    d_minus = np.max(cdf - (np.arange(m) / m))
+    return float(max(d_plus, d_minus)), m
 
 
 @dataclass(frozen=True)

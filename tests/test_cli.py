@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -467,6 +468,33 @@ def test_every_command_runs_end_to_end(command, tmp_path):
     if command == "sample":
         assert len(tables["samples"]) == 300
         assert max(float(r["energy_rel_error"]) for r in tables["samples"]) <= 1e-12
+
+
+def test_sample_memory_is_linear_in_n(tmp_path):
+    # the pair-separation scan holds O(N) per state; one (128, N, N) float
+    # block of pair separations at N = 64 alone would be the whole 4 MiB
+    plan = parse_config("n_particles = 64\nmode = energy-momentum\n"
+                        "n_samples = 1250\nseed = 3\n", "sample")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run(plan, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 64 * 64 * 8
+
+
+def test_sample_table_is_independent_of_block_size(monkeypatch, tmp_path):
+    # consecutive normal draws form one stream, and every column is computed
+    # state by state, so the table does not depend on how states are blocked
+    plan = parse_config("n_particles = 5\nmode = energy-momentum\nu = 0.3,0,0\n"
+                        "n_samples = 100\nseed = 8\n", "sample")
+    run(plan, tmp_path / "default")
+    monkeypatch.setattr(cli, "_STATE_BLOCK_ENTRIES", 7 * 3 * 5)
+    run(plan, tmp_path / "blocks_of_7")
+    assert (tmp_path / "default" / "samples.csv").read_bytes() == \
+        (tmp_path / "blocks_of_7" / "samples.csv").read_bytes()
 
 
 @pytest.mark.parametrize("recipe", sorted(p.name for p in RECIPES.glob("*.cfg")))

@@ -11,6 +11,7 @@ from kinlab.geometry import (
     NonFiniteStateError,
     constraint_errors,
     log_sphere_area,
+    max_pair_separation_sq,
     renormalize_batch,
     sample_uniform_batch,
     tangent_project_batch,
@@ -84,14 +85,33 @@ def test_sample_moments(rng):
     assert sq == pytest.approx(2.0 * spec.eps, rel=3e-3)
 
 
-def test_pair_separation_bound(spec_c1, spec_c4, rng):
-    # |v_k - v_l|^2 <= 4 N eps on every sampled state
-    for spec in (spec_c1, spec_c4):
+def test_pair_separation_bound(spec_c1, spec_c4, spec_c4_drift, rng):
+    # |v_k - v_l|^2 <= 4 N eps on every sampled state, and the scan over pair
+    # differences agrees with the Gram form |v_k|^2 + |v_l|^2 - 2 v_k.v_l
+    for spec in (spec_c1, spec_c4, spec_c4_drift):
         batch = sample_uniform_batch(spec, 2000, rng)
         sq = (batch ** 2).sum(-1)
         dots = np.einsum("rkc,rlc->rkl", batch, batch)
         pair_sq = sq[:, :, None] + sq[:, None, :] - 2 * dots
         assert pair_sq.max() <= 4 * spec.n_particles * spec.eps + 1e-9
+        np.testing.assert_allclose(max_pair_separation_sq(batch), pair_sq.max(axis=(1, 2)),
+                                   rtol=0, atol=1e-12 * 4 * spec.n_particles * spec.eps)
+
+
+@pytest.mark.parametrize("mode", list(ConservationMode))
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_max_pair_separation_matches_pair_loop(mode, n, rng):
+    # a double loop over pairs in plain floats, squaring the same differences
+    # in the same component order, gives the scan bit for bit
+    u = [0.7, -0.4, 0.2] if mode is ConservationMode.ENERGY_MOMENTUM else [0, 0, 0]
+    spec = ManifoldSpec(n, mode, eps=1.5, u=u)
+    states = sample_uniform_batch(spec, 60, rng)
+    want = [max(sum((a - b) ** 2 for a, b in zip(v[k], v[l]))
+                for k in range(n) for l in range(k + 1, n))
+            for v in states.tolist()]
+    assert max_pair_separation_sq(states).tolist() == want
+    assert max_pair_separation_sq(states.reshape(3, 20, n, 3)).tolist() == \
+        np.reshape(want, (3, 20)).tolist()
 
 
 def test_renormalize_fixed_point(spec_c4, rng):

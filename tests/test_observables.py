@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from kinlab.geometry import ConservationMode, ManifoldSpec, sample_uniform_batch
 from kinlab.kinetic_limits import velocity_histogram3d
@@ -17,6 +18,8 @@ from kinlab.observables import (
     pair_marginal,
     radial_ks_statistic,
 )
+
+from oracles import radial_ks_statistic_full
 
 
 def test_series_validation():
@@ -147,6 +150,40 @@ def test_radial_ks_uniform_ensemble(rng):
     ks, n = radial_ks_statistic(vel, spec)
     assert n == 200000
     assert ks < ks_quantile_99(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_radial_ks_bracketing_is_exact(n):
+    # the bracketed scan takes the max over the same elementwise terms as
+    # the full evaluation, so the two agree bit for bit, at pooled sizes
+    # below, at and just past one bracketing block
+    spec = ManifoldSpec(n, ConservationMode.ENERGY_ONLY, eps=1.0)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        pooled = sample_uniform_batch(spec, -(-100000 // n), rng).reshape(-1, 3)
+        for size in (1, 15, 16, 17, 1000, 100000):
+            v = pooled[:size]
+            assert radial_ks_statistic(v, spec) == radial_ks_statistic_full(v, spec)
+    # far from the null the maximum sits in another block and is large
+    ks, m = radial_ks_statistic(1.05 * pooled, spec)
+    assert ks > 5 * ks_quantile_99(m)
+    assert (ks, m) == radial_ks_statistic_full(1.05 * pooled, spec)
+
+
+def test_radial_ks_evaluates_few_points(monkeypatch, rng):
+    # under the null, the blocks that can hold the maximum are a small share
+    spec = ManifoldSpec(8, ConservationMode.ENERGY_ONLY, eps=1.0)
+    vel = sample_uniform_batch(spec, 12500, rng)
+    sizes = []
+    betainc = scipy.special.betainc
+
+    def counted(a, b, x):
+        sizes.append(np.size(x))
+        return betainc(a, b, x)
+
+    monkeypatch.setattr(scipy.special, "betainc", counted)
+    radial_ks_statistic(vel, spec)
+    assert 0 < sum(sizes) < 0.2 * 100000
 
 
 def test_radial_ks_rejects_momentum_constraint(rng):

@@ -1,9 +1,12 @@
 """The traced benchmark wraps kinlab names by setattr; each must exist, and
 a run must still call through them. The library seeds no Generator of its
-own."""
+own, and importing it does not load scipy."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -118,3 +121,16 @@ def test_only_cli_turns_a_seed_into_a_generator():
             if name in ("default_rng", "SeedSequence"):
                 offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy.special takes a large share of a fresh import's time and memory;
+    # only the functions that evaluate its special functions import it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, kinlab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
