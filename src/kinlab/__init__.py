@@ -20,7 +20,6 @@ from .geometry import (
     max_pair_separation_sq,
     renormalize_batch,
     sample_uniform_batch,
-    tangent_project_batch,
 )
 from .kinetic_limits import (
     LimitParams,

@@ -1,11 +1,13 @@
 """Experiment runner: every study is a subcommand driven by a key=value
-config file, writing a run-manifest JSON plus CSV (or JSON) tables.
+config file, writing a run-manifest JSON plus CSV tables.
 
 Subcommands: spectrum, sample, sim-sphere, sim-bp, rayleigh, gap-scan,
 marginal-compare, fpe-moments, chaos. Flags: --config PATH, --out DIR,
---seed U64 (overrides config), --format {csv,json}. A subcommand is one
-``COMMANDS`` entry: its config schema and the builder that makes its run
-objects at parse time and returns the runner that ``run`` calls.
+--seed U64 (written into the plan as its ``seed``, so the manifest's plan
+reruns the run). A subcommand is one ``COMMANDS`` entry: its config schema
+and the builder that makes its run objects at parse time and returns the
+runner that ``run`` calls. ``run(plan, out_dir)`` is the one way to run a
+plan, at the plan's own seed.
 
 Config format: UTF-8 lines "key = value"; '#' starts a comment; unknown
 keys are rejected and all violations are reported together with their line
@@ -273,18 +275,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_table(path: Path, header: list[str], rows: list[list], fmt: str):
-    if fmt == "json":
-        path = path.with_suffix(".json")
-        payload = [dict(zip(header, [_fmt(x) for x in row])) for row in rows]
-        path.write_text(json.dumps(payload, indent=1) + "\n")
-        return path
+def _write_table(path: Path, header: list[str], rows: list[list]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
-    return path
 
 
 @lru_cache(maxsize=None)
@@ -462,6 +458,10 @@ def _gap_scan(p, build):
     return run_gap_scan
 
 
+# Speeds at which the sup-norm table compares each marginal to the Maxwellian.
+_RADIAL_POINTS = 512
+
+
 def _marginal_compare(p, build):
     spec = build(("n_particles", "eps"),
                  lambda: ManifoldSpec(p["n_particles"], _C1, eps=p["eps"]))
@@ -470,15 +470,14 @@ def _marginal_compare(p, build):
     limit = build(("eps",), lambda: LimitParams(eps0=p["eps"]), spec)
     build(("n_samples", "n_particles"),
           lambda: check_n_states(p["n_samples"] // p["n_particles"]), spec)
-    probes = [build(("radial_points",),
-                    lambda s=s: radial_probe(s, p["radial_points"]), s) for s in specs]
 
     def run_marginal_compare(rng):
         velocities = sample_uniform_batch(spec, p["n_samples"] // spec.n_particles, rng)
         ks, pooled = radial_ks_statistic(velocities, spec)
         ks_rows = [[pooled, ks, ks_quantile_99(pooled)]]
         sup_rows = []
-        for s, v in zip(specs, probes):
+        for s in specs:
+            v = radial_probe(s, _RADIAL_POINTS)
             fstat = stationary_marginal_eval(s, 1, v)
             fm = maxwellian_eval(limit, v[:, 0, :])
             sup_rows.append([s.n_particles, float(np.max(np.abs(fstat - fm)))])
@@ -579,7 +578,6 @@ COMMANDS: dict[str, tuple[dict[str, Field], object]] = {
                           "eps": Field(_parse_float, default=1.0),
                           "n_samples": Field(_parse_int, default=1000000),
                           "n_list": Field(_parse_int_list, default=[8, 32, 128]),
-                          "radial_points": Field(_parse_int, default=512),
                           "seed": _SEED}, _marginal_compare),
     "fpe-moments": ({"flow": Field(_one_of(_FLOWS), default="fpe"),
                      "eps0": Field(_parse_float, default=1.0),
@@ -605,28 +603,27 @@ COMMANDS: dict[str, tuple[dict[str, Field], object]] = {
 # driver
 
 
-def run(plan: ExperimentPlan, out_dir: str | Path, *, seed: int | None = None,
-        fmt: str = "csv") -> dict:
-    """Execute a validated plan; writes artifacts and returns the manifest."""
-    eff_seed = int(plan.params["seed"] if seed is None else seed)
+def run(plan: ExperimentPlan, out_dir: str | Path) -> dict:
+    """Execute a validated plan at its own seed; writes the CSV tables and
+    the manifest, and returns the manifest."""
+    seed = plan.params["seed"]
     # the one place a seed becomes a Generator: every draw of the run
     # comes from this stream (a negative seed raises before any output)
-    rng = np.random.default_rng(np.random.SeedSequence(eff_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     tables, extras = plan.runner(rng)
 
-    outputs = [_write_table(out / f"{name}.csv", header, rows, fmt).name
-               for name, (header, rows) in tables.items()]
+    for name, (header, rows) in tables.items():
+        _write_table(out / f"{name}.csv", header, rows)
 
     manifest = {
         "command": plan.command,
         "plan": {"command": plan.command, "params": plan.params},
-        "seed": eff_seed,
-        "format": fmt,
+        "seed": seed,
         "version": _code_version(),
-        "outputs": outputs,
+        "outputs": [f"{name}.csv" for name in tables],
         "extras": extras,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, default=str) + "\n")
@@ -644,18 +641,18 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args(argv)
 
     try:
         text = Path(args.config).read_text()
         plan = parse_config(text, args.command)
-        try:
-            seed = None if args.seed is None else check_seed(args.seed)
-        except ValueError as exc:
-            raise ConfigError([f"--seed: {exc}"]) from None
+        if args.seed is not None:
+            try:
+                plan.params["seed"] = check_seed(args.seed)
+            except ValueError as exc:
+                raise ConfigError([f"--seed: {exc}"]) from None
         out_dir = args.out if args.out is not None else f"out-{args.command}"
-        run(plan, out_dir, seed=seed, fmt=args.format)
+        run(plan, out_dir)
     except ConfigError as exc:
         print(json.dumps({"error": "invalid config",
                           "violations": exc.violations}, indent=1))

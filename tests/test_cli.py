@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -22,12 +23,23 @@ j_max = 4
 """
 
 
-def test_readme_lists_every_command_and_config_key():
+def _flags_of_main(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+
+
+def test_readme_lists_every_command_and_config_key(capsys):
     readme = (RECIPES.parent / "README.md").read_text()
     section = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
     missing = [f"{command}: {key}" for command, (schema, _) in cli.COMMANDS.items()
                for key in (command, *schema) if f"`{key}`" not in section]
     assert not missing, missing
+    # the Flags sentence names exactly the flags every subcommand takes
+    sentence = readme.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", sentence))
+    for command in cli.COMMANDS:
+        assert _flags_of_main(command, capsys) == documented, command
 
 
 def test_parse_minimal_fills_defaults():
@@ -96,7 +108,8 @@ def test_seed_override_changes_output(tmp_path):
            "n_replicas = 8\nobservables = sum_v1\nseed = 7\n")
     plan = parse_config(cfg, "sim-sphere")
     run(plan, tmp_path / "a")
-    manifest = run(plan, tmp_path / "c", seed=8)
+    plan.params["seed"] = 8
+    manifest = run(plan, tmp_path / "c")
     assert manifest["seed"] == 8
     assert (tmp_path / "a/series.csv").read_bytes() != \
         (tmp_path / "c/series.csv").read_bytes()
@@ -104,9 +117,28 @@ def test_seed_override_changes_output(tmp_path):
 
 def test_negative_seed_to_run_raises_before_output(tmp_path):
     plan = parse_config(SPECTRUM_CFG, "spectrum")
+    plan.params["seed"] = -1
     with pytest.raises(ValueError):
-        run(plan, tmp_path / "out", seed=-1)
+        run(plan, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def test_seed_flag_is_recorded_in_the_plan(tmp_path):
+    # the manifest's plan reruns the run: --seed replaces the config's seed
+    config = ("n_particles = 4\nmode = energy\ndt = 0.01\nt_end = 0.05\n"
+              "n_replicas = 8\nobservables = sum_v1\nseed = {}\n")
+    for name, seed in (("flag", 5), ("config", 9)):
+        (tmp_path / f"{name}.cfg").write_text(config.format(seed))
+    assert main(["sim-sphere", "--config", str(tmp_path / "flag.cfg"),
+                 "--out", str(tmp_path / "flag"), "--seed", "9"]) == 0
+    assert main(["sim-sphere", "--config", str(tmp_path / "config.cfg"),
+                 "--out", str(tmp_path / "config")]) == 0
+    manifest = json.loads((tmp_path / "flag/manifest.json").read_text())
+    assert manifest["seed"] == manifest["plan"]["params"]["seed"] == 9
+    assert sorted(manifest) == ["command", "extras", "outputs", "plan", "seed",
+                                "version"]
+    assert (tmp_path / "flag/series.csv").read_bytes() == \
+        (tmp_path / "config/series.csv").read_bytes()
 
 
 def test_t_end_zero_header_only(tmp_path):
@@ -150,32 +182,7 @@ def test_fpe_moments_table(tmp_path):
     assert float(lines[2].split(",")[1]) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_json_format(tmp_path):
-    plan = parse_config(SPECTRUM_CFG, "spectrum")
-    run(plan, tmp_path, fmt="json")
-    data = json.loads((tmp_path / "spectrum.json").read_text())
-    assert data[1]["j"] == "1"
-    assert float(data[1]["scaled"]) == pytest.approx(1.46875)
-
-
-def test_format_json_matches_csv(tmp_path):
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text(SPECTRUM_CFG)
-    for fmt in ("csv", "json"):
-        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / fmt),
-                     "--format", fmt]) == 0
-    with open(tmp_path / "csv/spectrum.csv", newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    data = json.loads((tmp_path / "json/spectrum.json").read_text())
-    assert data == [dict(zip(header, row)) for row in rows]
-    manifest = json.loads((tmp_path / "json/manifest.json").read_text())
-    assert manifest["outputs"] == ["spectrum.json"]
-    assert manifest["format"] == "json"
-    assert sorted(manifest) == ["command", "extras", "format", "outputs", "plan",
-                                "seed", "version"]
-
-
-@pytest.mark.parametrize("flag", [["--threads", "1"], ["--plot"]])
+@pytest.mark.parametrize("flag", [["--threads", "1"], ["--plot"], ["--format", "json"]])
 def test_removed_flags_rejected(flag, tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(SPECTRUM_CFG)
@@ -255,6 +262,7 @@ INVALID_CONFIGS = {
                         ["record_every", "observables"]),
     "seed_negative": ("sim-sphere", _with(SIM, seed="-1"), ["seed"]),
     "sample_seed_negative": ("sample", [("n_particles", "4"), ("seed", "-1")], ["seed"]),
+    # the sup-norm probe size is a constant, not a config key
     "marginal_radial_points_zero": ("marginal-compare", [("n_particles", "8"),
                                     ("n_list", "8,32"), ("radial_points", "0")],
                                     ["radial_points"]),
@@ -297,7 +305,7 @@ INVALID_CONFIGS = {
     "observables_empty": ("sim-bp", _with(SIM, gamma="-3", observables=""),
                           ["observables"]),
     # a repeated column or snapshot would make the tables disagree with the
-    # request (and the JSON table with the CSV one)
+    # request
     "observables_repeated": ("sim-sphere", _with(SIM, observables="sum_v1,sum_v1"),
                              ["observables"]),
     "entropy_times_repeated": ("sim-sphere", _with(SIM, entropy_times="0.02,0.02,0"),
@@ -430,7 +438,7 @@ COMMAND_RUNS = {
     "gap-scan": ("n_list = 4,8,16\nn_samples = 2000\nseed = 5\n",
                  {"gap_scan": "N,estimate,stderr,bound"}),
     "marginal-compare": ("n_particles = 8\nn_samples = 800\nn_list = 8,16\n"
-                         "radial_points = 16\nseed = 5\n",
+                         "seed = 5\n",
                          {"ks": "n_pooled,ks_statistic,ks_quantile_99",
                           "supnorm": "N,supnorm_distance_to_maxwellian"}),
     "fpe-moments": ("flow = landau\nt_list = 0,0.5\n",

@@ -24,6 +24,7 @@ from kinlab.master_sim import (
     step_sphere_diffusion,
     uniform_sampler,
 )
+from kinlab.observables import radial_ks_statistic
 from kinlab.spectral import eigenvalue_scaled
 
 from oracles import (
@@ -358,6 +359,49 @@ def test_generator_matches_finite_differences(gamma, rng):
         assert cf == pytest.approx(fd, rel=2e-7, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+@pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
+def test_gamma0_generator_exact_eigenfunctions(n, mode, rng):
+    # at gamma = 0 the weight |d|^2 maps polynomials of degree <= 2 to
+    # themselves: centered coordinates and centered anisotropic second
+    # moments are eigenfunctions at every state, vbar = P/N being the
+    # state's own mean velocity (u on the energy-momentum sphere)
+    base = SPHERE_SPECS[mode]
+    spec = ManifoldSpec(n, base.mode, eps=base.eps, u=base.u)
+    v = sample_uniform_batch(spec, 4, rng)
+    kernel = KernelSpec(0.0)
+
+    def gen(*args):
+        make = TestPolynomial.coord if len(args) == 2 else TestPolynomial.quad
+        return generator_apply(spec, v, kernel, make(*args))
+
+    def check(l_f, f, rate):
+        expect = -rate * f
+        assert np.all(np.abs(l_f - expect) <= 1e-12 * (1.0 + np.abs(expect)))
+
+    vbar = v.mean(axis=1)
+    l_coord = np.array([[gen(k, s) for s in range(3)] for k in range(n)])
+    l_coord = l_coord.transpose(2, 0, 1)   # (R, N, 3), as v
+    for k in range(n):
+        for s in range(3):
+            check(l_coord[..., k, s] - l_coord[..., s].mean(axis=-1),
+                  v[:, k, s] - vbar[:, s], 4.0 * n / (n - 1))
+
+    p = v.sum(axis=1)
+
+    def l_second_moment(s, t):
+        # L of sum_k v_ks v_kt - P_s P_t / N, term by term
+        return (sum(gen(k, s, k, t) for k in range(n))
+                - sum(gen(k, s, m, t) for k in range(n) for m in range(n)) / n)
+
+    rate2 = 12.0 * n / (n - 1)
+    check(l_second_moment(0, 1),
+          (v[..., 0] * v[..., 1]).sum(axis=1) - p[:, 0] * p[:, 1] / n, rate2)
+    check(l_second_moment(0, 0) - l_second_moment(1, 1),
+          (v[..., 0] ** 2 - v[..., 1] ** 2).sum(axis=1)
+          - (p[:, 0] ** 2 - p[:, 1] ** 2) / n, rate2)
+
+
 def test_pair_weak_consistency_small(rng):
     # one-step drift against the generator oracle (antithetic noise);
     # a light version of acceptance criterion 6
@@ -445,6 +489,33 @@ def test_pair_process_equilibrium_preservation(rng):
                                atol=1e-12)
     s = res.series["sum_v1v2"]
     assert np.all(np.abs(s.means) <= 4.0 * s.stderrs + 1e-12)
+
+
+@pytest.mark.parametrize("gamma", [None, -3.0, 0.0])
+def test_uniform_law_exactly_invariant_at_large_dt(gamma, rng):
+    # both chains keep the uniform law exactly at any dt: a pair move's
+    # kernel on its pair sphere depends only on the angle it turns, and the
+    # sphere step is the same construction on the whole manifold. Three
+    # steps at dt = 1 from exact uniform samples must leave a uniform sample
+    # (gamma None: the sphere step)
+    n, m = 8, 40000
+    spec = ManifoldSpec(n, ConservationMode.ENERGY_ONLY, eps=1.0)
+    v = sample_uniform_batch(spec, m, rng)
+    for _ in range(3):
+        if gamma is None:
+            v = step_sphere_diffusion(spec, v, 1.0, rng.standard_normal(v.shape))
+        else:
+            v = step_pair_diffusion(spec, v, KernelSpec(gamma), 1.0, rng)
+    ks, pooled = radial_ks_statistic(v, spec)
+    assert pooled == n * m
+    # Kolmogorov tail P(sqrt(m) D > x) <= 2 exp(-2 x^2) at 1e-6
+    assert ks < math.sqrt(math.log(2e6) / 2.0) / math.sqrt(pooled)
+    # |v_k|^2 / (2 N eps) ~ Beta(a, b): E sum_k |v_k|^4 in closed form
+    a, b = 1.5, (3 * n - 3) / 2.0
+    exact = n * (2 * n * spec.eps) ** 2 * a * (a + 1) / ((a + b) * (a + b + 1))
+    fourth = (np.einsum("rki,rki->rk", v, v) ** 2).sum(axis=1)
+    z = (fourth.mean() - exact) / (fourth.std(ddof=1) / math.sqrt(m))
+    assert abs(z) <= 5.0
 
 
 @pytest.mark.parametrize("process", ["sphere", "pair"])

@@ -69,7 +69,7 @@ TRACED_RUNS = {
                  {"spectral.gap_scan", "spectral.rayleigh"},
                  {"geometry.sample_calls": 0, "spectral.samples": 3000}),
     "marginal-compare": ("n_particles = 4\nn_samples = 40\nn_list = 4,8\n"
-                         "radial_points = 8\nseed = 3\n",
+                         "seed = 3\n",
                          {"geometry.sample", "observables.ks",
                           "kinetic_limits.marginal_eval"},
                          {"geometry.sample_calls": 1}),
