@@ -33,6 +33,7 @@ from .geometry import (
     ConservationMode,
     ManifoldSpec,
     NonFiniteStateError,
+    block_states,
     check_n_states,
     constraint_errors,
     max_pair_separation_sq,
@@ -398,17 +399,13 @@ def _spectrum(p, build):
                                       [list(row) for row in table])}, {})
 
 
-# Coordinates (states x 3N) drawn and scanned at once: 341 states at N = 64.
-_STATE_BLOCK_ENTRIES = 1 << 16
-
-
 def _sample(p, build):
     spec = _manifold(p, build)
     build(("n_samples",), lambda: check_n_states(p["n_samples"]))
 
     def run_sample(rng):
         n, n_states = spec.n_particles, p["n_samples"]
-        block = max(1, _STATE_BLOCK_ENTRIES // (3 * n))
+        block = block_states(n)   # drawn and scanned at once
         rows = []
         for start in range(0, n_states, block):
             b = sample_uniform_batch(spec, min(block, n_states - start), rng)
@@ -644,13 +641,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-        plan = parse_config(text, args.command)
+        # --seed is checked whatever the config holds, and its violation
+        # joins the config's in one list
+        seed, seed_errors = None, []
         if args.seed is not None:
             try:
-                plan.params["seed"] = check_seed(args.seed)
+                seed = check_seed(args.seed)
             except ValueError as exc:
-                raise ConfigError([f"--seed: {exc}"]) from None
+                seed_errors = [f"--seed: {exc}"]
+        text = Path(args.config).read_text()
+        try:
+            plan = parse_config(text, args.command)
+        except ConfigError as exc:
+            raise ConfigError(exc.violations + seed_errors) from None
+        if seed_errors:
+            raise ConfigError(seed_errors)
+        if seed is not None:
+            plan.params["seed"] = seed
         out_dir = args.out if args.out is not None else f"out-{args.command}"
         run(plan, out_dir)
     except ConfigError as exc:

@@ -10,7 +10,8 @@ families of constraint manifolds are supported:
 
 This module provides uniform sampling, exact constraint restoration and its
 error measure, the largest pair separation of a state, the tangent projector
-of the manifold, and log hypersphere surface areas.
+of the manifold, log hypersphere surface areas, and the block size of the
+loops that run over states in cache-sized blocks (``block_states``).
 
 States are float arrays of shape (..., N, 3); the batch functions take
 (R, N, 3), and a single state is the batch R = 1.
@@ -27,6 +28,16 @@ import numpy as np
 # Pairs closer than CUTOFF_SCALE * sqrt(eps) have an ill-defined separation
 # direction and are skipped by diffusion steps.
 CUTOFF_SCALE = 1e-8
+
+# Coordinates (states x 3N) that a blocked loop over states handles at once:
+# 512 KiB of doubles per array, so a block's few arrays stay in a 2 MB L2
+# cache. 42 states at N = 512, 341 at N = 64.
+STATE_BLOCK_ENTRIES = 1 << 16
+
+
+def block_states(n_particles: int) -> int:
+    """States per block of ``STATE_BLOCK_ENTRIES`` coordinates, at least one."""
+    return max(1, STATE_BLOCK_ENTRIES // (3 * n_particles))
 
 
 class DegenerateStateError(ValueError):
@@ -138,10 +149,19 @@ def sample_uniform_batch(spec: ManifoldSpec, n_states: int,
     restoration onto the manifold (``restore_batch``, run in place on the
     draw) is uniform on the sphere. Constraints hold to machine precision
     by construction.
+
+    The output array is filled in blocks of ``block_states`` states, each
+    drawn and restored while it is in cache. The normals are consumed in
+    the same order as one whole draw and restoration is per state, so the
+    result does not depend on the block size, bit for bit.
     """
     check_n_states(n_states)
-    xi = rng.standard_normal((n_states, spec.n_particles, 3))
-    return restore_batch(spec, xi, xi)
+    out = np.empty((n_states, spec.n_particles, 3))
+    block = block_states(spec.n_particles)
+    for i in range(0, n_states, block):
+        b = out[i:i + block]
+        restore_batch(spec, rng.standard_normal(out=b), b)
+    return out
 
 
 def renormalize_batch(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:

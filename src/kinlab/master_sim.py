@@ -40,6 +40,7 @@ from .geometry import (
     DegenerateStateError,
     ManifoldSpec,
     NonFiniteStateError,
+    block_states,
     center_batch,
     renormalize_batch,
     restore_batch,
@@ -469,8 +470,17 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     bit-identical results. Ensemble means are reported with standard
     errors (std/sqrt(R), ddof=1).
 
+    The run holds one (R, N, 3) state array, its own copy of the initial
+    sample. A sphere step updates it in place over blocks of
+    ``block_states`` replicas: each block's normals are drawn into one
+    block-sized buffer and ``step_sphere_diffusion`` is run on the block,
+    so its arrays stay in cache. The normals are consumed in the same
+    order as one whole-array draw and every reduction of the step is per
+    replica, so the states do not depend on the block size, bit for bit.
+
     A step that leaves NaN or inf in some replica raises
-    NonFiniteStateError naming that step and those replicas.
+    NonFiniteStateError naming that step and those replicas (all of them,
+    across the blocks of a sphere step).
     """
     fns = {name: obs_mod.get_observable(name) for name in observables}
     snap_steps = config.snapshot_steps(snapshot_times)
@@ -498,17 +508,27 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     maybe_snapshot(0)
     if n_steps > 0:
         record(0)
-    # the sphere step's normals, refilled in place each step (same stream)
-    noise = np.empty(states.shape) if config.kernel is None else None
+    # one block of the sphere step's normals, refilled in place (same stream)
+    block = block_states(spec.n_particles)
+    noise = (np.empty((min(block, len(states)),) + states.shape[1:])
+             if config.kernel is None else None)
     for step in range(1, n_steps + 1):
-        try:
-            if config.kernel is None:
-                states = step_sphere_diffusion(spec, states, config.dt,
-                                               rng.standard_normal(out=noise))
-            else:
+        if config.kernel is not None:
+            try:
                 states = step_pair_diffusion(spec, states, config.kernel, config.dt, rng)
-        except NonFiniteStateError as exc:
-            raise NonFiniteStateError(exc.replicas, step=step) from None
+            except NonFiniteStateError as exc:
+                raise NonFiniteStateError(exc.replicas, step=step) from None
+        else:
+            bad: list[int] = []
+            for i in range(0, len(states), block):
+                s = states[i:i + block]
+                try:
+                    s[...] = step_sphere_diffusion(
+                        spec, s, config.dt, rng.standard_normal(out=noise[:len(s)]))
+                except NonFiniteStateError as exc:
+                    bad += [i + r for r in exc.replicas]
+            if bad:
+                raise NonFiniteStateError(bad, step=step)
         if step % config.record_every == 0 or step == n_steps:
             record(step)
         maybe_snapshot(step)

@@ -27,7 +27,12 @@ from kinlab.geometry import (
     tangent_project_batch,
 )
 from kinlab.kinetic_limits import stationary_marginal_eval
-from kinlab.master_sim import TestPolynomial, _round_layout, generator_apply
+from kinlab.master_sim import (
+    TestPolynomial,
+    _round_layout,
+    generator_apply,
+    step_sphere_diffusion,
+)
 from kinlab.observables import OBSERVABLES, Observable, _pooled
 from kinlab.spectral import (
     TrialFunction,
@@ -403,6 +408,44 @@ def step_sphere_diffusion_reference(spec, states, dt, xi):
     no code with the library's centering and restoration."""
     moved = states + math.sqrt(2.0 * dt) * tangent_project_batch(spec, states, xi)
     return renormalize_reference(spec, moved)
+
+
+def sample_uniform_whole(spec, n_states, rng):
+    """Uniform states by one draw of every normal and one restoration of the
+    whole array: ``geometry.sample_uniform_batch`` without its blocks."""
+    return renormalize_batch(spec, rng.standard_normal((n_states, spec.n_particles, 3)))
+
+
+def run_sphere_whole(spec, n_replicas, dt, n_steps, rng):
+    """Final states of a sphere run as a whole-array loop: the uniform start
+    of ``sample_uniform_whole``, then per step one draw of every replica's
+    normals and one ``step_sphere_diffusion`` call on the whole array.
+    ``master_sim.run_ensemble`` without its replica blocks."""
+    states = sample_uniform_whole(spec, n_replicas, rng)
+    for _ in range(n_steps):
+        states = step_sphere_diffusion(spec, states, dt, rng.standard_normal(states.shape))
+    return states
+
+
+def sphere_step_contraction(spec, dt):
+    """kappa(dt) of the sphere step: E[V' - u | V] = kappa(dt) (V - u).
+
+    The step sends the deviation w = V - u (|w|^2 = r^2 = 2 N eps0) to
+    r (w + a z) / |w + a z|, with a = sqrt(2 dt) and z the normals
+    projected onto the tangent space (dimension 3N - C), which is
+    orthogonal to w. So |w + a z|^2 = r^2 + a^2 Q with Q = |z|^2 ~
+    chi^2(3N - C), and the z term averages out under z -> -z, leaving
+    kappa = E[(1 + 2 dt Q / r^2)^(-1/2)], evaluated here by quadrature
+    over the chi^2 law.
+    """
+    from scipy.integrate import quad
+    from scipy.stats import chi2
+
+    k, r2 = spec.dim, spec.radius_sq
+    val, _ = quad(lambda q: chi2.pdf(q, k) / math.sqrt(1.0 + 2.0 * dt * q / r2),
+                  chi2.ppf(1e-16, k), chi2.isf(1e-16, k), limit=200,
+                  epsabs=0.0, epsrel=1e-12)
+    return val
 
 
 class AntitheticGenerator:

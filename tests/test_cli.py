@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinlab import cli
+from kinlab import cli, geometry
 from kinlab.cli import ConfigError, main, parse_config, run
 from oracles import rayleigh_quotient_exact
 
@@ -345,6 +345,18 @@ def test_negative_seed_flag_exits_2_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_flag_listed_with_config_violations(tmp_path, capsys):
+    # --seed is checked even when the config has violations of its own
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SPECTRUM_CFG + "colour = red\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert len(violations) == 2
+    assert "unknown key 'colour'" in violations[0] and "--seed" in violations[1]
+    assert not out.exists()
+
+
 def test_chaos_draws_from_one_stream(tmp_path, monkeypatch):
     # the run's one Generator is handed to each N's simulation and pair
     # subsample in turn, so every call starts from a new state; the
@@ -499,7 +511,7 @@ def test_sample_table_is_independent_of_block_size(monkeypatch, tmp_path):
     plan = parse_config("n_particles = 5\nmode = energy-momentum\nu = 0.3,0,0\n"
                         "n_samples = 100\nseed = 8\n", "sample")
     run(plan, tmp_path / "default")
-    monkeypatch.setattr(cli, "_STATE_BLOCK_ENTRIES", 7 * 3 * 5)
+    monkeypatch.setattr(geometry, "STATE_BLOCK_ENTRIES", 7 * 3 * 5)
     run(plan, tmp_path / "blocks_of_7")
     assert (tmp_path / "default" / "samples.csv").read_bytes() == \
         (tmp_path / "blocks_of_7" / "samples.csv").read_bytes()

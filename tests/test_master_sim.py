@@ -9,6 +9,7 @@ from kinlab.geometry import (
     DegenerateStateError,
     ManifoldSpec,
     NonFiniteStateError,
+    block_states,
     constraint_errors,
     sample_uniform_batch,
 )
@@ -22,6 +23,7 @@ from kinlab.master_sim import (
     run_ensemble,
     step_pair_diffusion,
     step_sphere_diffusion,
+    tagged_shift_sampler,
     uniform_sampler,
 )
 from kinlab.observables import radial_ks_statistic
@@ -32,6 +34,9 @@ from oracles import (
     generator_apply_fd,
     generator_conservation_residuals,
     pair_projector_apply,
+    run_sphere_whole,
+    sample_uniform_whole,
+    sphere_step_contraction,
     step_pair_diffusion_reference,
     step_sphere_diffusion_reference,
 )
@@ -161,6 +166,14 @@ def test_sphere_step_preserves_constraints(rng):
 SPHERE_SPECS = {
     "c1": ManifoldSpec(7, ConservationMode.ENERGY_ONLY, eps=1.5),
     "c4_u": ManifoldSpec(7, ConservationMode.ENERGY_MOMENTUM, eps=1.5,
+                         u=[1.0, -0.5, 0.25]),
+}
+
+# N = 512 and R = 100: sphere steps and samples run in replica blocks of
+# 42, 42 and 16 (``geometry.block_states``)
+BLOCKED_SPECS = {
+    "c1": ManifoldSpec(512, ConservationMode.ENERGY_ONLY, eps=1.5),
+    "c4_u": ManifoldSpec(512, ConservationMode.ENERGY_MOMENTUM, eps=1.5,
                          u=[1.0, -0.5, 0.25]),
 }
 
@@ -533,3 +546,75 @@ def test_run_ensemble_names_breakdown_step_and_replica(process, spec_c4):
                      initial_sampler=nan_in_replica_3)
     assert info.value.step == 1
     assert info.value.replicas == [3]
+
+
+@pytest.mark.parametrize("mode", sorted(BLOCKED_SPECS))
+def test_run_ensemble_names_bad_replicas_across_blocks(mode):
+    # replica 5 is in the first block and replica 90 in the third: the
+    # other blocks are still stepped and both are named by global index
+    def nan_in_replicas_5_and_90(spec, n_states, rng):
+        states = sample_uniform_batch(spec, n_states, rng)
+        states[[5, 90], 0, 1] = np.nan
+        return states
+
+    spec = BLOCKED_SPECS[mode]
+    assert block_states(spec.n_particles) == 42
+    with pytest.raises(NonFiniteStateError) as info:
+        run_ensemble(spec, SimConfig(dt=1e-3, t_end=2e-3, n_replicas=100), ["tagged_v1"],
+                     rng=np.random.default_rng(3), initial_sampler=nan_in_replicas_5_and_90)
+    assert info.value.step == 1
+    assert info.value.replicas == [5, 90]
+
+
+@pytest.mark.parametrize("mode", sorted(BLOCKED_SPECS))
+def test_blocked_sphere_run_matches_whole_array_loop(mode):
+    # the normals form one stream and every reduction is per replica, so
+    # replica blocks change no bit of the sample or of the run
+    spec = BLOCKED_SPECS[mode]
+    np.testing.assert_array_equal(
+        sample_uniform_batch(spec, 100, np.random.default_rng(21)),
+        sample_uniform_whole(spec, 100, np.random.default_rng(21)))
+    cfg = SimConfig(dt=0.01, t_end=0.03, n_replicas=100)
+    result = run_ensemble(spec, cfg, ["tagged_v1"], rng=np.random.default_rng(22),
+                          snapshot_times=[0.03])
+    np.testing.assert_array_equal(
+        result.snapshots[0].velocities,
+        run_sphere_whole(spec, 100, 0.01, 3, np.random.default_rng(22)))
+
+
+@pytest.mark.parametrize("mode", sorted(BLOCKED_SPECS))
+def test_blocked_sphere_run_peak_allocation(mode):
+    # one state array and its initial sample, plus block-sized step
+    # arrays; a whole-array step holds the states, their normals and the
+    # new states at once (3x)
+    spec = BLOCKED_SPECS[mode]
+    cfg = SimConfig(dt=1e-3, t_end=3e-3, n_replicas=128)
+    states_nbytes = 128 * spec.n_particles * 3 * 8
+    run_ensemble(spec, cfg, ["tagged_v1"], rng=np.random.default_rng(4))  # warm caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run_ensemble(spec, cfg, ["tagged_v1"], rng=np.random.default_rng(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * states_nbytes
+
+
+@pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
+def test_sphere_step_contracts_tagged_mean_exactly(mode, rng):
+    # every replica starts from one state V; after one step the mean of
+    # v_11 is u_1 + kappa(dt) (V_11 - u_1), kappa by quadrature over the
+    # chi^2(3N - C) law. 2000 replicas at N = 64 span 6 blocks of 341
+    base = SPHERE_SPECS[mode]
+    spec = ManifoldSpec(64, base.mode, eps=base.eps, u=base.u)
+    v0 = tagged_shift_sampler(4.0)(spec, 1, rng)[0]
+    dt = 0.05
+    result = run_ensemble(spec, SimConfig(dt=dt, t_end=dt, n_replicas=2000), ["tagged_v1"],
+                          rng=rng, initial_sampler=lambda s, m, g: np.broadcast_to(v0, (m, 64, 3)))
+    series = result.series["tagged_v1"]
+    u1 = spec.u[0]
+    expected = u1 + sphere_step_contraction(spec, dt) * (v0[0, 0] - u1)
+    assert series.means[0] == pytest.approx(v0[0, 0], rel=1e-12)
+    assert abs(series.means[1] - expected) <= 5.0 * series.stderrs[1]
+
