@@ -11,14 +11,14 @@ import numpy as np
 from kinlab import ConservationMode, ManifoldSpec, eigenvalue_scaled
 from kinlab.master_sim import SimConfig, run_ensemble, sheared_sampler, \
     shifted_sampler
-from kinlab.observables import decay_rate_fit, moment_series
+from kinlab.observables import decay_rate_fit
 
 # degree-1 observable on the energy-only sphere
 spec = ManifoldSpec(16, ConservationMode.ENERGY_ONLY, eps=1.0)
 cfg = SimConfig(dt=1e-3, t_end=1.5, n_replicas=2048, record_every=50)
 res = run_ensemble(spec, cfg, ["sum_v1"], rng=np.random.default_rng(31),
                    initial_sampler=shifted_sampler(0.7))
-fit = decay_rate_fit(moment_series(res, "sum_v1"))
+fit = decay_rate_fit(res.series["sum_v1"])
 lam = eigenvalue_scaled(spec, 1)
 print(f"C=1, sum_k v_k1:  fitted rate {fit.rate:.4f} +- {fit.rate_stderr:.4f}"
       f"   exact {lam:.5f}")
@@ -28,12 +28,12 @@ spec4 = ManifoldSpec(16, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
 cfg4 = SimConfig(dt=2e-3, t_end=1.0, n_replicas=2048, record_every=20)
 res4 = run_ensemble(spec4, cfg4, ["sum_v1v2"], rng=np.random.default_rng(32),
                     initial_sampler=sheared_sampler(0.5))
-fit4 = decay_rate_fit(moment_series(res4, "sum_v1v2"))
+fit4 = decay_rate_fit(res4.series["sum_v1v2"])
 lam4 = eigenvalue_scaled(spec4, 2)
 print(f"C=4, sum_k v_k1 v_k2:  fitted rate {fit4.rate:.4f} +- {fit4.rate_stderr:.4f}"
       f"   exact {lam4:.5f}")
 
 print("\nfrom equilibrium the same observables are statistically flat:")
 res_eq = run_ensemble(spec, cfg, ["sum_v1"], rng=np.random.default_rng(31))
-s = moment_series(res_eq, "sum_v1")
+s = res_eq.series["sum_v1"]
 print("  max |mean|/stderr =", float(np.max(np.abs(s.means) / s.stderrs)))

@@ -17,8 +17,8 @@ from kinlab.kinetic_limits import (LimitParams, entropy_grid_edges,
                                    relative_entropy, velocity_histogram3d)
 from kinlab.master_sim import (SimConfig, run_ensemble, sheared_sampler,
                                shifted_sampler, tagged_shift_sampler)
-from kinlab.observables import (chaos_distance, decay_rate_fit, moment_series,
-                                one_marginal, pair_marginal)
+from kinlab.observables import (chaos_distance, decay_rate_fit, one_marginal,
+                                pair_marginal)
 
 p = LimitParams(eps0=1.0)
 
@@ -27,7 +27,7 @@ spec = ManifoldSpec(256, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
 cfg = SimConfig(dt=2.5e-3, t_end=1.0, n_replicas=512, record_every=80)
 res = run_ensemble(spec, cfg, ["tagged_v1"], rng=np.random.default_rng(61),
                    initial_sampler=tagged_shift_sampler(1.2))
-s = moment_series(res, "tagged_v1")
+s = res.series["tagged_v1"]
 print("tagged mean vs Fokker-Planck flow (mean relaxes at 3/(2 eps0)):")
 for i, t in enumerate(s.times):
     oracle = fpe_moment_flow(p, [s.means[0], 0, 0],
@@ -41,7 +41,7 @@ cfg = SimConfig(dt=2e-3, t_end=0.25, n_replicas=64,
                 kernel=KernelSpec(0.0), record_every=5)
 res = run_ensemble(spec, cfg, ["mean_v1v2"], rng=np.random.default_rng(62),
                    initial_sampler=sheared_sampler(0.6))
-fit = decay_rate_fit(moment_series(res, "mean_v1v2"))
+fit = decay_rate_fit(res.series["mean_v1v2"])
 s0 = (2 / 3) * np.eye(3) + 0.2 * (np.eye(3) == 0)
 st = landau_moment_flow(np.zeros(3), s0, 0.1)
 flow_rate = -math.log(st.centered[0, 1] / s0[0, 1]) / 0.1

@@ -46,7 +46,6 @@ from .observables import (
     ObservableSeries,
     chaos_distance,
     decay_rate_fit,
-    moment_series,
     one_marginal,
     pair_marginal,
     radial_ks_statistic,

@@ -64,7 +64,6 @@ from .observables import (
     decay_rate_fit,
     chaos_distance,
     ks_quantile_99,
-    moment_series,
     one_marginal,
     pair_marginal,
     radial_ks_statistic,
@@ -380,7 +379,7 @@ def _sim(p, build, pair=False):
         if fit_name and result.series[fit_name].times.size >= 2:
             # a fit that cannot be made is reported like a poor one: the tables stay
             try:
-                fit = decay_rate_fit(moment_series(result, fit_name))
+                fit = decay_rate_fit(result.series[fit_name])
                 report = {"rate": fit.rate, "rate_stderr": fit.rate_stderr,
                           "ci": [fit.ci_low, fit.ci_high], "r_squared": fit.r_squared,
                           "low_r2_warning": fit.low_r2_warning}
@@ -649,7 +648,11 @@ def main(argv: list[str] | None = None) -> int:
                 seed = check_seed(args.seed)
             except ValueError as exc:
                 seed_errors = [f"--seed: {exc}"]
-        text = Path(args.config).read_text()
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError([f"--config: cannot read {args.config}: {exc}"]
+                              + seed_errors) from None
         try:
             plan = parse_config(text, args.command)
         except ConfigError as exc:

@@ -173,20 +173,17 @@ def renormalize_batch(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
     return restore_batch(spec, states, np.empty_like(states))
 
 
-def center_batch(spec: ManifoldSpec, x: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def center_batch(spec: ManifoldSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Deviation of (R, N, 3) x about its per-replica particle mean.
 
-    For C=4 it is written to ``out`` (a new array when None; x itself is
-    allowed). For C=1, where u = 0 and the sphere is centered at the
-    origin, x is returned as it is.
+    For C=4 it is written to ``out`` (which may be x) and returned. For
+    C=1, where u = 0 and the sphere is centered at the origin, x is
+    returned as it is and ``out`` is not written.
     """
     if spec.mode is ConservationMode.ENERGY_ONLY:
         return x
     n = x.shape[1]
     mean = (np.ones(n) @ x) / n
-    if out is None:
-        out = np.empty_like(x)
     # per-replica means go in one component at a time: a (R, 1, 3)
     # broadcast would run numpy's inner loop over 3 elements, this over N
     for j in range(3):

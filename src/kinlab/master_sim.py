@@ -140,33 +140,36 @@ def step_sphere_diffusion(spec: ManifoldSpec, states: np.ndarray, dt: float,
                           xi: np.ndarray) -> np.ndarray:
     """One projected Euler-Maruyama step of Brownian motion on the manifold.
 
-    states and the standard normals xi have shape (R, N, 3) and are only
-    read; returns the new states, on the manifold, as a new array.
+    Overwrites the (R, N, 3) ``states`` with the new states, on the
+    manifold, and returns ``states`` itself; the standard normals xi, of
+    the same shape, are only read. The step allocates no array of their
+    shape.
 
     The projection and the renormalization are one affine map per replica.
-    With w the deviation of the states about their mean (``center_batch``;
-    w = states for C=1, where u = 0), y that of xi, a = sqrt(2 dt) and
-    c = <w,y>/<w,w>, the projected move is w + a (y - c w) = b w + a y
-    with b = 1 - a c. Restoration centers its input and ignores a positive
-    factor, so restoring (b/a) w + xi gives the restored b w + a y and the
-    projected array is never built: a step costs two per-replica
-    reductions (<w,y> = <w,xi>, as w sums to zero over the particles), one
-    scaled sum, and ``restore_batch`` run in place on it.
+    With w the deviation of the states about their mean (``center_batch``,
+    written into ``states``; w = states for C=1, where u = 0), y that of
+    xi, a = sqrt(2 dt) and c = <w,y>/<w,w>, the projected move is
+    w + a (y - c w) = b w + a y with b = 1 - a c. Restoration centers its
+    input and ignores a positive factor, so restoring (b/a) w + xi gives
+    the restored b w + a y and the projected array is never built: a step
+    costs two per-replica reductions (<w,y> = <w,xi>, as w sums to zero
+    over the particles), one scaled sum, and ``restore_batch``, each run in
+    place on ``states``.
 
     Raises NonFiniteStateError, naming the replicas, when NaN or inf in
     states or xi reaches the restored norm, and DegenerateStateError when a
-    replica's deviation is zero.
+    replica's deviation is zero; ``states`` is then left part-way through
+    the step.
     """
     a = math.sqrt(2.0 * dt)
-    w = center_batch(spec, states)
+    w = center_batch(spec, states, states)
     wsq = np.einsum("rij,rij->r", w, w)
     if np.any(wsq == 0.0):
         raise DegenerateStateError("all velocities equal u; cannot rescale")
     c = np.einsum("rij,rij->r", w, xi) / wsq
-    out = np.multiply(w, ((1.0 - a * c) / a)[:, None, None],
-                      out=None if w is states else w)
-    out += xi
-    return restore_batch(spec, out, out)
+    w *= ((1.0 - a * c) / a)[:, None, None]
+    w += xi
+    return restore_batch(spec, w, w)
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +413,21 @@ def check_shiftable(spec: ManifoldSpec) -> None:
 
 def shifted_sampler(strength: float) -> Sampler:
     """Uniform sample, then add ``strength`` to every particle's v_1 and
-    renormalize. Biases the mean observables; raises ValueError on the
-    energy-momentum sphere (``check_shiftable``)."""
+    restore the constraints in place. Biases the mean observables; raises
+    ValueError on the energy-momentum sphere (``check_shiftable``)."""
 
     def sample(spec, n_states, rng):
         check_shiftable(spec)
         out = sample_uniform_batch(spec, n_states, rng)
         out[..., 0] += strength
-        return renormalize_batch(spec, out)
+        return restore_batch(spec, out, out)
 
     return sample
 
 
 def sheared_sampler(strength: float) -> Sampler:
-    """Uniform sample, then v_1 += strength * (v_2 - u_2) and renormalize.
+    """Uniform sample, then v_1 += strength * (v_2 - u_2) and restore the
+    constraints in place.
 
     Biases the off-diagonal second moment sum_k v_{k,1} v_{k,2} while
     preserving the momentum constraint.
@@ -432,21 +436,21 @@ def sheared_sampler(strength: float) -> Sampler:
     def sample(spec, n_states, rng):
         out = sample_uniform_batch(spec, n_states, rng)
         out[..., 0] += strength * (out[..., 1] - spec.u[1])
-        return renormalize_batch(spec, out)
+        return restore_batch(spec, out, out)
 
     return sample
 
 
 def tagged_shift_sampler(strength: float) -> Sampler:
     """Uniform sample, then add ``strength`` to particle 0's v_1 (compensated
-    by the others so the momentum constraint is kept) and renormalize.
-    Biases the tagged one-particle mean."""
+    by the others so the momentum constraint is kept) and restore the
+    constraints in place. Biases the tagged one-particle mean."""
 
     def sample(spec, n_states, rng):
         out = sample_uniform_batch(spec, n_states, rng)
         out[:, 0, 0] += strength
         out[:, 1:, 0] -= strength / (spec.n_particles - 1)
-        return renormalize_batch(spec, out)
+        return restore_batch(spec, out, out)
 
     return sample
 
@@ -470,13 +474,16 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     bit-identical results. Ensemble means are reported with standard
     errors (std/sqrt(R), ddof=1).
 
-    The run holds one (R, N, 3) state array, its own copy of the initial
-    sample. A sphere step updates it in place over blocks of
-    ``block_states`` replicas: each block's normals are drawn into one
-    block-sized buffer and ``step_sphere_diffusion`` is run on the block,
-    so its arrays stay in cache. The normals are consumed in the same
-    order as one whole-array draw and every reduction of the step is per
-    replica, so the states do not depend on the block size, bit for bit.
+    The run holds one (R, N, 3) state array: the sampler's own, which the
+    run overwrites, when that is a writable C-contiguous float array that
+    owns its data, else a copy (of a read-only or borrowed array, such as
+    a ``broadcast_to`` view). A sphere step updates it in place over
+    blocks of ``block_states`` replicas: each block's normals are drawn
+    into one block-sized buffer and ``step_sphere_diffusion`` is run in
+    place on the block, so its arrays stay in cache. The normals are
+    consumed in the same order as one whole-array draw and every reduction
+    of the step is per replica, so the states do not depend on the block
+    size, bit for bit.
 
     A step that leaves NaN or inf in some replica raises
     NonFiniteStateError naming that step and those replicas (all of them,
@@ -485,7 +492,7 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     fns = {name: obs_mod.get_observable(name) for name in observables}
     snap_steps = config.snapshot_steps(snapshot_times)
     sampler = initial_sampler if initial_sampler is not None else uniform_sampler
-    states = np.array(sampler(spec, config.n_replicas, rng), dtype=float)
+    states = np.require(sampler(spec, config.n_replicas, rng), float, "CWO")
 
     n_steps = config.n_steps
 
@@ -523,8 +530,8 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
             for i in range(0, len(states), block):
                 s = states[i:i + block]
                 try:
-                    s[...] = step_sphere_diffusion(
-                        spec, s, config.dt, rng.standard_normal(out=noise[:len(s)]))
+                    step_sphere_diffusion(spec, s, config.dt,
+                                          rng.standard_normal(out=noise[:len(s)]))
                 except NonFiniteStateError as exc:
                     bad += [i + r for r in exc.replicas]
             if bad:

@@ -85,15 +85,6 @@ def get_observable(name: str) -> Callable[[np.ndarray], np.ndarray]:
                          f"catalog: {sorted(OBSERVABLES)}") from None
 
 
-def moment_series(result, name: str) -> ObservableSeries:
-    """Pull one recorded observable series out of a run result."""
-    try:
-        return result.series[name]
-    except KeyError:
-        raise ValueError(f"observable {name!r} was not recorded; "
-                         f"available: {sorted(result.series)}") from None
-
-
 # ---------------------------------------------------------------------------
 # histograms
 

@@ -2,7 +2,8 @@
 
 Each case runs 3 steps of ``master_sim.step_sphere_diffusion`` from a
 uniform sample of R = 4 states, with standard normals drawn from a fixed
-seed, and stores the states after every step. ``tests/test_golden.py``
+seed, and stores a copy of the states after every step (the step updates
+its states array in place). ``tests/test_golden.py``
 reruns the cases and compares to 1e-12: the closed-form step is not
 bit-identical to the project-then-renormalize step that wrote the file,
 so these data pin the dynamics, not the rounding. Regenerate only when the
@@ -53,8 +54,8 @@ def run_case(name: str) -> np.ndarray:
     xi = rng.standard_normal((N_STEPS,) + states.shape)
     out = []
     for k in range(N_STEPS):
-        states = step_sphere_diffusion(spec, states, DT, xi[k])
-        out.append(states)
+        step_sphere_diffusion(spec, states, DT, xi[k])
+        out.append(states.copy())
     return np.stack(out)
 
 

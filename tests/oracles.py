@@ -448,6 +448,23 @@ def sphere_step_contraction(spec, dt):
     return val
 
 
+def pair_kick_contraction(n, dt):
+    """kappa_2(dt) of one gamma = 0 pair move: E[d' | d] = kappa_2 d for the
+    pair separation d = v_k - v_l.
+
+    The move sends d to beta (d + 2 a zeta) / |d + 2 a zeta|, with
+    beta = |d|, a^2 = 2 dt beta^2 / (N - 1) at gamma = 0 and zeta the
+    normals projected onto the plane orthogonal to d. So
+    |d + 2 a zeta|^2 = beta^2 (1 + c X) with c = 8 dt / (N - 1) and
+    X = |zeta|^2 ~ chi^2_2, the zeta term averages out under zeta -> -zeta,
+    and kappa_2 = E[(1 + c X)^(-1/2)] = sqrt(pi / 2c) e^(1/2c)
+    erfc(1 / sqrt(2c)). e^(1/2c) overflows for c below about 1/1400.
+    """
+    c = 8.0 * dt / (n - 1)
+    x = 0.5 / c
+    return math.sqrt(math.pi * x) * math.exp(x) * math.erfc(math.sqrt(x))
+
+
 class AntitheticGenerator:
     """A Generator stand-in whose draws come in antithetic halves.
 

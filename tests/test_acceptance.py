@@ -49,7 +49,6 @@ from kinlab.observables import (
     chaos_distance,
     decay_rate_fit,
     ks_quantile_99,
-    moment_series,
     one_marginal,
     pair_marginal,
     radial_ks_statistic,
@@ -103,7 +102,7 @@ def test_criterion_02_sphere_decay_energy_only():
     cfg = SimConfig(dt=1e-3, t_end=2.0, n_replicas=4096, record_every=50)
     res = run_ensemble(spec, cfg, ["sum_v1"], rng=np.random.default_rng(210),
                        initial_sampler=shifted_sampler(0.7))
-    fit = decay_rate_fit(moment_series(res, "sum_v1"))
+    fit = decay_rate_fit(res.series["sum_v1"])
     target = 1.46875
     rel = fit.rate / target - 1.0
     _report("02", abs(rel) <= 0.05,
@@ -116,7 +115,7 @@ def test_criterion_03_sphere_decay_energy_momentum():
     cfg = SimConfig(dt=2e-3, t_end=1.2, n_replicas=4096, record_every=15)
     res = run_ensemble(spec, cfg, ["sum_v1v2"], rng=np.random.default_rng(310),
                        initial_sampler=sheared_sampler(0.5))
-    fit = decay_rate_fit(moment_series(res, "sum_v1v2"))
+    fit = decay_rate_fit(res.series["sum_v1v2"])
     target = 2.8125
     rel = fit.rate / target - 1.0
     _report("03", abs(rel) <= 0.10,
@@ -159,7 +158,7 @@ def test_criterion_05_fpe_mean_tracking():
     cfg = SimConfig(dt=2.5e-3, t_end=1.0, n_replicas=1024, record_every=40)
     res = run_ensemble(spec, cfg, ["tagged_v1"], rng=np.random.default_rng(510),
                        initial_sampler=tagged_shift_sampler(1.2))
-    s = moment_series(res, "tagged_v1")
+    s = res.series["tagged_v1"]
     m_hat0, se0 = s.means[0], s.stderrs[0]
     kappa = 1.5 / p.eps0
     zs = []
@@ -342,7 +341,7 @@ def test_criterion_10_maxwell_molecule_cross_check():
                     kernel=KernelSpec(0.0), record_every=5)
     res = run_ensemble(spec, cfg, ["mean_v1v2"], rng=np.random.default_rng(1010),
                        initial_sampler=sheared_sampler(0.6))
-    fit = decay_rate_fit(moment_series(res, "mean_v1v2"))
+    fit = decay_rate_fit(res.series["mean_v1v2"])
     # oracle rate extracted from the moment flow itself
     s0 = np.array([[2 / 3, 0.2, 0.0], [0.2, 2 / 3, 0.0], [0.0, 0.0, 2 / 3]])
     t_probe = 0.1

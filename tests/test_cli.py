@@ -201,7 +201,7 @@ def test_main_exit_codes(tmp_path):
     bad.write_text("nonsense_key = 1\n")
     assert main(["spectrum", "--config", str(bad),
                  "--out", str(tmp_path / "o2")]) == 2
-    assert main(["spectrum", "--config", str(tmp_path / "missing.cfg")]) == 1
+    assert main(["spectrum", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
 def test_marginal_compare_outputs(tmp_path):
@@ -354,6 +354,23 @@ def test_negative_seed_flag_listed_with_config_violations(tmp_path, capsys):
     violations = json.loads(capsys.readouterr().out)["violations"]
     assert len(violations) == 2
     assert "unknown key 'colour'" in violations[0] and "--seed" in violations[1]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_exits_2_with_seed_violation(kind, tmp_path, capsys):
+    # a --config that cannot be read is a violation like any other: it is
+    # listed with a bad --seed, and nothing is written
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not_utf8":
+        cfg.write_bytes(SPECTRUM_CFG.encode() + b"# \xff\xfe\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert len(violations) == 2
+    assert violations[0].startswith(f"--config: cannot read {cfg}") and "--seed" in violations[1]
     assert not out.exists()
 
 

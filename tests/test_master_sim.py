@@ -21,6 +21,8 @@ from kinlab.master_sim import (
     _round_layout,
     generator_apply,
     run_ensemble,
+    sheared_sampler,
+    shifted_sampler,
     step_pair_diffusion,
     step_sphere_diffusion,
     tagged_shift_sampler,
@@ -33,6 +35,7 @@ from oracles import (
     AntitheticGenerator,
     generator_apply_fd,
     generator_conservation_residuals,
+    pair_kick_contraction,
     pair_projector_apply,
     run_sphere_whole,
     sample_uniform_whole,
@@ -192,15 +195,16 @@ def test_sphere_step_matches_two_call_reference(mode, dt, rng):
 
 
 @pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
-def test_sphere_step_leaves_its_inputs_unchanged(mode, rng):
+def test_sphere_step_updates_states_in_place(mode, rng):
+    # the step overwrites and returns the states array and only reads xi
     spec = SPHERE_SPECS[mode]
     states = sample_uniform_batch(spec, 4, rng)
     xi = rng.standard_normal(states.shape)
-    states_before, xi_before = states.copy(), xi.copy()
-    out = step_sphere_diffusion(spec, states, 1e-2, xi)
-    np.testing.assert_array_equal(states, states_before)
+    ref = step_sphere_diffusion_reference(spec, states.copy(), 1e-2, xi)
+    xi_before = xi.copy()
+    assert step_sphere_diffusion(spec, states, 1e-2, xi) is states
     np.testing.assert_array_equal(xi, xi_before)
-    assert not np.shares_memory(out, states) and not np.shares_memory(out, xi)
+    np.testing.assert_allclose(states, ref, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
@@ -226,8 +230,8 @@ def test_sphere_step_rejects_zero_deviation(mode, rng):
 
 @pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
 def test_sphere_step_peak_allocation(mode, rng):
-    # one fused step holds at most the new states plus small per-replica
-    # vectors; the two-call step held two to four (R, N, 3) temporaries
+    # the step runs in place on the states: it holds per-replica vectors
+    # and ufunc buffers only, no array of the states' shape
     spec = ManifoldSpec(64, SPHERE_SPECS[mode].mode, eps=1.5, u=SPHERE_SPECS[mode].u)
     states = sample_uniform_batch(spec, 256, rng)
     xi = rng.standard_normal(states.shape)
@@ -239,7 +243,7 @@ def test_sphere_step_peak_allocation(mode, rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * states.nbytes
+    assert peak <= 0.5 * states.nbytes
 
 def test_pair_step_conserves_and_restores_pairs(rng):
     spec = ManifoldSpec(6, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
@@ -584,21 +588,30 @@ def test_blocked_sphere_run_matches_whole_array_loop(mode):
 
 @pytest.mark.parametrize("mode", sorted(BLOCKED_SPECS))
 def test_blocked_sphere_run_peak_allocation(mode):
-    # one state array and its initial sample, plus block-sized step
-    # arrays; a whole-array step holds the states, their normals and the
-    # new states at once (3x)
+    # the run's one state array is the sampler's own, restored in place by
+    # the perturbed samplers and stepped in place, plus block-sized step
+    # arrays; a copy of the sample alone would make 2x
     spec = BLOCKED_SPECS[mode]
     cfg = SimConfig(dt=1e-3, t_end=3e-3, n_replicas=128)
     states_nbytes = 128 * spec.n_particles * 3 * 8
-    run_ensemble(spec, cfg, ["tagged_v1"], rng=np.random.default_rng(4))  # warm caches
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        run_ensemble(spec, cfg, ["tagged_v1"], rng=np.random.default_rng(4))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.2 * states_nbytes
+    starts = {"uniform": uniform_sampler, "shear": sheared_sampler(0.5),
+              "tagged_shift": tagged_shift_sampler(0.5)}
+    if spec.mode is ConservationMode.ENERGY_ONLY:
+        starts["shift"] = shifted_sampler(0.5)
+    peaks = {}
+    for name, sampler in starts.items():
+        def run():
+            run_ensemble(spec, cfg, ["tagged_v1"], rng=np.random.default_rng(4),
+                         initial_sampler=sampler)
+        run()  # warm caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / states_nbytes
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 1.5, peaks
 
 
 @pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
@@ -618,3 +631,31 @@ def test_sphere_step_contracts_tagged_mean_exactly(mode, rng):
     assert series.means[0] == pytest.approx(v0[0, 0], rel=1e-12)
     assert abs(series.means[1] - expected) <= 5.0 * series.stderrs[1]
 
+
+def test_pair_kick_contraction_matches_quadrature():
+    # kappa_2 in closed form against E[(1 + c X)^(-1/2)], X ~ chi^2_2
+    from scipy.integrate import quad
+
+    for n, dt in [(2, 0.01), (2, 0.2), (5, 0.05), (64, 0.01)]:
+        c = 8.0 * dt / (n - 1)
+        val, _ = quad(lambda x: 0.5 * math.exp(-0.5 * x) / math.sqrt(1.0 + c * x),
+                      0.0, math.inf, epsabs=0.0, epsrel=1e-12)
+        assert pair_kick_contraction(n, dt) == pytest.approx(val, rel=1e-10)
+
+
+@pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
+@pytest.mark.parametrize("dt", [0.01, 0.05, 0.2])
+def test_pair_sweep_contracts_separation_exactly_at_n2(mode, dt):
+    # at N = 2 a sweep is one gamma = 0 pair move and the restoration is
+    # exact, so from any fixed state E[v_2' - v_1'] = kappa_2 (v_2 - v_1)
+    base = SPHERE_SPECS[mode]
+    spec = ManifoldSpec(2, base.mode, eps=base.eps, u=base.u)
+    rng = np.random.default_rng(int(1000 * dt))
+    v0 = sample_uniform_batch(spec, 1, rng)[0]
+    m = 40000
+    out = step_pair_diffusion(spec, np.broadcast_to(v0, (m, 2, 3)).copy(), KernelSpec(0.0),
+                              dt, rng)
+    d = out[:, 1] - out[:, 0]
+    expected = pair_kick_contraction(2, dt) * (v0[1] - v0[0])
+    z = (d.mean(axis=0) - expected) / (d.std(axis=0, ddof=1) / math.sqrt(m))
+    assert (np.abs(z) <= 5.0).all(), z

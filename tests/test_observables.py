@@ -13,7 +13,6 @@ from kinlab.observables import (
     decay_rate_fit,
     get_observable,
     ks_quantile_99,
-    moment_series,
     one_marginal,
     pair_marginal,
     radial_ks_statistic,
@@ -34,15 +33,6 @@ def test_series_validation():
 def test_unknown_observable_rejected():
     with pytest.raises(ValueError):
         get_observable("nope")
-
-
-def test_moment_series_lookup(spec_c1):
-    cfg = SimConfig(dt=1e-3, t_end=1e-3, n_replicas=2)
-    res = run_ensemble(spec_c1, cfg, ["energy_per_particle"], rng=np.random.default_rng(0))
-    s = moment_series(res, "energy_per_particle")
-    np.testing.assert_allclose(s.means, 1.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        moment_series(res, "sum_v1")
 
 
 def test_conserved_series_exact(rng):

@@ -1,6 +1,7 @@
 """The traced benchmark wraps kinlab names by setattr; each must exist, and
 a run must still call through them. The library seeds no Generator of its
-own, and importing it does not load scipy."""
+own, imports no name it does not use, and importing it does not load
+scipy."""
 
 import ast
 import importlib.util
@@ -59,11 +60,11 @@ TRACED_RUNS = {
                    "n_replicas = 4\nobservables = sum_v1\ninit = shift\n"
                    "init_strength = 0.5\nseed = 3\n",
                    {"master_sim.run_ensemble", "master_sim.init_sample",
-                    "geometry.sample", "geometry.renorm"},
-                   # the fused sphere step neither projects nor renormalizes
-                   # through geometry; the one renorm is the shift sampler's
+                    "geometry.sample"},
+                   # the fused sphere step and the shift sampler restore in
+                   # place, so nothing projects or renormalizes into a new array
                    {"geometry.sample_calls": 1, "geometry.project_calls": 0,
-                    "geometry.renorm_calls": 1, "master_sim.pair_updates": 0}),
+                    "geometry.renorm_calls": 0, "master_sim.pair_updates": 0}),
     # the Rayleigh estimator draws pair differences, never N-particle states
     "gap-scan": ("n_list = 4,5,6\nn_samples = 1000\nseed = 3\n",
                  {"spectral.gap_scan", "spectral.rayleigh"},
@@ -121,6 +122,32 @@ def test_only_cli_turns_a_seed_into_a_generator():
             if name in ("default_rng", "SeedSequence"):
                 offenders.append(f"{path.name}:{node.lineno} {name}")
     assert offenders == []
+
+
+def test_every_import_is_used():
+    # an imported name that nothing reads is dead code; the one exception
+    # is a name that perfbench/spans.py wraps on that module by setattr
+    wrapped = set()
+    for node in ast.walk(ast.parse(SPANS.read_text())):
+        if (isinstance(node, ast.Tuple) and len(node.elts) == 3
+                and isinstance(node.elts[0], ast.Name)
+                and isinstance(node.elts[1], ast.Constant)):
+            wrapped.add((node.elts[0].id, node.elts[1].value))
+    unused = []
+    for path in sorted((ROOT / "src" / "kinlab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and (path.stem, name) not in wrapped:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
