@@ -376,7 +376,7 @@ def _sim(p, build, pair=False):
                 ent_rows.append([snap.time,
                                  kinetic_limits.relative_entropy(h, edges, limit)])
             tables["entropy"] = (["time", "relative_entropy"], ent_rows)
-        if fit_name and result.series[fit_name].times.size >= 2:
+        if fit_name:
             # a fit that cannot be made is reported like a poor one: the tables stay
             try:
                 fit = decay_rate_fit(result.series[fit_name])

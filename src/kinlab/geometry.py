@@ -8,10 +8,11 @@ families of constraint manifolds are supported:
   of radius sqrt(2*N*eps0), eps0 = eps - |u|^2/2, centered at (u, ..., u)
   inside the zero-total-momentum subspace)
 
-This module provides uniform sampling, exact constraint restoration and its
-error measure, the largest pair separation of a state, the tangent projector
-of the manifold, log hypersphere surface areas, and the block size of the
-loops that run over states in cache-sized blocks (``block_states``).
+This module provides uniform sampling, exact constraint restoration in
+place (``renormalize_batch``) and its error measure, the largest pair
+separation of a state, the tangent projector of the manifold, log
+hypersphere surface areas, and the block size of the loops that run over
+states in cache-sized blocks (``block_states``).
 
 States are float arrays of shape (..., N, 3); the batch functions take
 (R, N, 3), and a single state is the batch R = 1.
@@ -146,8 +147,8 @@ def sample_uniform_batch(spec: ManifoldSpec, n_states: int,
     """Draw states from the uniform surface measure, shape (n_states, N, 3).
 
     Gaussian construction: 3N iid standard normals are isotropic, so their
-    restoration onto the manifold (``restore_batch``, run in place on the
-    draw) is uniform on the sphere. Constraints hold to machine precision
+    restoration onto the manifold (``renormalize_batch``, run in place on
+    the draw) is uniform on the sphere. Constraints hold to machine precision
     by construction.
 
     The output array is filled in blocks of ``block_states`` states, each
@@ -160,26 +161,14 @@ def sample_uniform_batch(spec: ManifoldSpec, n_states: int,
     block = block_states(spec.n_particles)
     for i in range(0, n_states, block):
         b = out[i:i + block]
-        restore_batch(spec, rng.standard_normal(out=b), b)
+        renormalize_batch(spec, rng.standard_normal(out=b))
     return out
 
 
-def renormalize_batch(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
-    """Restore constraints exactly on an (R, N, 3) array (returns new array).
-
-    ``restore_batch`` into a new array; the input is left unchanged.
-    """
-    states = np.asarray(states, dtype=float)
-    return restore_batch(spec, states, np.empty_like(states))
-
-
-def center_batch(spec: ManifoldSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Deviation of (R, N, 3) x about its per-replica particle mean.
-
-    For C=4 it is written to ``out`` (which may be x) and returned. For
-    C=1, where u = 0 and the sphere is centered at the origin, x is
-    returned as it is and ``out`` is not written.
-    """
+def center_batch(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
+    """Center the (R, N, 3) float array x in place about its per-replica
+    particle mean and return it. For C=1, where u = 0 and the sphere is
+    centered at the origin, x is left as it is."""
     if spec.mode is ConservationMode.ENERGY_ONLY:
         return x
     n = x.shape[1]
@@ -187,33 +176,33 @@ def center_batch(spec: ManifoldSpec, x: np.ndarray, out: np.ndarray) -> np.ndarr
     # per-replica means go in one component at a time: a (R, 1, 3)
     # broadcast would run numpy's inner loop over 3 elements, this over N
     for j in range(3):
-        np.subtract(x[:, :, j], mean[:, j, None], out=out[:, :, j])
-    return out
+        x[:, :, j] -= mean[:, j, None]
+    return x
 
 
-def restore_batch(spec: ManifoldSpec, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Restore the constraints of (R, N, 3) x exactly, writing into ``out``
-    (which may be x); returns ``out``.
+def renormalize_batch(spec: ManifoldSpec, x: np.ndarray) -> np.ndarray:
+    """Restore the constraints of the (R, N, 3) float array x exactly, in
+    place; returns x.
 
     Momentum is restored by a uniform shift of all particles to mean u,
     energy by rescaling the deviations about the particle mean
     (``center_batch``) to the radius. Directions of the deviations are
-    unchanged. Raises NonFiniteStateError,
-    naming the replicas, when a state holds NaN or inf, and
-    DegenerateStateError when a deviation is zero; both are read off the
-    per-replica norm.
+    unchanged. Raises NonFiniteStateError, naming the replicas, when a
+    state holds NaN or inf, and DegenerateStateError when a deviation is
+    zero; both are read off the per-replica norm, and x is then left
+    centered.
     """
-    w = center_batch(spec, x, out)
-    norm = np.sqrt(np.einsum("rij,rij->r", w, w))
+    center_batch(spec, x)
+    norm = np.sqrt(np.einsum("rij,rij->r", x, x))
     if not np.isfinite(norm).all():
         raise NonFiniteStateError(np.flatnonzero(~np.isfinite(norm)))
     if np.any(norm == 0.0):
         raise DegenerateStateError("all velocities equal u; cannot rescale")
-    np.multiply(w, (spec.radius / norm)[:, None, None], out=out)
+    x *= (spec.radius / norm)[:, None, None]
     if spec.mode is ConservationMode.ENERGY_MOMENTUM:
         for j in range(3):
-            out[:, :, j] += spec.u[j]
-    return out
+            x[:, :, j] += spec.u[j]
+    return x
 
 
 def constraint_errors(spec: ManifoldSpec,

@@ -43,7 +43,6 @@ from .geometry import (
     block_states,
     center_batch,
     renormalize_batch,
-    restore_batch,
     sample_uniform_batch,
     tangent_project_batch,  # noqa: F401 - perfbench/spans.py wraps it by name
 )
@@ -147,14 +146,14 @@ def step_sphere_diffusion(spec: ManifoldSpec, states: np.ndarray, dt: float,
 
     The projection and the renormalization are one affine map per replica.
     With w the deviation of the states about their mean (``center_batch``,
-    written into ``states``; w = states for C=1, where u = 0), y that of
+    run in place on ``states``; w = states for C=1, where u = 0), y that of
     xi, a = sqrt(2 dt) and c = <w,y>/<w,w>, the projected move is
     w + a (y - c w) = b w + a y with b = 1 - a c. Restoration centers its
     input and ignores a positive factor, so restoring (b/a) w + xi gives
     the restored b w + a y and the projected array is never built: a step
     costs two per-replica reductions (<w,y> = <w,xi>, as w sums to zero
-    over the particles), one scaled sum, and ``restore_batch``, each run in
-    place on ``states``.
+    over the particles), one scaled sum, and ``renormalize_batch``, each
+    run in place on ``states``.
 
     Raises NonFiniteStateError, naming the replicas, when NaN or inf in
     states or xi reaches the restored norm, and DegenerateStateError when a
@@ -162,14 +161,14 @@ def step_sphere_diffusion(spec: ManifoldSpec, states: np.ndarray, dt: float,
     the step.
     """
     a = math.sqrt(2.0 * dt)
-    w = center_batch(spec, states, states)
+    w = center_batch(spec, states)
     wsq = np.einsum("rij,rij->r", w, w)
     if np.any(wsq == 0.0):
         raise DegenerateStateError("all velocities equal u; cannot rescale")
     c = np.einsum("rij,rij->r", w, xi) / wsq
     w *= ((1.0 - a * c) / a)[:, None, None]
     w += xi
-    return restore_batch(spec, w, w)
+    return renormalize_batch(spec, w)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +254,10 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
                         dt: float, rng: np.random.Generator) -> np.ndarray:
     """One weak-O(dt) sweep of the pairwise collision diffusion.
 
-    Kicks every pair of the (R, N, 3) ``states`` in place, then returns the
-    renormalized array (a new array; ``states`` is left with the kicked,
-    not yet renormalized values).
+    Overwrites the (R, N, 3) ``states`` with the new states, on the
+    manifold, and returns ``states`` itself: every pair is kicked, the
+    kicked velocities are scattered back into ``states``, and
+    ``renormalize_batch`` restores it in place.
 
     Draw order per step (fixed, for reproducibility): particle relabeling
     (R, N), round order (R, n_rounds), then one (R, P, 3) normal block per
@@ -420,7 +420,7 @@ def shifted_sampler(strength: float) -> Sampler:
         check_shiftable(spec)
         out = sample_uniform_batch(spec, n_states, rng)
         out[..., 0] += strength
-        return restore_batch(spec, out, out)
+        return renormalize_batch(spec, out)
 
     return sample
 
@@ -436,7 +436,7 @@ def sheared_sampler(strength: float) -> Sampler:
     def sample(spec, n_states, rng):
         out = sample_uniform_batch(spec, n_states, rng)
         out[..., 0] += strength * (out[..., 1] - spec.u[1])
-        return restore_batch(spec, out, out)
+        return renormalize_batch(spec, out)
 
     return sample
 
@@ -450,7 +450,7 @@ def tagged_shift_sampler(strength: float) -> Sampler:
         out = sample_uniform_batch(spec, n_states, rng)
         out[:, 0, 0] += strength
         out[:, 1:, 0] -= strength / (spec.n_particles - 1)
-        return restore_batch(spec, out, out)
+        return renormalize_batch(spec, out)
 
     return sample
 
@@ -474,16 +474,16 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     bit-identical results. Ensemble means are reported with standard
     errors (std/sqrt(R), ddof=1).
 
-    The run holds one (R, N, 3) state array: the sampler's own, which the
-    run overwrites, when that is a writable C-contiguous float array that
-    owns its data, else a copy (of a read-only or borrowed array, such as
-    a ``broadcast_to`` view). A sphere step updates it in place over
-    blocks of ``block_states`` replicas: each block's normals are drawn
-    into one block-sized buffer and ``step_sphere_diffusion`` is run in
-    place on the block, so its arrays stay in cache. The normals are
-    consumed in the same order as one whole-array draw and every reduction
-    of the step is per replica, so the states do not depend on the block
-    size, bit for bit.
+    The run holds one (R, N, 3) state array: the sampler's own when that
+    is a writable C-contiguous float array that owns its data, else a copy
+    (of a read-only or borrowed array, such as a ``broadcast_to`` view).
+    Every step overwrites it in place. ``step_pair_diffusion`` sweeps the
+    whole array; a sphere step runs over blocks of ``block_states``
+    replicas: each block's normals are drawn into one block-sized buffer
+    and ``step_sphere_diffusion`` is run in place on the block, so its
+    arrays stay in cache. The normals are consumed in the same order as
+    one whole-array draw and every reduction of the step is per replica,
+    so the states do not depend on the block size, bit for bit.
 
     A step that leaves NaN or inf in some replica raises
     NonFiniteStateError naming that step and those replicas (all of them,
@@ -522,7 +522,7 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     for step in range(1, n_steps + 1):
         if config.kernel is not None:
             try:
-                states = step_pair_diffusion(spec, states, config.kernel, config.dt, rng)
+                step_pair_diffusion(spec, states, config.kernel, config.dt, rng)
             except NonFiniteStateError as exc:
                 raise NonFiniteStateError(exc.replicas, step=step) from None
         else:

@@ -2,7 +2,9 @@
 
 Each case runs 3 fixed-seed steps of ``master_sim.step_pair_diffusion`` from
 a uniform sample of R = 4 states and stores the final (renormalized) states
-and the kicked, not renormalized array the last step left in ``states``.
+and the last step's kicked, not yet renormalized array: the step restores
+``states`` in place, so ``oracles.restoration_inputs`` copies the array it
+hands to ``master_sim.renormalize_batch``.
 ``tests/test_golden.py`` reruns the cases and compares. A kernel rewrite
 must keep the RNG draw order and the per-pair arithmetic, so these files
 pin it; regenerate only when the dynamics are meant to change. The
@@ -22,9 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from kinlab import master_sim
 from kinlab.geometry import ConservationMode, ManifoldSpec, sample_uniform_batch
 from kinlab.master_sim import KernelSpec, step_pair_diffusion
-from oracles import AntitheticGenerator
+from oracles import AntitheticGenerator, restoration_inputs
 
 OUT = Path(__file__).resolve().parent / "pair_golden.npz"
 N_REPLICAS = 4
@@ -48,17 +51,17 @@ CASES = {
 
 
 def run_case(name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Final states and the last step's kicked input array, both (R, N, 3)."""
+    """Final states and the last step's kicked array, both (R, N, 3)."""
     n, mode, eps, u, gamma, antithetic, seed = CASES[name]
     spec = ManifoldSpec(n, mode, eps=eps, u=u)
     kernel = KernelSpec(gamma)
     rng = np.random.default_rng(seed)
     states = sample_uniform_batch(spec, N_REPLICAS, rng)
     step_rng = AntitheticGenerator(rng) if antithetic else rng
-    for _ in range(N_STEPS):
-        kicked = states
-        states = step_pair_diffusion(spec, kicked, kernel, DT, step_rng)
-    return states, kicked
+    with restoration_inputs(master_sim) as kicked:
+        for _ in range(N_STEPS):
+            step_pair_diffusion(spec, states, kernel, DT, step_rng)
+    return states, kicked[-1]
 
 
 def _commit() -> str:

@@ -8,10 +8,12 @@ stationary radial law and its KS statistic over every point, the
 eigenfunction catalog and its decay rates, the trial function, the quadratic
 form on conserved quantities, and the Rayleigh estimator over whole
 N-particle states), which the library itself does not need. It also holds
-the antithetic Generator stand-in of the weak-order tests.
+the antithetic Generator stand-in of the weak-order tests and the capture of
+the arrays handed to the in-place restoration.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +86,9 @@ def pair_projector_apply(spec: ManifoldSpec, v: np.ndarray, k: int, l: int,
 
 def renormalize_reference(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
     """Exact constraint restoration written out with broadcast means and
-    sums, the plain reference for ``geometry.restore_batch``: center about
-    the per-replica mean (C=4), rescale to the radius, add u."""
+    sums, the plain reference for ``geometry.renormalize_batch``: center
+    about the per-replica mean (C=4), rescale to the radius, add u. Returns
+    a new array."""
     states = np.asarray(states, dtype=float)
     if spec.mode is ConservationMode.ENERGY_MOMENTUM:
         centered = states - states.mean(axis=1, keepdims=True)
@@ -491,6 +494,35 @@ class AntitheticGenerator:
     def standard_normal(self, shape):
         x = self.rng.standard_normal(self._half(shape))
         return np.concatenate([x, -x])
+
+
+@contextmanager
+def restoration_inputs(*modules):
+    """Yield a list that collects a copy of every array handed to
+    ``renormalize_batch`` inside the block, taken before the array is
+    restored in place: the kicked, not yet restored states of a pair sweep.
+
+    The name is replaced by setattr on each of ``modules``, the modules
+    through which the code under test looks it up (``master_sim`` for the
+    library's steps, this module for ``step_pair_diffusion_reference``),
+    and put back on exit.
+    """
+    seen = []
+    saved = [(module, module.renormalize_batch) for module in modules]
+
+    def capturing(restore):
+        def run(spec, x):
+            seen.append(x.copy())
+            return restore(spec, x)
+        return run
+
+    try:
+        for module, restore in saved:
+            module.renormalize_batch = capturing(restore)
+        yield seen
+    finally:
+        for module, restore in saved:
+            module.renormalize_batch = restore
 
 
 def step_pair_diffusion_reference(spec, states, kernel, dt, rng):

@@ -445,6 +445,19 @@ def test_failed_decay_fit_reported_and_tables_written(tmp_path, capsys):
     assert len((out / "series.csv").read_text().strip().splitlines()) == 1 + 6
 
 
+def test_decay_fit_at_t_end_zero_reports_its_error(tmp_path):
+    # a run of no steps records no points; the requested fit is reported as
+    # failed, not left out of the manifest
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("n_particles = 4\nmode = energy\nn_replicas = 8\ndt = 0.01\n"
+                   "t_end = 0\nobservables = sum_v1\nfit_observable = sum_v1\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["sim-sphere", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["extras"]["decay_fit"] == {
+        "observable": "sum_v1", "error": "fewer than 2 usable points in the fit window"}
+
+
 # command -> (config, table name -> header); small sizes of every command
 COMMAND_RUNS = {
     "spectrum": ("n_particles = 8\nj_max = 2\n",

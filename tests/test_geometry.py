@@ -73,7 +73,7 @@ def test_sample_mean_symmetry(spec_c1, spec_c4, rng):
     xi = rng.standard_normal((64, 8, 3))
     for spec in (spec_c1, spec_c4):
         np.testing.assert_array_equal(renormalize_batch(spec, -xi),
-                                      -renormalize_batch(spec, xi))
+                                      -renormalize_batch(spec, xi.copy()))
 
 
 def test_sample_moments(rng):
@@ -116,7 +116,7 @@ def test_max_pair_separation_matches_pair_loop(mode, n, rng):
 
 def test_renormalize_fixed_point(spec_c4, rng):
     v = sample_uniform_batch(spec_c4, 1, rng)
-    w = renormalize_batch(spec_c4, v)
+    w = renormalize_batch(spec_c4, v.copy())
     np.testing.assert_allclose(w, v, rtol=0, atol=1e-15 * spec_c4.radius)
 
 
@@ -177,11 +177,10 @@ def test_renormalize_matches_reference(mode, n, r, rng):
     states = 0.8 * rng.standard_normal((r, n, 3)) + [0.3, -0.7, 0.2]
     before = states.copy()
     out = renormalize_batch(spec, states)
+    # restored in place: the array given is the array returned
+    assert out is states
     np.testing.assert_allclose(out, renormalize_reference(spec, before),
                                rtol=1e-13, atol=1e-13)
-    # the input is read only; the pair sweep's golden data rely on it
-    np.testing.assert_array_equal(states, before)
-    assert not np.shares_memory(out, states)
 
 
 @pytest.mark.parametrize("mode", sorted(RESTORE_MODES))
@@ -216,8 +215,10 @@ def test_renormalize_rejects_zero_deviation(mode, rng):
 @pytest.mark.parametrize("mode", sorted(RESTORE_MODES))
 @pytest.mark.parametrize("which", ["sample", "renormalize"])
 def test_restoration_peak_allocation(mode, which, rng):
-    # sampling restores its own draw in place, renormalization writes one
-    # new array: each holds one (R, N, 3) array plus per-replica vectors
+    # sampling restores its own draw in place and renormalization restores
+    # the array it is given: sampling holds one (R, N, 3) array plus
+    # per-replica vectors, renormalization only per-replica vectors and
+    # numpy's internal buffers (0.18x here)
     spec = _restore_spec(mode, 64)
     states = sample_uniform_batch(spec, 256, rng)
     run = {"sample": lambda: sample_uniform_batch(spec, 256, rng),
@@ -230,7 +231,7 @@ def test_restoration_peak_allocation(mode, which, rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * states.nbytes
+    assert peak <= {"sample": 1.25, "renormalize": 0.25}[which] * states.nbytes
 
 
 def test_projector_annihilates_normals(rng):

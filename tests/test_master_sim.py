@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
+from kinlab import master_sim
 from kinlab.geometry import (
     ConservationMode,
     DegenerateStateError,
@@ -37,6 +39,7 @@ from oracles import (
     generator_conservation_residuals,
     pair_kick_contraction,
     pair_projector_apply,
+    restoration_inputs,
     run_sphere_whole,
     sample_uniform_whole,
     sphere_step_contraction,
@@ -116,12 +119,14 @@ def test_pair_sweep_matches_natural_order_reference(n, mode, gamma, antithetic):
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
     if antithetic:
         rng_a, rng_b = AntitheticGenerator(rng_a), AntitheticGenerator(rng_b)
-    for _ in range(3):
-        kicked_a, kicked_b = a, b
-        a = step_pair_diffusion(spec, a, kernel, 0.02, rng_a)
-        b = step_pair_diffusion_reference(spec, b, kernel, 0.02, rng_b)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(kicked_a, kicked_b)
+    # both steps restore in place; the kicked arrays are captured before that
+    with restoration_inputs(master_sim, oracles) as kicked:
+        for step in range(3):
+            assert step_pair_diffusion(spec, a, kernel, 0.02, rng_a) is a
+            step_pair_diffusion_reference(spec, b, kernel, 0.02, rng_b)
+            np.testing.assert_array_equal(a, b)
+            assert len(kicked) == 2 * (step + 1)
+            np.testing.assert_array_equal(kicked[-2], kicked[-1])
 
 
 def test_antithetic_generator_pairs_its_halves():
@@ -630,6 +635,36 @@ def test_sphere_step_contracts_tagged_mean_exactly(mode, rng):
     expected = u1 + sphere_step_contraction(spec, dt) * (v0[0, 0] - u1)
     assert series.means[0] == pytest.approx(v0[0, 0], rel=1e-12)
     assert abs(series.means[1] - expected) <= 5.0 * series.stderrs[1]
+
+
+def _weak_order_ratios(kappa, rate, dts):
+    """Ratios of successive differences of g(dt) = (-log kappa(dt)/dt - rate)/dt
+    over halving dts. A contraction of weak order 1 has -log kappa(dt)/dt =
+    rate + c1 dt + c2 dt^2 + ..., so g's differences halve with dt; a wrong
+    rate adds (rate error)/dt to g, whose differences double instead."""
+    g = [(-math.log(kappa(dt)) / dt - rate) / dt for dt in dts]
+    diffs = np.diff(g)
+    return diffs[:-1] / diffs[1:]
+
+
+@pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
+@pytest.mark.parametrize("n", [16, 64])
+def test_sphere_step_weak_order_one(mode, n):
+    # exact one-step contraction of the tagged mean against the degree-1
+    # eigenvalue, by quadrature; no Monte Carlo
+    base = SPHERE_SPECS[mode]
+    spec = ManifoldSpec(n, base.mode, eps=base.eps, u=base.u)
+    ratios = _weak_order_ratios(lambda dt: sphere_step_contraction(spec, dt),
+                                eigenvalue_scaled(spec, 1), [0.04, 0.02, 0.01, 0.005])
+    assert ((1.8 <= ratios) & (ratios <= 2.2)).all(), ratios
+
+
+def test_pair_kick_weak_order_one():
+    # at N = 2 the pair separation contracts at the generator rate 8 (gamma
+    # = 0); kappa_2 overflows below dt = 8.9e-5
+    ratios = _weak_order_ratios(lambda dt: pair_kick_contraction(2, dt), 8.0,
+                                [2e-3, 1e-3, 5e-4, 2.5e-4])
+    assert ((1.8 <= ratios) & (ratios <= 2.2)).all(), ratios
 
 
 def test_pair_kick_contraction_matches_quadrature():

@@ -53,18 +53,27 @@ def test_perfbench_spans_cover_a_sim_bp_run(tmp_path):
 
 
 # command -> (config, spans the traced run must record, per-layer counts it
-# must report); the benchmark's sphere and equilibrium workloads run these
-# commands
+# must report); the benchmark's workloads run these commands
 TRACED_RUNS = {
     "sim-sphere": ("n_particles = 4\nmode = energy\ndt = 0.01\nt_end = 0.02\n"
                    "n_replicas = 4\nobservables = sum_v1\ninit = shift\n"
                    "init_strength = 0.5\nseed = 3\n",
                    {"master_sim.run_ensemble", "master_sim.init_sample",
-                    "geometry.sample"},
-                   # the fused sphere step and the shift sampler restore in
-                   # place, so nothing projects or renormalizes into a new array
+                    "geometry.sample", "geometry.renorm"},
+                   # the shift sampler restores its draw once and each of the
+                   # 2 steps its one replica block; the fused step projects
+                   # nothing
                    {"geometry.sample_calls": 1, "geometry.project_calls": 0,
-                    "geometry.renorm_calls": 0, "master_sim.pair_updates": 0}),
+                    "geometry.renorm_calls": 3, "master_sim.pair_updates": 0}),
+    # the shear sampler restores once and each of the 3 sweeps once; a sweep
+    # at N = 5 is 5 rounds of 2 pairs in each of 4 replicas
+    "sim-bp": ("n_particles = 5\nmode = energy-momentum\ndt = 0.01\nt_end = 0.03\n"
+               "n_replicas = 4\ngamma = -3\nobservables = sum_v1v2\ninit = shear\n"
+               "init_strength = 0.5\nseed = 3\n",
+               {"master_sim.run_ensemble", "master_sim.init_sample",
+                "geometry.sample", "geometry.renorm"},
+               {"geometry.sample_calls": 1, "geometry.renorm_calls": 4,
+                "master_sim.pair_updates": 120, "master_sim.pair_rounds": 15}),
     # the Rayleigh estimator draws pair differences, never N-particle states
     "gap-scan": ("n_list = 4,5,6\nn_samples = 1000\nseed = 3\n",
                  {"spectral.gap_scan", "spectral.rayleigh"},
