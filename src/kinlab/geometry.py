@@ -35,6 +35,12 @@ CUTOFF_SCALE = 1e-8
 # cache. 42 states at N = 512, 341 at N = 64.
 STATE_BLOCK_ENTRIES = 1 << 16
 
+# The energies per particle that ManifoldSpec accepts, for eps and for the
+# co-moving eps0 = eps - |u|^2/2. The processes are scale-covariant, so no
+# study needs more; within the window the squared radius 2 N eps0, eps^2
+# and the Maxwellian normalisation (4 pi eps0 / 3)^(-3/2) stay finite.
+EPS_RANGE = (1e-100, 1e100)
+
 
 def block_states(n_particles: int) -> int:
     """States per block of ``STATE_BLOCK_ENTRIES`` coordinates, at least one."""
@@ -77,7 +83,8 @@ class ManifoldSpec:
     mode : ConservationMode
         ENERGY_ONLY (C=1) or ENERGY_MOMENTUM (C=4).
     eps : float
-        Energy per particle; total energy is N*eps.
+        Energy per particle; total energy is N*eps. It and eps0 must lie in
+        ``EPS_RANGE``.
     u : array_like of shape (3,), optional
         Mean velocity (momentum per particle). Must be zero in
         ENERGY_ONLY mode.
@@ -92,16 +99,14 @@ class ManifoldSpec:
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
         if self.n_particles < 2:
             raise ValueError("n_particles must be >= 2")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
+        lo, hi = EPS_RANGE
+        if not lo <= self.eps <= hi:
+            raise ValueError(f"eps must be in [{lo:g}, {hi:g}]")
         if self.mode is ConservationMode.ENERGY_ONLY:
             if np.any(self.u != 0.0):
                 raise ValueError("u must be 0 in ENERGY_ONLY mode")
-        else:
-            if not self.eps > 0.5 * float(self.u @ self.u):
-                raise ValueError(
-                    "need eps > |u|^2/2 so that eps0 = eps - |u|^2/2 > 0"
-                )
+        elif not lo <= self.eps0 <= hi:
+            raise ValueError(f"need eps0 = eps - |u|^2/2 in [{lo:g}, {hi:g}]")
 
     @property
     def eps0(self) -> float:

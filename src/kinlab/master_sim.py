@@ -21,6 +21,13 @@ round-robin schedule (random particle relabeling and round order per
 replica per step); pairs within a round are disjoint, so the vectorized
 simultaneous update coincides with a sequential sweep.
 
+Each process's draw order is written once, as a generator of the run's
+draws (``_sphere_draws``, ``_pair_draws``). ``run_ensemble`` iterates it
+inline, or on a producer thread (``_drawn_ahead``) when the process may
+run on two CPUs, so that the next block's or round's normals are drawn
+while the current one is stepped; the stream and the results are the same
+either way.
+
 `generator_apply` evaluates the pairwise generator exactly on a catalog of
 test polynomials and is the oracle for the weak-consistency tests.
 """
@@ -28,9 +35,13 @@ test polynomials and is the oracle for the weak-consistency tests.
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from itertools import cycle
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -259,9 +270,12 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
     kicked velocities are scattered back into ``states``, and
     ``renormalize_batch`` restores it in place.
 
-    Draw order per step (fixed, for reproducibility): particle relabeling
-    (R, N), round order (R, n_rounds), then one (R, P, 3) normal block per
-    round slot.
+    Draw order per step (fixed, for reproducibility; ``_pair_draws``):
+    particle relabeling ``rng.random((R, N))``, round order
+    ``rng.random((R, n_rounds))``, then one ``rng.standard_normal((R, P,
+    3))`` block per round slot. ``rng`` needs only these two methods, so a
+    stand-in such as an antithetic wrapper works too. ``run_ensemble``
+    sweeps with the same draws, taken from one sequence for the whole run.
 
     The sweep runs on a component-major (3, N, R) copy of the states,
     relabeled into the layout of the current round (``_round_layout``), so
@@ -275,18 +289,47 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
     gathers and scatters each round's pairs in natural particle order.
     """
     r, n, _ = states.shape
+    draws = _pair_draws(rng, r, n, len(_round_layout(n)[0]), n_steps=1, n_buffers=1)
+    return _sweep_pairs(spec, states, kernel, dt, draws)
+
+
+def _pair_draws(rng, r: int, n: int, n_rounds: int, n_steps: int,
+                n_buffers: int) -> Iterator[np.ndarray]:
+    """The draws of ``n_steps`` pair sweeps of R replicas of N particles,
+    in the order ``step_pair_diffusion`` documents.
+
+    Per step: the relabeling uniforms (R, N), the round-order uniforms
+    (R, n_rounds), then per round the (R, P, 3) normals, copied
+    component-major into the next of ``n_buffers`` recycled (3, P, R)
+    buffers, which the sweep kicks in place. Calls nothing but ``rng`` and
+    numpy, so it can run on a producer thread.
+    """
+    p = n // 2
+    etas = cycle([np.empty((3, p, r)) for _ in range(n_buffers)])
+    for _ in range(n_steps):
+        yield rng.random((r, n))
+        yield rng.random((r, n_rounds))
+        for _ in range(n_rounds):
+            eta = next(etas)
+            eta[...] = rng.standard_normal((r, p, 3)).transpose(2, 1, 0)
+            yield eta
+
+
+def _sweep_pairs(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
+                 dt: float, draws: Iterator[np.ndarray]) -> np.ndarray:
+    """``step_pair_diffusion`` with its draws taken from ``draws``
+    (``_pair_draws``): exactly one sweep's worth, 2 + n_rounds items."""
+    r, n, _ = states.shape
     layout, inverse = _round_layout(n)
     n_rounds = layout.shape[0]
-    p = n // 2
-    perm = np.argsort(rng.random((r, n)), axis=1)
-    order = np.argsort(rng.random((r, n_rounds)), axis=1)
+    perm = np.argsort(next(draws), axis=1)
+    order = np.argsort(next(draws), axis=1)
     diff_scale = 2.0 / (n - 1)
     replica = np.arange(r)
     # layout position i of replica q holds particle perm[q, layout[order[q, j], i]]
     particles = np.take_along_axis(perm, layout[order[:, 0]], axis=1)
     work = np.ascontiguousarray(states[replica[:, None], particles].transpose(2, 1, 0))
     spare = np.empty_like(work)
-    eta = np.empty((3, p, r))
     for j in range(n_rounds):
         if j:
             # each label's position in the previous slot, as a flat (N, R) index
@@ -298,8 +341,7 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
             np.take(work.reshape(3, -1), moves.ravel(), axis=1,
                     out=spare.reshape(3, -1))
             work, spare = spare, work
-        eta[...] = rng.standard_normal((r, p, 3)).transpose(2, 1, 0)
-        _pair_round_kick(work, eta, kernel.gamma, spec.cutoff, diff_scale, dt)
+        _pair_round_kick(work, next(draws), kernel.gamma, spec.cutoff, diff_scale, dt)
     particles = np.take_along_axis(perm, layout[order[:, -1]], axis=1)
     states[replica[:, None], particles] = work.transpose(2, 1, 0)
     return renormalize_batch(spec, states)
@@ -459,6 +501,66 @@ def tagged_shift_sampler(strength: float) -> Sampler:
 # ensemble driver
 
 
+def _sphere_draws(rng, shape: tuple, block: int, n_steps: int,
+                  n_buffers: int) -> Iterator[np.ndarray]:
+    """The normals of ``n_steps`` sphere steps of the (R, N, 3) ``shape``,
+    in one stream: per step, one block per ``block`` replicas in replica
+    order (the last one ragged), each drawn into the next of ``n_buffers``
+    recycled block buffers. The stream does not depend on ``block``. Calls
+    nothing but ``rng`` and numpy, so it can run on a producer thread."""
+    r = shape[0]
+    blocks = cycle([np.empty((min(block, r),) + shape[1:]) for _ in range(n_buffers)])
+    for _ in range(n_steps):
+        for i in range(0, r, block):
+            yield rng.standard_normal(out=next(blocks)[:min(block, r - i)])
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on at least two CPUs, so that drawing
+    on a producer thread can overlap the steps."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _drawn_ahead(draws: Iterator, lead: int) -> Iterator:
+    """Iterate ``draws`` on a producer thread and yield its items in order.
+
+    The producer starts item m only after the consumer has asked for item
+    m - lead + 1, that is once it is done with item m - lead; so a draw
+    sequence that cycles through ``lead`` buffers never refills one in use.
+    An exception of the producer is raised here, in its place in the
+    sequence. Closing this generator stops the producer and joins it.
+    """
+    items: queue.SimpleQueue = queue.SimpleQueue()
+    free = threading.Semaphore(lead - 1)
+    stop = threading.Event()
+
+    def produce():
+        try:
+            for item in draws:
+                items.put(item)
+                free.acquire()
+                if stop.is_set():
+                    return
+        except BaseException as exc:  # raised again by the consumer
+            items.put(exc)
+
+    producer = threading.Thread(target=produce, name="kinlab-draws", daemon=True)
+    producer.start()
+    try:
+        while True:
+            item = items.get()
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        producer.join()
+
+
 def run_ensemble(spec: ManifoldSpec, config: SimConfig,
                  observables: Sequence[str], *, rng: np.random.Generator,
                  initial_sampler: Sampler | None = None,
@@ -470,20 +572,33 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     sphere diffusion.
 
     Every draw comes from ``rng``, in a fixed order: the initial sample,
-    then each step's schedule and noise. Generators in the same state give
-    bit-identical results. Ensemble means are reported with standard
-    errors (std/sqrt(R), ddof=1).
+    then each step's schedule and noise, as written once by
+    ``_sphere_draws`` and ``_pair_draws``. Generators in the same state
+    give bit-identical results, and leave ``rng`` in the same state.
+    Ensemble means are reported with standard errors (std/sqrt(R),
+    ddof=1).
+
+    When the process may run on two CPUs (``_two_cpus``) and there is a
+    step, the steps' draws are made on a producer thread, in that same
+    order, while this thread steps the previous block or round
+    (``_drawn_ahead``): at most two sphere noise blocks or four pair draws
+    ahead, in recycled buffers. The producer draws exactly
+    ``config.n_steps`` steps' worth and is joined before the run returns
+    or raises. Otherwise the draws are made inline. The results and the
+    final ``rng`` state do not depend on the path; after a raise, ``rng``
+    may have drawn ahead of the serial run.
 
     The run holds one (R, N, 3) state array: the sampler's own when that
     is a writable C-contiguous float array that owns its data, else a copy
     (of a read-only or borrowed array, such as a ``broadcast_to`` view).
-    Every step overwrites it in place. ``step_pair_diffusion`` sweeps the
-    whole array; a sphere step runs over blocks of ``block_states``
-    replicas: each block's normals are drawn into one block-sized buffer
-    and ``step_sphere_diffusion`` is run in place on the block, so its
-    arrays stay in cache. The normals are consumed in the same order as
-    one whole-array draw and every reduction of the step is per replica,
-    so the states do not depend on the block size, bit for bit.
+    Every step overwrites it in place. A pair step sweeps the whole array;
+    a sphere step runs over blocks of ``block_states`` replicas (half
+    blocks, in two buffers, when drawn ahead, so the noise memory is one
+    block either way), each with its own normals, and
+    ``step_sphere_diffusion`` runs in place on the block, so its arrays
+    stay in cache. The normals are consumed in the same order as one
+    whole-array draw and every reduction of the step is per replica, so
+    the states do not depend on the block size, bit for bit.
 
     A step that leaves NaN or inf in some replica raises
     NonFiniteStateError naming that step and those replicas (all of them,
@@ -515,30 +630,39 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     maybe_snapshot(0)
     if n_steps > 0:
         record(0)
-    # one block of the sphere step's normals, refilled in place (same stream)
-    block = block_states(spec.n_particles)
-    noise = (np.empty((min(block, len(states)),) + states.shape[1:])
-             if config.kernel is None else None)
-    for step in range(1, n_steps + 1):
-        if config.kernel is not None:
-            try:
-                step_pair_diffusion(spec, states, config.kernel, config.dt, rng)
-            except NonFiniteStateError as exc:
-                raise NonFiniteStateError(exc.replicas, step=step) from None
-        else:
-            bad: list[int] = []
-            for i in range(0, len(states), block):
-                s = states[i:i + block]
+    r, n, _ = states.shape
+    ahead = n_steps > 0 and _two_cpus()
+    # draw buffers, one inline; the sphere's hold one block's normals in all
+    lead = (2 if config.kernel is None else 4) if ahead else 1
+    if config.kernel is None:
+        block = max(1, block_states(n) // lead)
+        draws = _sphere_draws(rng, states.shape, block, n_steps, lead)
+    else:
+        draws = _pair_draws(rng, r, n, len(_round_layout(n)[0]), n_steps, lead)
+    if ahead:
+        draws = _drawn_ahead(draws, lead)
+    try:
+        for step in range(1, n_steps + 1):
+            if config.kernel is not None:
                 try:
-                    step_sphere_diffusion(spec, s, config.dt,
-                                          rng.standard_normal(out=noise[:len(s)]))
+                    _sweep_pairs(spec, states, config.kernel, config.dt, draws)
                 except NonFiniteStateError as exc:
-                    bad += [i + r for r in exc.replicas]
-            if bad:
-                raise NonFiniteStateError(bad, step=step)
-        if step % config.record_every == 0 or step == n_steps:
-            record(step)
-        maybe_snapshot(step)
+                    raise NonFiniteStateError(exc.replicas, step=step) from None
+            else:
+                bad: list[int] = []
+                for i in range(0, r, block):
+                    xi = next(draws)
+                    try:
+                        step_sphere_diffusion(spec, states[i:i + len(xi)], config.dt, xi)
+                    except NonFiniteStateError as exc:
+                        bad += [i + q for q in exc.replicas]
+                if bad:
+                    raise NonFiniteStateError(bad, step=step)
+            if step % config.record_every == 0 or step == n_steps:
+                record(step)
+            maybe_snapshot(step)
+    finally:
+        draws.close()
 
     t_arr = np.asarray(times)
     series = {

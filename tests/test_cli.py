@@ -297,6 +297,15 @@ INVALID_CONFIGS = {
     "bp_gamma_inf": ("sim-bp", _with(SIM, gamma="inf"), ["gamma"]),
     "u_nan": ("sim-sphere", _with(SIM, mode="energy-momentum", u="nan,0,0"), ["u"]),
     "fpe_t_list_inf": ("fpe-moments", [("t_list", "0,inf")], ["t_list"]),
+    # an eps outside geometry.EPS_RANGE would overflow the recorded moments,
+    # the marginal's normalisation or the pair weights at run time
+    "sphere_eps_huge": ("sim-sphere", _with(SIM, eps="1e200"), ["eps"]),
+    "marginal_eps_tiny": ("marginal-compare", [("n_particles", "8"), ("n_list", "8,32"),
+                                               ("eps", "1e-300")],
+                          [("n_particles", "eps"), ("n_list", "eps")]),
+    "bp_eps_huge": ("sim-bp", _with(SIM, eps="1e300", gamma="200"), ["eps"]),
+    "eps0_tiny": ("sim-sphere", _with(SIM, mode="energy-momentum", eps="1e-100",
+                                      u="1e-50,0,0"), [("eps", "u")]),
     # the momentum restoration would remove the shift
     "shift_on_energy_momentum": ("sim-sphere", _with(SIM, mode="energy-momentum",
                                                      init="shift", init_strength="0.5"),

@@ -1,11 +1,13 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from kinlab import master_sim
+from kinlab import cli, master_sim
 from kinlab.geometry import (
     ConservationMode,
     DegenerateStateError,
@@ -617,6 +619,161 @@ def test_blocked_sphere_run_peak_allocation(mode):
         finally:
             tracemalloc.stop()
     assert max(peaks.values()) <= 1.5, peaks
+
+
+# ---------------------------------------------------------------------------
+# the draws on a producer thread: the same bits as inline, and no thread left
+
+
+def _force_draw_path(monkeypatch, ahead):
+    """Make ``run_ensemble`` take the inline (False) or the producer-thread
+    (True) draw path, through its one CPU check; returns the list to which
+    each producer start appends its lead."""
+    starts = []
+    drawn_ahead = master_sim._drawn_ahead
+    monkeypatch.setattr(master_sim, "_two_cpus", lambda: ahead)
+    monkeypatch.setattr(master_sim, "_drawn_ahead",
+                        lambda draws, lead: starts.append(lead) or drawn_ahead(draws, lead))
+    return starts
+
+
+@pytest.fixture(params=[False, True], ids=["inline", "ahead"])
+def draw_path(request, monkeypatch):
+    return request.param, _force_draw_path(monkeypatch, request.param)
+
+
+def _assert_same_on_both_draw_paths(monkeypatch, spec, cfg, **kwargs):
+    """Run one seeded ensemble inline and on the producer thread: the final
+    states and the Generator's state after the run must be equal, and no
+    thread may be left.
+
+    The threaded run switches threads every microsecond, so that a buffer
+    refilled while still in use would show in the states."""
+    out = {}
+    for ahead in (False, True):
+        starts = _force_draw_path(monkeypatch, ahead)
+        rng = np.random.default_rng(31)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_ensemble(spec, cfg, ["sum_v1"], rng=rng,
+                                  snapshot_times=[cfg.t_end], **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert len(starts) == ahead
+        out[ahead] = result.snapshots[0].velocities, rng.bit_generator.state
+    np.testing.assert_array_equal(out[False][0], out[True][0])
+    assert out[False][1] == out[True][1]
+
+
+@pytest.mark.parametrize("mode", sorted(BLOCKED_SPECS))
+@pytest.mark.parametrize("n_replicas", [100, 10])
+def test_sphere_run_same_on_both_draw_paths(mode, n_replicas, monkeypatch):
+    # 100 replicas end in a ragged block of 16 (blocks of 42 inline, of 21
+    # ahead); 10 are fewer than one half-block
+    spec = BLOCKED_SPECS[mode]
+    assert block_states(spec.n_particles) == 42
+    _assert_same_on_both_draw_paths(monkeypatch, spec,
+                                    SimConfig(dt=1e-3, t_end=4e-3, n_replicas=n_replicas),
+                                    initial_sampler=sheared_sampler(0.5))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_pair_run_same_on_both_draw_paths(n, monkeypatch):
+    # odd N has a bye particle in every round
+    spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.5, u=[1.0, -0.5, 0.25])
+    _assert_same_on_both_draw_paths(
+        monkeypatch, spec, SimConfig(dt=1e-2, t_end=3e-2, n_replicas=12, kernel=COULOMB))
+
+
+def test_chaos_tables_same_on_both_draw_paths(monkeypatch, tmp_path):
+    # chaos draws each N's pair subsample from the stream the run leaves
+    cfg = ("n_list = 4,7\ngamma = -3\ndt = 0.01\nt_end = 0.03\n"
+           "pair_samples = 2000\nbins = 8\nseed = 4\n")
+    for ahead in (False, True):
+        starts = _force_draw_path(monkeypatch, ahead)
+        cli.run(cli.parse_config(cfg, "chaos"), tmp_path / str(ahead))
+        assert starts == [4, 4] * ahead
+    tables = sorted(path.name for path in (tmp_path / "False").glob("*.csv"))
+    assert tables
+    for name in tables:
+        assert ((tmp_path / "False" / name).read_bytes()
+                == (tmp_path / "True" / name).read_bytes()), name
+
+
+def test_sphere_breakdown_in_a_middle_block_on_both_draw_paths(draw_path):
+    # replica 50 is in the middle block, [42, 84) inline and [42, 63) ahead;
+    # the other blocks are still stepped, and it is named by its index in
+    # the ensemble
+    ahead, starts = draw_path
+    arrays = []
+
+    def nan_in_replica_50(spec, n_states, rng):
+        states = sample_uniform_batch(spec, n_states, rng)
+        states[50, 0, 1] = np.nan
+        arrays.append((states, states.copy()))
+        return states
+
+    before = threading.active_count()
+    with pytest.raises(NonFiniteStateError) as info:
+        run_ensemble(BLOCKED_SPECS["c4_u"], SimConfig(dt=1e-3, t_end=3e-3, n_replicas=100),
+                     ["tagged_v1"], rng=np.random.default_rng(3),
+                     initial_sampler=nan_in_replica_50)
+    assert threading.active_count() == before
+    assert starts == ([2] if ahead else [])
+    assert info.value.step == 1 and info.value.replicas == [50]
+    # the run steps the sampler's own array in place
+    states, start = arrays[0]
+    stepped = np.all(states != start, axis=(1, 2))
+    assert stepped[:42].all() and stepped[63 if ahead else 84:].all()
+
+
+def test_pair_breakdown_on_both_draw_paths(draw_path, spec_c4):
+    ahead, starts = draw_path
+
+    def nan_in_replica_3(spec, n_states, rng):
+        states = sample_uniform_batch(spec, n_states, rng)
+        states[3, 1, 2] = np.nan
+        return states
+
+    before = threading.active_count()
+    with pytest.raises(NonFiniteStateError) as info:
+        run_ensemble(spec_c4, SimConfig(dt=1e-3, t_end=5e-3, n_replicas=6, kernel=COULOMB),
+                     ["sum_v1v2"], rng=np.random.default_rng(1),
+                     initial_sampler=nan_in_replica_3)
+    assert threading.active_count() == before
+    assert starts == ([4] if ahead else [])
+    assert info.value.step == 1 and info.value.replicas == [3]
+
+
+class _FailingNormals:
+    """A Generator stand-in whose uniforms work and whose normals raise."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        return self.rng.random(shape)
+
+    def standard_normal(self, *args, **kwargs):
+        raise RuntimeError("no normals")
+
+
+@pytest.mark.parametrize("process", ["sphere", "pair"])
+def test_failing_draw_raises_on_both_draw_paths(process, draw_path, spec_c4):
+    ahead, starts = draw_path
+    start = sample_uniform_batch(spec_c4, 50, np.random.default_rng(2))
+    cfg = SimConfig(dt=1e-3, t_end=5e-3, n_replicas=50,
+                    kernel=COULOMB if process == "pair" else None)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="no normals"):
+        run_ensemble(spec_c4, cfg, ["sum_v1v2"],
+                     rng=_FailingNormals(np.random.default_rng(1)),
+                     initial_sampler=lambda spec, n_states, rng: start.copy())
+    assert threading.active_count() == before
+    assert starts == ([4 if process == "pair" else 2] if ahead else [])
 
 
 @pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))

@@ -8,6 +8,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -95,12 +96,33 @@ def test_perfbench_spans_cover_the_work_functions(command, tmp_path):
     # the next traced benchmark run
     spans = _load_spans()
     config, expected_spans, expected_counts = TRACED_RUNS[command]
-    with spans.installed(spans.SpanRecorder(), MODULES) as rec:
+    callers = set()
+
+    class Recorder(spans.SpanRecorder):
+        def wrap(self, name, fn, work=None):
+            traced = super().wrap(name, fn, work)
+
+            def call(*args, **kwargs):
+                callers.add(threading.current_thread())
+                return traced(*args, **kwargs)
+
+            return call
+
+    with spans.installed(Recorder(), MODULES) as rec:
         t0 = time.perf_counter()
         cli.run(cli.parse_config(config, command), tmp_path)
         wall = time.perf_counter() - t0
     names = [span[0] for span in rec.spans]
     assert expected_spans <= set(names)
+    # the recorder keeps one stack of open spans and is not thread-safe: a
+    # wrapped name called from another thread (such as the draw producer of
+    # a pair or sphere run) would record spans outside their parents
+    assert callers == {threading.current_thread()}
+    for name, start, end, parent, _ in rec.spans:
+        assert start <= end
+        if parent >= 0:
+            _, p_start, p_end, _, _ = rec.spans[parent]
+            assert p_start <= start and end <= p_end, (name, rec.spans[parent][0])
     if expected_counts.get("geometry.sample_calls") == 0:
         # layer_metrics divides by the sampled coordinate count, so it cannot
         # describe a run that samples nothing; count the spans directly
