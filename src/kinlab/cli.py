@@ -327,6 +327,9 @@ def _manifold(p, build):
 def _sim(p, build, pair=False):
     kernel = build(("gamma",), lambda: KernelSpec(p["gamma"])) if pair else None
     spec = _manifold(p, build)
+    if pair:
+        build(("n_particles", "eps", "gamma"), lambda: kernel.check_weights(spec),
+              kernel, spec)
     config = build(("dt", "t_end", "n_replicas", "record_every"),
                    lambda: SimConfig(dt=p["dt"], t_end=p["t_end"],
                                      n_replicas=p["n_replicas"], kernel=kernel,
@@ -527,6 +530,12 @@ def _chaos(p, build):
                 n_replicas=max(8, int(math.ceil(p["pair_samples"] / (n * (n - 1))))),
                 kernel=kernel),
             spec, kernel))
+
+    # the weights grow with N for gamma > -2 and are largest at the
+    # cutoff below it, where N does not enter
+    build(("n_list", "eps", "gamma"),
+          lambda: kernel.check_weights(max(specs, key=lambda s: s.n_particles)),
+          kernel, *specs)
 
     def grid():
         sigma = math.sqrt(2.0 * p["eps"] / 3.0)

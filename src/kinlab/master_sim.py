@@ -16,10 +16,12 @@ order O(dt):
   separation (the binary-collision conservation laws), then a global
   cleanup renormalization.
 
-Each step visits every unordered pair exactly once, in a randomized
-round-robin schedule (random particle relabeling and round order per
-replica per step); pairs within a round are disjoint, so the vectorized
-simultaneous update coincides with a sequential sweep.
+Each step visits every unordered pair exactly once, in the rounds of the
+circle-method round robin, in one fixed order, after a random particle
+relabeling per replica per step; pairs within a round are disjoint, so the
+vectorized simultaneous update coincides with a sequential sweep. From one
+round to the next the rows of the sweep's work array rotate one place
+along the circle, with no per-replica index.
 
 Each process's draw order is written once, as a generator of the run's
 draws (``_sphere_draws``, ``_pair_draws``). ``run_ensemble`` iterates it
@@ -59,6 +61,12 @@ from .geometry import (
 )
 
 
+# The largest pair weight a run may meet. A kick squares about
+# 8 dt w |eta|^2 / (N - 1), so this leaves some 100 decades for dt and the
+# noise below the float range.
+PAIR_WEIGHT_MAX = 1e200
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Collision-kernel exponent gamma, finite and > -5.
@@ -74,6 +82,22 @@ class KernelSpec:
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > -5.0):
             raise ValueError("kernel exponent must be finite with gamma > -5")
+
+    def check_weights(self, spec: ManifoldSpec) -> None:
+        """Raise ValueError unless every pair weight on ``spec``'s manifold
+        is at most ``PAIR_WEIGHT_MAX``.
+
+        A separation is at most sqrt(4 N eps), as sum_k |v_k|^2 = 2 N eps,
+        and the sweep and the generator use at least the cutoff; the
+        weight is largest at one of the two ends.
+        """
+        ends = (0.5 * math.log(4.0 * spec.n_particles * spec.eps), math.log(spec.cutoff))
+        log10_w = max((2.0 + self.gamma) * end for end in ends) / math.log(10.0)
+        if log10_w > math.log10(PAIR_WEIGHT_MAX):
+            raise ValueError(
+                f"pair weights reach 1e{log10_w:.0f} at N = {spec.n_particles}, eps = "
+                f"{spec.eps:g}, gamma = {self.gamma:g}; need at most {PAIR_WEIGHT_MAX:g}: "
+                "lower eps or gamma")
 
 
 @dataclass(frozen=True)
@@ -186,38 +210,46 @@ def step_sphere_diffusion(spec: ManifoldSpec, states: np.ndarray, dt: float,
 # pairwise diffusion
 
 
-@lru_cache(maxsize=None)
-def _round_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Circle-method round-robin schedule, as the particle layout of each
-    round for the relabeled sweep.
+def _rotate_rows(src: np.ndarray, dst: np.ndarray) -> None:
+    """Write ``src`` into ``dst`` with its rows (axis 1) moved one round on
+    along the circle-method schedule.
 
-    Returns (layout, inverse), both (n_rounds, n) and read-only. Row t of
-    ``layout`` lists round t's P = n // 2 pairs (k < l) as its k sides,
-    then its l sides, then the bye particle when n is odd: the pairs are
-    positions (i, P + i), i < P. The rounds are perfect matchings covering
-    each unordered pair once. ``inverse[t]`` gives the position of each
-    label. In round t, position j >= 1 holds player 1 + (j - 1 - t) mod
-    (m - 1), m = n rounded up to even, and position 0 player 0; position
-    i plays m-1-i. For odd n, player n is a dummy whose partner sits out.
+    Row i < P holds the k side of pair i and row P + i its l side, P =
+    n // 2; for odd n, row n - 1 holds the bye. The rows form a ring,
+    ascending over the k sides, descending over the l sides, then the bye
+    row; each row's content moves one place along it. For even n, row 0 is
+    the fixed player and stays. Every new round is a perfect matching, and
+    n_rounds rounds meet every unordered pair once (for odd n, each player
+    has the bye once). Needs n >= 3.
     """
-    m = n + n % 2
-    t = np.arange(m - 1)[:, None]
-    i = np.arange(m // 2)
-    a = 1 + (i - 1 - t) % (m - 1)       # player at position i
-    a[:, 0] = 0
-    b = 1 + (m - 2 - i - t) % (m - 1)   # player at position m-1-i
-    k, l = np.minimum(a, b), np.maximum(a, b)
-    real = l < n                        # drops the dummy's match
+    n = src.shape[1]
     p = n // 2
-    layout = np.empty((m - 1, n), dtype=np.intp)
-    layout[:, :p] = k[real].reshape(m - 1, p)
-    layout[:, p:2 * p] = l[real].reshape(m - 1, p)
+    s = 1 - n % 2                   # even n: row 0 stays
+    dst[:, :s] = src[:, :s]
+    dst[:, s] = src[:, 2 * p if n % 2 else p]
+    dst[:, s + 1:p] = src[:, s:p - 1]
+    dst[:, p:2 * p - 1] = src[:, p + 1:2 * p]
+    dst[:, 2 * p - 1] = src[:, p - 1]
     if n % 2:
-        layout[:, -1] = k[~real]
-    inverse = np.argsort(layout, axis=1)
-    layout.setflags(write=False)
-    inverse.setflags(write=False)
-    return layout, inverse
+        dst[:, 2 * p] = src[:, p]
+
+
+@lru_cache(maxsize=None)
+def _round_layout(n: int) -> tuple[int, np.ndarray]:
+    """(n_rounds, final) of the circle-method schedule of n players.
+
+    n_rounds is n - 1 for even n and n for odd n. Round 0 puts player j in
+    row j, and ``_rotate_rows`` moves the rows from each round to the next;
+    ``final`` (read-only) is the player in each row after the last round.
+    """
+    n_rounds = n - 1 + n % 2
+    rows, spare = np.arange(n)[None], np.empty((1, n), dtype=np.intp)
+    for _ in range(n_rounds - 1):
+        _rotate_rows(rows, spare)
+        rows, spare = spare, rows
+    final = rows[0].copy()
+    final.setflags(write=False)
+    return n_rounds, final
 
 
 def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -271,44 +303,43 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
     ``renormalize_batch`` restores it in place.
 
     Draw order per step (fixed, for reproducibility; ``_pair_draws``):
-    particle relabeling ``rng.random((R, N))``, round order
-    ``rng.random((R, n_rounds))``, then one ``rng.standard_normal((R, P,
-    3))`` block per round slot. ``rng`` needs only these two methods, so a
-    stand-in such as an antithetic wrapper works too. ``run_ensemble``
-    sweeps with the same draws, taken from one sequence for the whole run.
+    particle relabeling ``rng.random((R, N))``, then one
+    ``rng.standard_normal((R, P, 3))`` block per round. ``rng`` needs only
+    these two methods, so a stand-in such as an antithetic wrapper works
+    too. ``run_ensemble`` sweeps with the same draws, taken from one
+    sequence for the whole run.
 
-    The sweep runs on a component-major (3, N, R) copy of the states,
-    relabeled into the layout of the current round (``_round_layout``), so
-    each round's k and l sides are the contiguous slices [:P] and [P:2P],
-    kicked in place. One gather per round moves the copy from one round's
-    layout to the next; its flat indices are built per round from the
-    round order and the layout tables, O(R N) index memory per round. The
-    states are gathered into the copy once per step and scattered back
-    once. The relabeling changes neither the draw order above nor the
-    per-pair arithmetic, so trajectories are bit-identical to a sweep that
-    gathers and scatters each round's pairs in natural particle order.
+    The rounds run in the circle-method order of ``_rotate_rows``, the same
+    for every replica; the relabeling, drawn per replica, makes the sweep
+    exchangeable. Each pair move keeps the uniform law by itself, so the
+    order of the rounds changes only O(dt^2) terms. The sweep runs on a
+    component-major (3, N, R) copy of the states, gathered once in the
+    relabeled order, so each round's k and l sides are the contiguous
+    slices [:P] and [P:2P], kicked in place. One fixed rotation of the
+    copy's rows, a few slice copies, moves it from one round to the next,
+    with no per-replica index; the copy is scattered back once, through
+    the final row map of ``_round_layout``.
     """
     r, n, _ = states.shape
-    draws = _pair_draws(rng, r, n, len(_round_layout(n)[0]), n_steps=1, n_buffers=1)
+    draws = _pair_draws(rng, r, n, n_steps=1, n_buffers=1)
     return _sweep_pairs(spec, states, kernel, dt, draws)
 
 
-def _pair_draws(rng, r: int, n: int, n_rounds: int, n_steps: int,
+def _pair_draws(rng, r: int, n: int, n_steps: int,
                 n_buffers: int) -> Iterator[np.ndarray]:
     """The draws of ``n_steps`` pair sweeps of R replicas of N particles,
     in the order ``step_pair_diffusion`` documents.
 
-    Per step: the relabeling uniforms (R, N), the round-order uniforms
-    (R, n_rounds), then per round the (R, P, 3) normals, copied
-    component-major into the next of ``n_buffers`` recycled (3, P, R)
-    buffers, which the sweep kicks in place. Calls nothing but ``rng`` and
-    numpy, so it can run on a producer thread.
+    Per step: the relabeling uniforms (R, N), then per round the (R, P, 3)
+    normals, copied component-major into the next of ``n_buffers``
+    recycled (3, P, R) buffers, which the sweep kicks in place. Calls
+    nothing but ``rng`` and numpy, so it can run on a producer thread.
     """
+    n_rounds, _ = _round_layout(n)
     p = n // 2
     etas = cycle([np.empty((3, p, r)) for _ in range(n_buffers)])
     for _ in range(n_steps):
         yield rng.random((r, n))
-        yield rng.random((r, n_rounds))
         for _ in range(n_rounds):
             eta = next(etas)
             eta[...] = rng.standard_normal((r, p, 3)).transpose(2, 1, 0)
@@ -318,32 +349,21 @@ def _pair_draws(rng, r: int, n: int, n_rounds: int, n_steps: int,
 def _sweep_pairs(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
                  dt: float, draws: Iterator[np.ndarray]) -> np.ndarray:
     """``step_pair_diffusion`` with its draws taken from ``draws``
-    (``_pair_draws``): exactly one sweep's worth, 2 + n_rounds items."""
+    (``_pair_draws``): exactly one sweep's worth, 1 + n_rounds items."""
     r, n, _ = states.shape
-    layout, inverse = _round_layout(n)
-    n_rounds = layout.shape[0]
+    n_rounds, final = _round_layout(n)
     perm = np.argsort(next(draws), axis=1)
-    order = np.argsort(next(draws), axis=1)
     diff_scale = 2.0 / (n - 1)
-    replica = np.arange(r)
-    # layout position i of replica q holds particle perm[q, layout[order[q, j], i]]
-    particles = np.take_along_axis(perm, layout[order[:, 0]], axis=1)
-    work = np.ascontiguousarray(states[replica[:, None], particles].transpose(2, 1, 0))
+    replica = np.arange(r)[:, None]
+    # row j of replica q holds particle perm[q, j] in round 0
+    work = np.ascontiguousarray(states[replica, perm].transpose(2, 1, 0))
     spare = np.empty_like(work)
     for j in range(n_rounds):
         if j:
-            # each label's position in the previous slot, as a flat (N, R) index
-            labels = layout[order[:, j]].T
-            labels += order[:, j - 1] * n
-            moves = np.take(inverse, labels)
-            moves *= r
-            moves += replica
-            np.take(work.reshape(3, -1), moves.ravel(), axis=1,
-                    out=spare.reshape(3, -1))
+            _rotate_rows(work, spare)
             work, spare = spare, work
         _pair_round_kick(work, next(draws), kernel.gamma, spec.cutoff, diff_scale, dt)
-    particles = np.take_along_axis(perm, layout[order[:, -1]], axis=1)
-    states[replica[:, None], particles] = work.transpose(2, 1, 0)
+    states[replica, perm[:, final]] = work.transpose(2, 1, 0)
     return renormalize_batch(spec, states)
 
 
@@ -638,7 +658,7 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
         block = max(1, block_states(n) // lead)
         draws = _sphere_draws(rng, states.shape, block, n_steps, lead)
     else:
-        draws = _pair_draws(rng, r, n, len(_round_layout(n)[0]), n_steps, lead)
+        draws = _pair_draws(rng, r, n, n_steps, lead)
     if ahead:
         draws = _drawn_ahead(draws, lead)
     try:

@@ -50,10 +50,15 @@ CASES = {
 }
 
 
+def case_spec(name: str) -> ManifoldSpec:
+    n, mode, eps, u, *_ = CASES[name]
+    return ManifoldSpec(n, mode, eps=eps, u=u)
+
+
 def run_case(name: str) -> tuple[np.ndarray, np.ndarray]:
     """Final states and the last step's kicked array, both (R, N, 3)."""
-    n, mode, eps, u, gamma, antithetic, seed = CASES[name]
-    spec = ManifoldSpec(n, mode, eps=eps, u=u)
+    *_, gamma, antithetic, seed = CASES[name]
+    spec = case_spec(name)
     kernel = KernelSpec(gamma)
     rng = np.random.default_rng(seed)
     states = sample_uniform_batch(spec, N_REPLICAS, rng)

@@ -31,7 +31,6 @@ from kinlab.geometry import (
 from kinlab.kinetic_limits import stationary_marginal_eval
 from kinlab.master_sim import (
     TestPolynomial,
-    _round_layout,
     generator_apply,
     step_sphere_diffusion,
 )
@@ -525,28 +524,50 @@ def restoration_inputs(*modules):
             module.renormalize_batch = restore
 
 
+def circle_schedule(n):
+    """The circle-method round robin of n players as a plain table.
+
+    Returns (n_rounds, P, 2): round t's pairs (k, l). Players sit at the
+    positions 0..m-1 of a circle, m = n rounded up to even; position c
+    plays position m-1-c, position 0 stays, and in round t position c >= 1
+    holds the player that sat at position 1 + (c - 1 - t) mod (m - 1) in
+    round 0. For odd n a dummy takes position 0 and its partner has the
+    bye. Players are named by their row in round 0 of ``master_sim``'s
+    sweep: pair i's k side (position i + n % 2) is row i, its l side
+    (position n - 1 - i) row P + i, and the bye (position n) row n - 1.
+    """
+    m, p, odd = n + n % 2, n // 2, n % 2
+    row_at = np.full(m, -1)
+    row_at[np.arange(p) + odd] = np.arange(p)
+    row_at[n - 1 - np.arange(p)] = p + np.arange(p)
+    if odd:
+        row_at[n] = n - 1
+    pairs = []
+    for t in range(m - 1):
+        def player(c):
+            return row_at[c if c == 0 else 1 + (c - 1 - t) % (m - 1)]
+        pairs.append([(player(i + odd), player(n - 1 - i)) for i in range(p)])
+    return np.array(pairs, dtype=np.intp).reshape(m - 1, p, 2)
+
+
 def step_pair_diffusion_reference(spec, states, kernel, dt, rng):
     """The pair sweep in natural particle order, the plain reference for
     ``master_sim.step_pair_diffusion``.
 
     Same RNG draws in the same order and the same per-pair arithmetic, but
-    each round gathers the k and l particles by 2-D fancy indexing and
-    scatters the kicked velocities back, so the relabeled layout of the
-    library kernel must reproduce it bit for bit.
+    each round gathers the k and l particles of the ``circle_schedule``
+    table, relabeled, by 2-D fancy indexing and scatters the kicked
+    velocities back, so the rotated layout of the library kernel must
+    reproduce it bit for bit.
     """
     r, n, _ = states.shape
-    layout, _ = _round_layout(n)
-    p = n // 2
-    rounds = np.stack([layout[:, :p], layout[:, p:2 * p]], axis=-1)   # (rounds, P, 2)
-    n_rounds = rounds.shape[0]
+    rounds = circle_schedule(n)
     perm = np.argsort(rng.random((r, n)), axis=1)
-    order = np.argsort(rng.random((r, n_rounds)), axis=1)
     diff_scale = 2.0 / (n - 1)
     rows = np.arange(r)[:, None]
-    for j in range(n_rounds):
-        base = rounds[order[:, j]]
-        k_idx = np.take_along_axis(perm, base[:, :, 0], axis=1)
-        l_idx = np.take_along_axis(perm, base[:, :, 1], axis=1)
+    for pairs in rounds:
+        k_idx = perm[:, pairs[:, 0]]
+        l_idx = perm[:, pairs[:, 1]]
         eta = rng.standard_normal((r,) + k_idx.shape[1:] + (3,))
         vk = states[rows, k_idx]
         vl = states[rows, l_idx]

@@ -306,6 +306,16 @@ INVALID_CONFIGS = {
     "bp_eps_huge": ("sim-bp", _with(SIM, eps="1e300", gamma="200"), ["eps"]),
     "eps0_tiny": ("sim-sphere", _with(SIM, mode="energy-momentum", eps="1e-100",
                                       u="1e-50,0,0"), [("eps", "u")]),
+    # a pair weight above master_sim.PAIR_WEIGHT_MAX, (4 N eps)^((2+gamma)/2)
+    # = 1e10222 here, would overflow in the first kick
+    "bp_weight_overflow": ("sim-bp", _with(SIM, eps="1e100", gamma="200"),
+                           [("n_particles", "eps", "gamma")]),
+    "chaos_weight_overflow": ("chaos", [("n_list", "4,8"), ("t_end", "0.04"),
+                                        ("eps", "1e100"), ("gamma", "200")],
+                              [("n_list", "eps", "gamma")]),
+    # 1e200.9, just above the bound (eps = 5.9 runs: 1e199.5)
+    "bp_weight_above_bound": ("sim-bp", _with(SIM, eps="6.1", gamma="200"),
+                              [("n_particles", "eps", "gamma")]),
     # the momentum restoration would remove the shift
     "shift_on_energy_momentum": ("sim-sphere", _with(SIM, mode="energy-momentum",
                                                      init="shift", init_strength="0.5"),
@@ -342,6 +352,26 @@ def test_invalid_config_exits_2_before_output(case, tmp_path, capsys):
         group = entry if isinstance(entry, tuple) else (entry,)
         assert any(all(cites(v, key) for key in group) for v in violations), violations
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, lines", [
+    # the largest eps, with pair weights up to 1e197
+    ("sim-bp", _with(SIM, eps="1e100", gamma="1.9", observables="sum_v1,sum_v1v2")),
+    # pair weights up to 1e199.5 at N = 4 and at N = 8
+    ("sim-bp", _with(SIM, eps="5.9", gamma="200")),
+    ("chaos", [("n_list", "4,8"), ("t_end", "0.04"), ("eps", "2.9"), ("gamma", "200"),
+               ("pair_samples", "2000"), ("bins", "8")]),
+], ids=["bp_eps_max", "bp_gamma_200", "chaos_gamma_200"])
+def test_pair_weights_just_inside_the_bound_run_to_finite_tables(command, lines, tmp_path):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    tables = sorted(out.glob("*.csv"))
+    assert tables
+    for path in tables:
+        values = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert values.size and np.isfinite(values).all(), path.name
 
 
 def test_negative_seed_flag_exits_2_before_output(tmp_path, capsys):

@@ -22,6 +22,7 @@ from kinlab.master_sim import (
     SimConfig,
     TestPolynomial,
     _pair_round_kick,
+    _rotate_rows,
     _round_layout,
     generator_apply,
     run_ensemble,
@@ -89,21 +90,31 @@ def test_config_validation():
 
 
 def test_round_layout_is_a_round_robin_schedule():
-    # each row is a permutation whose positions (i, P + i) form round t's
-    # pairs with k < l; over the rows every unordered pair appears exactly
-    # once, and inverse inverts each row
+    # a sweep of particle labels: gathered in a random relabeled order, the
+    # rows rotated from round to round form perfect matchings (i, P + i);
+    # over the n_rounds rounds every unordered pair appears exactly once,
+    # for odd n each particle has the bye (row n - 1) once, and the scatter
+    # through the final row map returns every row to its own particle
     for n in (2, 3, 4, 5, 8, 9, 16, 33):
-        layout, inverse = _round_layout(n)
+        n_rounds, final = _round_layout(n)
         p = n // 2
-        n_rounds = n - 1 + n % 2
-        assert layout.shape == inverse.shape == (n_rounds, n)
-        pairs = set()
-        for row, inv in zip(layout, inverse):
-            assert sorted(row) == list(range(n))
-            assert (row[:p] < row[p:2 * p]).all()
-            np.testing.assert_array_equal(inv[row], np.arange(n))
-            pairs.update(zip(row[:p].tolist(), row[p:2 * p].tolist()))
+        assert n_rounds == n - 1 + n % 2
+        labels = np.arange(n)[None, :]
+        perm = np.argsort(np.random.default_rng(n).random((1, n)), axis=1)
+        work, spare = labels[:, perm[0]], np.empty_like(labels)
+        pairs, byes = set(), []
+        for t in range(n_rounds):
+            if t:
+                _rotate_rows(work, spare)
+                work, spare = spare, work
+            row = work[0].tolist()
+            pairs.update(frozenset(kl) for kl in zip(row[:p], row[p:2 * p]))
+            byes += row[2 * p:]
         assert len(pairs) == n_rounds * p == n * (n - 1) // 2
+        assert sorted(byes) == (list(range(n)) if n % 2 else [])
+        back = np.full_like(labels, -1)
+        back[:, perm[0, final]] = work
+        np.testing.assert_array_equal(back, labels)
 
 
 @pytest.mark.parametrize("n, mode, gamma, antithetic", [
@@ -701,6 +712,25 @@ def test_chaos_tables_same_on_both_draw_paths(monkeypatch, tmp_path):
     for name in tables:
         assert ((tmp_path / "False" / name).read_bytes()
                 == (tmp_path / "True" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("n", [8, 7])
+def test_pair_run_draws_relabeling_then_one_block_per_round(n, draw_path):
+    # the pair stream, independently of the kick arithmetic: per step the
+    # relabeling uniforms, then n_rounds normal blocks, and nothing else
+    ahead, starts = draw_path
+    spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
+    start = sample_uniform_batch(spec, 5, np.random.default_rng(9))
+    cfg = SimConfig(dt=1e-2, t_end=3e-2, n_replicas=5, kernel=COULOMB)
+    rng, expected = np.random.default_rng(12), np.random.default_rng(12)
+    run_ensemble(spec, cfg, ["sum_v1"], rng=rng,
+                 initial_sampler=lambda spec, n_states, rng: start.copy())
+    assert starts == ([4] if ahead else [])
+    for _ in range(cfg.n_steps):
+        expected.random((5, n))
+        for _ in range(n - 1 + n % 2):
+            expected.standard_normal((5, n // 2, 3))
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def test_sphere_breakdown_in_a_middle_block_on_both_draw_paths(draw_path):
