@@ -25,10 +25,10 @@ along the circle, with no per-replica index.
 
 Each process's draw order is written once, as a generator of the run's
 draws (``_sphere_draws``, ``_pair_draws``). ``run_ensemble`` iterates it
-inline, or on a producer thread (``_drawn_ahead``) when the process may
-run on two CPUs, so that the next block's or round's normals are drawn
-while the current one is stepped; the stream and the results are the same
-either way.
+on a producer thread (``_drawn_ahead``), so that the next block's or
+round's normals are drawn while the current one is stepped; the stream and
+the results are those of the serial steppers, ``step_sphere_diffusion`` on
+the run's normals and ``step_pair_diffusion``, bit for bit.
 
 `generator_apply` evaluates the pairwise generator exactly on a catalog of
 test polynomials and is the oracle for the weak-consistency tests.
@@ -37,11 +37,10 @@ test polynomials and is the oracle for the weak-consistency tests.
 from __future__ import annotations
 
 import math
-import os
 import queue
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import cycle
 from typing import Callable, Iterator, Sequence
 
@@ -141,7 +140,7 @@ class SimConfig:
         steps = {}
         for t in times:
             s = int(round(t / self.dt))
-            if (abs(s * self.dt - t) > 1e-9 * max(self.dt, 1.0)
+            if (abs(s * self.dt - t) > 1e-9 * max(self.dt, abs(t))
                     or not 0 <= s <= self.n_steps):
                 raise ValueError(f"snapshot time {t} is not a step of the run")
             if s in steps:
@@ -535,12 +534,25 @@ def _sphere_draws(rng, shape: tuple, block: int, n_steps: int,
             yield rng.standard_normal(out=next(blocks)[:min(block, r - i)])
 
 
-def _two_cpus() -> bool:
-    """Whether this process may run on at least two CPUs, so that drawing
-    on a producer thread can overlap the steps."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) >= 2
-    return (os.cpu_count() or 1) >= 2
+def _sweep_sphere(spec: ManifoldSpec, states: np.ndarray, dt: float,
+                  draws: Iterator[np.ndarray], block: int) -> np.ndarray:
+    """One sphere step of the (R, N, 3) ``states`` in place, over blocks of
+    ``block`` replicas, each with the next normals of ``draws``
+    (``_sphere_draws`` at the same ``block``).
+
+    Every block is stepped; a NonFiniteStateError then names the bad
+    replicas of all of them by their index in ``states``.
+    """
+    bad: list[int] = []
+    for i in range(0, len(states), block):
+        xi = next(draws)
+        try:
+            step_sphere_diffusion(spec, states[i:i + len(xi)], dt, xi)
+        except NonFiniteStateError as exc:
+            bad += [i + q for q in exc.replicas]
+    if bad:
+        raise NonFiniteStateError(bad)
+    return states
 
 
 def _drawn_ahead(draws: Iterator, lead: int) -> Iterator:
@@ -598,27 +610,25 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     Ensemble means are reported with standard errors (std/sqrt(R),
     ddof=1).
 
-    When the process may run on two CPUs (``_two_cpus``) and there is a
-    step, the steps' draws are made on a producer thread, in that same
-    order, while this thread steps the previous block or round
-    (``_drawn_ahead``): at most two sphere noise blocks or four pair draws
-    ahead, in recycled buffers. The producer draws exactly
+    The steps' draws are made on a producer thread, in that same order,
+    while this thread steps the previous block or round (``_drawn_ahead``):
+    at most two sphere noise blocks or four pair draws ahead, in recycled
+    buffers. The producer starts at the first step, draws exactly
     ``config.n_steps`` steps' worth and is joined before the run returns
-    or raises. Otherwise the draws are made inline. The results and the
-    final ``rng`` state do not depend on the path; after a raise, ``rng``
-    may have drawn ahead of the serial run.
+    or raises. The results and the final ``rng`` state are those of the
+    serial steppers; after a raise, ``rng`` may have drawn ahead of them.
 
     The run holds one (R, N, 3) state array: the sampler's own when that
     is a writable C-contiguous float array that owns its data, else a copy
     (of a read-only or borrowed array, such as a ``broadcast_to`` view).
-    Every step overwrites it in place. A pair step sweeps the whole array;
-    a sphere step runs over blocks of ``block_states`` replicas (half
-    blocks, in two buffers, when drawn ahead, so the noise memory is one
-    block either way), each with its own normals, and
-    ``step_sphere_diffusion`` runs in place on the block, so its arrays
-    stay in cache. The normals are consumed in the same order as one
-    whole-array draw and every reduction of the step is per replica, so
-    the states do not depend on the block size, bit for bit.
+    Every step overwrites it in place. A pair step sweeps the whole array
+    (``_sweep_pairs``); a sphere step (``_sweep_sphere``) runs over blocks
+    of half ``block_states`` replicas, in two noise buffers that together
+    hold one block, and ``step_sphere_diffusion`` runs in place on each
+    block, so its arrays stay in cache. The normals are consumed in the
+    same order as one whole-array draw and every reduction of the step is
+    per replica, so the states do not depend on the block size, bit for
+    bit.
 
     A step that leaves NaN or inf in some replica raises
     NonFiniteStateError naming that step and those replicas (all of them,
@@ -651,33 +661,22 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     if n_steps > 0:
         record(0)
     r, n, _ = states.shape
-    ahead = n_steps > 0 and _two_cpus()
-    # draw buffers, one inline; the sphere's hold one block's normals in all
-    lead = (2 if config.kernel is None else 4) if ahead else 1
+    # lead = draw buffers; the sphere's two half-blocks hold one block
     if config.kernel is None:
-        block = max(1, block_states(n) // lead)
+        lead, block = 2, max(1, block_states(n) // 2)
         draws = _sphere_draws(rng, states.shape, block, n_steps, lead)
+        sweep = partial(_sweep_sphere, spec, states, config.dt, block=block)
     else:
+        lead = 4
         draws = _pair_draws(rng, r, n, n_steps, lead)
-    if ahead:
-        draws = _drawn_ahead(draws, lead)
+        sweep = partial(_sweep_pairs, spec, states, config.kernel, config.dt)
+    draws = _drawn_ahead(draws, lead)
     try:
         for step in range(1, n_steps + 1):
-            if config.kernel is not None:
-                try:
-                    _sweep_pairs(spec, states, config.kernel, config.dt, draws)
-                except NonFiniteStateError as exc:
-                    raise NonFiniteStateError(exc.replicas, step=step) from None
-            else:
-                bad: list[int] = []
-                for i in range(0, r, block):
-                    xi = next(draws)
-                    try:
-                        step_sphere_diffusion(spec, states[i:i + len(xi)], config.dt, xi)
-                    except NonFiniteStateError as exc:
-                        bad += [i + q for q in exc.replicas]
-                if bad:
-                    raise NonFiniteStateError(bad, step=step)
+            try:
+                sweep(draws)
+            except NonFiniteStateError as exc:
+                raise NonFiniteStateError(exc.replicas, step=step) from None
             if step % config.record_every == 0 or step == n_steps:
                 record(step)
             maybe_snapshot(step)

@@ -418,12 +418,14 @@ def sample_uniform_whole(spec, n_states, rng):
     return renormalize_batch(spec, rng.standard_normal((n_states, spec.n_particles, 3)))
 
 
-def run_sphere_whole(spec, n_replicas, dt, n_steps, rng):
-    """Final states of a sphere run as a whole-array loop: the uniform start
-    of ``sample_uniform_whole``, then per step one draw of every replica's
-    normals and one ``step_sphere_diffusion`` call on the whole array.
-    ``master_sim.run_ensemble`` without its replica blocks."""
-    states = sample_uniform_whole(spec, n_replicas, rng)
+def run_sphere_whole(spec, n_replicas, dt, n_steps, rng, sampler=sample_uniform_whole):
+    """Final states of a sphere run as a whole-array loop: the start drawn
+    by ``sampler`` (by default the uniform one of ``sample_uniform_whole``),
+    then per step one draw of every replica's normals and one
+    ``step_sphere_diffusion`` call on the whole array.
+    ``master_sim.run_ensemble`` without its replica blocks or its producer
+    thread."""
+    states = sampler(spec, n_replicas, rng)
     for _ in range(n_steps):
         states = step_sphere_diffusion(spec, states, dt, rng.standard_normal(states.shape))
     return states

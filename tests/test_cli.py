@@ -245,6 +245,10 @@ INVALID_CONFIGS = {
                            ["observables"]),
     "entropy_time_off_grid": ("sim-sphere", _with(SIM, entropy_times="0,0.015"),
                               ["entropy_times"]),
+    # off the grid by half a step and by a tenth of one, at a dt far below 1
+    "entropy_time_off_a_fine_grid": ("sim-sphere", _with(SIM, dt="1e-12", t_end="1e-11",
+                                                         entropy_times="1.5e-12,4.4e-12"),
+                                     ["entropy_times"]),
     "fit_not_recorded": ("sim-sphere", _with(SIM, fit_observable="tagged_v1"),
                          ["fit_observable"]),
     "entropy_bins_zero": ("sim-sphere", _with(SIM, entropy_times="0.05", entropy_bins="0"),

@@ -492,10 +492,11 @@ def test_run_ensemble_single_snapshot_pair(spec_c1):
     np.testing.assert_allclose(s.means, [1.0, 1.0], atol=1e-12)
 
 
-def test_run_ensemble_t_end_zero_is_empty(spec_c1):
+def test_run_ensemble_t_end_zero_is_empty(spec_c1, producer_starts):
     cfg = SimConfig(dt=1e-3, t_end=0.0, n_replicas=2)
     res = run_ensemble(spec_c1, cfg, ["sum_v1"], rng=np.random.default_rng(1))
     assert res.series["sum_v1"].times.size == 0
+    assert producer_starts == []
 
 
 def test_equilibrium_moments_stationary(rng):
@@ -554,7 +555,7 @@ def test_uniform_law_exactly_invariant_at_large_dt(gamma, rng):
 
 
 @pytest.mark.parametrize("process", ["sphere", "pair"])
-def test_run_ensemble_names_breakdown_step_and_replica(process, spec_c4):
+def test_run_ensemble_names_breakdown_step_and_replica(process, spec_c4, producer_starts):
     def nan_in_replica_3(spec, n_states, rng):
         states = sample_uniform_batch(spec, n_states, rng)
         states[3, 1, 2] = np.nan
@@ -563,9 +564,12 @@ def test_run_ensemble_names_breakdown_step_and_replica(process, spec_c4):
     cfg = SimConfig(dt=1e-3, t_end=0.005, n_replicas=6,
                     kernel=COULOMB if process == "pair" else None)
     assert cfg.process == process
+    before = threading.active_count()
     with pytest.raises(NonFiniteStateError, match="step 1") as info:
         run_ensemble(spec_c4, cfg, ["sum_v1v2"], rng=np.random.default_rng(1),
                      initial_sampler=nan_in_replica_3)
+    assert threading.active_count() == before
+    assert producer_starts == [2 if process == "sphere" else 4]
     assert info.value.step == 1
     assert info.value.replicas == [3]
 
@@ -633,99 +637,107 @@ def test_blocked_sphere_run_peak_allocation(mode):
 
 
 # ---------------------------------------------------------------------------
-# the draws on a producer thread: the same bits as inline, and no thread left
+# the draws on a producer thread: the serial steppers' bits, and no thread left
 
 
-def _force_draw_path(monkeypatch, ahead):
-    """Make ``run_ensemble`` take the inline (False) or the producer-thread
-    (True) draw path, through its one CPU check; returns the list to which
-    each producer start appends its lead."""
+@pytest.fixture
+def producer_starts(monkeypatch):
+    """The list to which ``run_ensemble`` appends its lead each time it
+    starts a producer thread, at the first draw of a run."""
     starts = []
     drawn_ahead = master_sim._drawn_ahead
-    monkeypatch.setattr(master_sim, "_two_cpus", lambda: ahead)
-    monkeypatch.setattr(master_sim, "_drawn_ahead",
-                        lambda draws, lead: starts.append(lead) or drawn_ahead(draws, lead))
+
+    def counted(draws, lead):
+        starts.append(lead)
+        yield from drawn_ahead(draws, lead)
+
+    monkeypatch.setattr(master_sim, "_drawn_ahead", counted)
     return starts
 
 
-@pytest.fixture(params=[False, True], ids=["inline", "ahead"])
-def draw_path(request, monkeypatch):
-    return request.param, _force_draw_path(monkeypatch, request.param)
+def _assert_run_is_serial_loop(spec, cfg, serial_loop, lead, starts, **kwargs):
+    """Run one seeded ensemble: its final states and the Generator's state
+    after it must equal those that ``serial_loop(rng)`` leaves from the same
+    seed, one producer must have started and none may be left.
 
-
-def _assert_same_on_both_draw_paths(monkeypatch, spec, cfg, **kwargs):
-    """Run one seeded ensemble inline and on the producer thread: the final
-    states and the Generator's state after the run must be equal, and no
-    thread may be left.
-
-    The threaded run switches threads every microsecond, so that a buffer
-    refilled while still in use would show in the states."""
-    out = {}
-    for ahead in (False, True):
-        starts = _force_draw_path(monkeypatch, ahead)
-        rng = np.random.default_rng(31)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            result = run_ensemble(spec, cfg, ["sum_v1"], rng=rng,
-                                  snapshot_times=[cfg.t_end], **kwargs)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-        assert len(starts) == ahead
-        out[ahead] = result.snapshots[0].velocities, rng.bit_generator.state
-    np.testing.assert_array_equal(out[False][0], out[True][0])
-    assert out[False][1] == out[True][1]
+    The run switches threads every microsecond, so that a buffer refilled
+    while still in use would show in the states."""
+    rng = np.random.default_rng(31)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = run_ensemble(spec, cfg, ["sum_v1"], rng=rng,
+                              snapshot_times=[cfg.t_end], **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    assert starts == [lead]
+    serial_rng = np.random.default_rng(31)
+    np.testing.assert_array_equal(result.snapshots[0].velocities, serial_loop(serial_rng))
+    assert rng.bit_generator.state == serial_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("mode", sorted(BLOCKED_SPECS))
 @pytest.mark.parametrize("n_replicas", [100, 10])
-def test_sphere_run_same_on_both_draw_paths(mode, n_replicas, monkeypatch):
-    # 100 replicas end in a ragged block of 16 (blocks of 42 inline, of 21
-    # ahead); 10 are fewer than one half-block
+def test_sphere_run_same_on_both_draw_paths(mode, n_replicas, producer_starts):
+    # 100 replicas are half-blocks of 21 and a ragged one of 16; 10 are
+    # fewer than one half-block
     spec = BLOCKED_SPECS[mode]
     assert block_states(spec.n_particles) == 42
-    _assert_same_on_both_draw_paths(monkeypatch, spec,
-                                    SimConfig(dt=1e-3, t_end=4e-3, n_replicas=n_replicas),
-                                    initial_sampler=sheared_sampler(0.5))
+    cfg = SimConfig(dt=1e-3, t_end=4e-3, n_replicas=n_replicas)
+    _assert_run_is_serial_loop(
+        spec, cfg, lambda rng: run_sphere_whole(spec, n_replicas, cfg.dt, cfg.n_steps, rng,
+                                                sampler=sheared_sampler(0.5)),
+        2, producer_starts, initial_sampler=sheared_sampler(0.5))
 
 
 @pytest.mark.parametrize("n", [6, 7])
-def test_pair_run_same_on_both_draw_paths(n, monkeypatch):
+def test_pair_run_same_on_both_draw_paths(n, producer_starts):
     # odd N has a bye particle in every round
     spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.5, u=[1.0, -0.5, 0.25])
-    _assert_same_on_both_draw_paths(
-        monkeypatch, spec, SimConfig(dt=1e-2, t_end=3e-2, n_replicas=12, kernel=COULOMB))
+    cfg = SimConfig(dt=1e-2, t_end=3e-2, n_replicas=12, kernel=COULOMB)
+
+    def serial_loop(rng):
+        states = uniform_sampler(spec, cfg.n_replicas, rng)
+        for _ in range(cfg.n_steps):
+            step_pair_diffusion(spec, states, COULOMB, cfg.dt, rng)
+        return states
+
+    _assert_run_is_serial_loop(spec, cfg, serial_loop, 4, producer_starts)
 
 
-def test_chaos_tables_same_on_both_draw_paths(monkeypatch, tmp_path):
-    # chaos draws each N's pair subsample from the stream the run leaves
+def test_chaos_tables_same_on_both_draw_paths(producer_starts, tmp_path):
+    # chaos draws each N's pair subsample from the stream the run leaves;
+    # the tables may not depend on when the threads take turns
     cfg = ("n_list = 4,7\ngamma = -3\ndt = 0.01\nt_end = 0.03\n"
            "pair_samples = 2000\nbins = 8\nseed = 4\n")
-    for ahead in (False, True):
-        starts = _force_draw_path(monkeypatch, ahead)
-        cli.run(cli.parse_config(cfg, "chaos"), tmp_path / str(ahead))
-        assert starts == [4, 4] * ahead
-    tables = sorted(path.name for path in (tmp_path / "False").glob("*.csv"))
+    cli.run(cli.parse_config(cfg, "chaos"), tmp_path / "default")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cli.run(cli.parse_config(cfg, "chaos"), tmp_path / "fast")
+    finally:
+        sys.setswitchinterval(interval)
+    assert producer_starts == [4, 4] * 2
+    tables = sorted(path.name for path in (tmp_path / "default").glob("*.csv"))
     assert tables
     for name in tables:
-        assert ((tmp_path / "False" / name).read_bytes()
-                == (tmp_path / "True" / name).read_bytes()), name
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "fast" / name).read_bytes()), name
 
 
 @pytest.mark.parametrize("n", [8, 7])
-def test_pair_run_draws_relabeling_then_one_block_per_round(n, draw_path):
+def test_pair_run_draws_relabeling_then_one_block_per_round(n, producer_starts):
     # the pair stream, independently of the kick arithmetic: per step the
     # relabeling uniforms, then n_rounds normal blocks, and nothing else
-    ahead, starts = draw_path
     spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
     start = sample_uniform_batch(spec, 5, np.random.default_rng(9))
     cfg = SimConfig(dt=1e-2, t_end=3e-2, n_replicas=5, kernel=COULOMB)
     rng, expected = np.random.default_rng(12), np.random.default_rng(12)
     run_ensemble(spec, cfg, ["sum_v1"], rng=rng,
                  initial_sampler=lambda spec, n_states, rng: start.copy())
-    assert starts == ([4] if ahead else [])
+    assert producer_starts == [4]
     for _ in range(cfg.n_steps):
         expected.random((5, n))
         for _ in range(n - 1 + n % 2):
@@ -733,11 +745,9 @@ def test_pair_run_draws_relabeling_then_one_block_per_round(n, draw_path):
     assert rng.bit_generator.state == expected.bit_generator.state
 
 
-def test_sphere_breakdown_in_a_middle_block_on_both_draw_paths(draw_path):
-    # replica 50 is in the middle block, [42, 84) inline and [42, 63) ahead;
-    # the other blocks are still stepped, and it is named by its index in
-    # the ensemble
-    ahead, starts = draw_path
+def test_sphere_breakdown_in_a_middle_block(producer_starts):
+    # replica 50 is in the middle half-block [42, 63); the other blocks are
+    # still stepped, and it is named by its index in the ensemble
     arrays = []
 
     def nan_in_replica_50(spec, n_states, rng):
@@ -752,30 +762,12 @@ def test_sphere_breakdown_in_a_middle_block_on_both_draw_paths(draw_path):
                      ["tagged_v1"], rng=np.random.default_rng(3),
                      initial_sampler=nan_in_replica_50)
     assert threading.active_count() == before
-    assert starts == ([2] if ahead else [])
+    assert producer_starts == [2]
     assert info.value.step == 1 and info.value.replicas == [50]
     # the run steps the sampler's own array in place
     states, start = arrays[0]
     stepped = np.all(states != start, axis=(1, 2))
-    assert stepped[:42].all() and stepped[63 if ahead else 84:].all()
-
-
-def test_pair_breakdown_on_both_draw_paths(draw_path, spec_c4):
-    ahead, starts = draw_path
-
-    def nan_in_replica_3(spec, n_states, rng):
-        states = sample_uniform_batch(spec, n_states, rng)
-        states[3, 1, 2] = np.nan
-        return states
-
-    before = threading.active_count()
-    with pytest.raises(NonFiniteStateError) as info:
-        run_ensemble(spec_c4, SimConfig(dt=1e-3, t_end=5e-3, n_replicas=6, kernel=COULOMB),
-                     ["sum_v1v2"], rng=np.random.default_rng(1),
-                     initial_sampler=nan_in_replica_3)
-    assert threading.active_count() == before
-    assert starts == ([4] if ahead else [])
-    assert info.value.step == 1 and info.value.replicas == [3]
+    assert stepped[:42].all() and stepped[63:].all()
 
 
 class _FailingNormals:
@@ -792,8 +784,7 @@ class _FailingNormals:
 
 
 @pytest.mark.parametrize("process", ["sphere", "pair"])
-def test_failing_draw_raises_on_both_draw_paths(process, draw_path, spec_c4):
-    ahead, starts = draw_path
+def test_failing_draw_raises_from_the_producer(process, producer_starts, spec_c4):
     start = sample_uniform_batch(spec_c4, 50, np.random.default_rng(2))
     cfg = SimConfig(dt=1e-3, t_end=5e-3, n_replicas=50,
                     kernel=COULOMB if process == "pair" else None)
@@ -803,7 +794,7 @@ def test_failing_draw_raises_on_both_draw_paths(process, draw_path, spec_c4):
                      rng=_FailingNormals(np.random.default_rng(1)),
                      initial_sampler=lambda spec, n_states, rng: start.copy())
     assert threading.active_count() == before
-    assert starts == ([4 if process == "pair" else 2] if ahead else [])
+    assert producer_starts == [4 if process == "pair" else 2]
 
 
 @pytest.mark.parametrize("mode", sorted(SPHERE_SPECS))
