@@ -770,6 +770,24 @@ def test_sphere_breakdown_in_a_middle_block(producer_starts):
     assert stepped[:42].all() and stepped[63:].all()
 
 
+@pytest.mark.parametrize("draw_path", ["ahead"])
+def test_pair_breakdown_on_both_draw_paths(draw_path, spec_c4, producer_starts):
+    # "ahead" is the producer thread, the one path by which a run draws
+    def nan_in_replica_3(spec, n_states, rng):
+        states = sample_uniform_batch(spec, n_states, rng)
+        states[3, 1, 2] = np.nan
+        return states
+
+    before = threading.active_count()
+    with pytest.raises(NonFiniteStateError) as info:
+        run_ensemble(spec_c4, SimConfig(dt=1e-3, t_end=5e-3, n_replicas=6, kernel=COULOMB),
+                     ["sum_v1v2"], rng=np.random.default_rng(1),
+                     initial_sampler=nan_in_replica_3)
+    assert threading.active_count() == before
+    assert producer_starts == [4]
+    assert info.value.step == 1 and info.value.replicas == [3]
+
+
 class _FailingNormals:
     """A Generator stand-in whose uniforms work and whose normals raise."""
 
