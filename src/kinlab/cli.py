@@ -112,7 +112,7 @@ def _parse_vec3(s):
 
 
 def _parse_int_list(s):
-    return [int(x) for x in s.split(",")]
+    return [_parse_int(x) for x in s.split(",")]
 
 
 def _parse_float_list(s):
@@ -449,8 +449,8 @@ def _gap_scan(p, build):
 
     def run_gap_scan(rng):
         res = gap_scan(p["n_list"], kernel, p["n_samples"], rng)
-        rows = [[n, e, s, b] for n, e, s, b in
-                zip(res.n_values, res.estimates, res.stderrs, res.bounds)]
+        rows = [[n, e, s, lambda1_bound(n)] for n, e, s in
+                zip(p["n_list"], res.estimates, res.stderrs)]
         extras = {"exponent": res.exponent, "exponent_stderr": res.exponent_stderr}
         return {"gap_scan": (["N", "estimate", "stderr", "bound"], rows)}, extras
 

@@ -24,11 +24,12 @@ round to the next the rows of the sweep's work array rotate one place
 along the circle, with no per-replica index.
 
 Each process's draw order is written once, as a generator of the run's
-draws (``_sphere_draws``, ``_pair_draws``). ``run_ensemble`` iterates it
-on a producer thread (``_drawn_ahead``), so that the next block's or
-round's normals are drawn while the current one is stepped; the stream and
-the results are those of the serial steppers, ``step_sphere_diffusion`` on
-the run's normals and ``step_pair_diffusion``, bit for bit.
+draws (``_sphere_draws``, ``_pair_draws``), each a new array.
+``run_ensemble`` iterates it on a producer thread (``_drawn_ahead``), so
+that the next block's or round's normals are drawn while the current one is
+stepped; the stream and the results are those of the serial steppers,
+``step_sphere_diffusion`` on the run's normals and ``step_pair_diffusion``,
+bit for bit.
 
 `generator_apply` evaluates the pairwise generator exactly on a catalog of
 test polynomials and is the oracle for the weak-consistency tests.
@@ -41,7 +42,6 @@ import queue
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import cycle
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -124,10 +124,16 @@ class SimConfig:
             raise ValueError("n_replicas must be >= 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        n = int(round(self.t_end / self.dt))
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(self.dt, self.t_end):
+        n = self._step_at(self.t_end)
+        if n is None:
             raise ValueError("t_end must be an integer multiple of dt")
         object.__setattr__(self, "n_steps", n)
+
+    def _step_at(self, t: float) -> int | None:
+        """The step count of time t, or None if t is not a multiple of dt
+        to 1e-9 relative."""
+        s = int(round(t / self.dt))
+        return s if abs(s * self.dt - t) <= 1e-9 * max(self.dt, abs(t)) else None
 
     @property
     def process(self) -> str:
@@ -139,9 +145,8 @@ class SimConfig:
         multiple within the run, and no two times the same step."""
         steps = {}
         for t in times:
-            s = int(round(t / self.dt))
-            if (abs(s * self.dt - t) > 1e-9 * max(self.dt, abs(t))
-                    or not 0 <= s <= self.n_steps):
+            s = self._step_at(t)
+            if s is None or not 0 <= s <= self.n_steps:
                 raise ValueError(f"snapshot time {t} is not a step of the run")
             if s in steps:
                 raise ValueError(f"snapshot times {steps[s]} and {t} are the same step")
@@ -320,29 +325,25 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
     the final row map of ``_round_layout``.
     """
     r, n, _ = states.shape
-    draws = _pair_draws(rng, r, n, n_steps=1, n_buffers=1)
+    draws = _pair_draws(rng, r, n, n_steps=1)
     return _sweep_pairs(spec, states, kernel, dt, draws)
 
 
-def _pair_draws(rng, r: int, n: int, n_steps: int,
-                n_buffers: int) -> Iterator[np.ndarray]:
+def _pair_draws(rng, r: int, n: int, n_steps: int) -> Iterator[np.ndarray]:
     """The draws of ``n_steps`` pair sweeps of R replicas of N particles,
     in the order ``step_pair_diffusion`` documents.
 
     Per step: the relabeling uniforms (R, N), then per round the (R, P, 3)
-    normals, copied component-major into the next of ``n_buffers``
-    recycled (3, P, R) buffers, which the sweep kicks in place. Calls
-    nothing but ``rng`` and numpy, so it can run on a producer thread.
+    normals, copied component-major into a new (3, P, R) array, which the
+    sweep kicks in place. Calls nothing but ``rng`` and numpy, so it can
+    run on a producer thread.
     """
     n_rounds, _ = _round_layout(n)
     p = n // 2
-    etas = cycle([np.empty((3, p, r)) for _ in range(n_buffers)])
     for _ in range(n_steps):
         yield rng.random((r, n))
         for _ in range(n_rounds):
-            eta = next(etas)
-            eta[...] = rng.standard_normal((r, p, 3)).transpose(2, 1, 0)
-            yield eta
+            yield rng.standard_normal((r, p, 3)).transpose(2, 1, 0).copy()
 
 
 def _sweep_pairs(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
@@ -520,18 +521,16 @@ def tagged_shift_sampler(strength: float) -> Sampler:
 # ensemble driver
 
 
-def _sphere_draws(rng, shape: tuple, block: int, n_steps: int,
-                  n_buffers: int) -> Iterator[np.ndarray]:
+def _sphere_draws(rng, shape: tuple, block: int, n_steps: int) -> Iterator[np.ndarray]:
     """The normals of ``n_steps`` sphere steps of the (R, N, 3) ``shape``,
-    in one stream: per step, one block per ``block`` replicas in replica
-    order (the last one ragged), each drawn into the next of ``n_buffers``
-    recycled block buffers. The stream does not depend on ``block``. Calls
-    nothing but ``rng`` and numpy, so it can run on a producer thread."""
+    in one stream: per step, one new array per ``block`` replicas in
+    replica order (the last one ragged). The stream does not depend on
+    ``block``. Calls nothing but ``rng`` and numpy, so it can run on a
+    producer thread."""
     r = shape[0]
-    blocks = cycle([np.empty((min(block, r),) + shape[1:]) for _ in range(n_buffers)])
     for _ in range(n_steps):
         for i in range(0, r, block):
-            yield rng.standard_normal(out=next(blocks)[:min(block, r - i)])
+            yield rng.standard_normal((min(block, r - i),) + shape[1:])
 
 
 def _sweep_sphere(spec: ManifoldSpec, states: np.ndarray, dt: float,
@@ -559,9 +558,9 @@ def _drawn_ahead(draws: Iterator, lead: int) -> Iterator:
     """Iterate ``draws`` on a producer thread and yield its items in order.
 
     The producer starts item m only after the consumer has asked for item
-    m - lead + 1, that is once it is done with item m - lead; so a draw
-    sequence that cycles through ``lead`` buffers never refills one in use.
-    An exception of the producer is raised here, in its place in the
+    m - lead + 1, that is once it is done with item m - lead; so ``lead``
+    caps how many items are drawn ahead, and with them the memory they
+    take. An exception of the producer is raised here, in its place in the
     sequence. Closing this generator stops the producer and joins it.
     """
     items: queue.SimpleQueue = queue.SimpleQueue()
@@ -612,23 +611,24 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
 
     The steps' draws are made on a producer thread, in that same order,
     while this thread steps the previous block or round (``_drawn_ahead``):
-    at most two sphere noise blocks or four pair draws ahead, in recycled
-    buffers. The producer starts at the first step, draws exactly
-    ``config.n_steps`` steps' worth and is joined before the run returns
-    or raises. The results and the final ``rng`` state are those of the
-    serial steppers; after a raise, ``rng`` may have drawn ahead of them.
+    at most two sphere noise blocks or four pair draws ahead. Each draw is
+    a new array, and at most that many are waiting or in use at once. The
+    producer starts at the first step, draws exactly ``config.n_steps``
+    steps' worth and is joined before the run returns or raises. The
+    results and the final ``rng`` state are those of the serial steppers;
+    after a raise, ``rng`` may have drawn ahead of them.
 
     The run holds one (R, N, 3) state array: the sampler's own when that
     is a writable C-contiguous float array that owns its data, else a copy
     (of a read-only or borrowed array, such as a ``broadcast_to`` view).
     Every step overwrites it in place. A pair step sweeps the whole array
     (``_sweep_pairs``); a sphere step (``_sweep_sphere``) runs over blocks
-    of half ``block_states`` replicas, in two noise buffers that together
-    hold one block, and ``step_sphere_diffusion`` runs in place on each
-    block, so its arrays stay in cache. The normals are consumed in the
-    same order as one whole-array draw and every reduction of the step is
-    per replica, so the states do not depend on the block size, bit for
-    bit.
+    of half ``block_states`` replicas, each with its own noise array (the
+    two drawn at once hold one block), and ``step_sphere_diffusion`` runs
+    in place on each block, so its arrays stay in cache. The normals are
+    consumed in the same order as one whole-array draw and every reduction
+    of the step is per replica, so the states do not depend on the block
+    size, bit for bit.
 
     A step that leaves NaN or inf in some replica raises
     NonFiniteStateError naming that step and those replicas (all of them,
@@ -661,14 +661,14 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     if n_steps > 0:
         record(0)
     r, n, _ = states.shape
-    # lead = draw buffers; the sphere's two half-blocks hold one block
+    # lead = drawn arrays waiting or in use; two sphere half-blocks hold one block
     if config.kernel is None:
         lead, block = 2, max(1, block_states(n) // 2)
-        draws = _sphere_draws(rng, states.shape, block, n_steps, lead)
+        draws = _sphere_draws(rng, states.shape, block, n_steps)
         sweep = partial(_sweep_sphere, spec, states, config.dt, block=block)
     else:
         lead = 4
-        draws = _pair_draws(rng, r, n, n_steps, lead)
+        draws = _pair_draws(rng, r, n, n_steps)
         sweep = partial(_sweep_pairs, spec, states, config.kernel, config.dt)
     draws = _drawn_ahead(draws, lead)
     try:

@@ -173,10 +173,8 @@ def lambda1_bound(n_particles: int) -> float:
 
 @dataclass
 class GapScanResult:
-    n_values: list[int]
     estimates: np.ndarray
     stderrs: np.ndarray
-    bounds: np.ndarray
     exponent: float
     exponent_stderr: float
 
@@ -195,23 +193,20 @@ def gap_scan(n_list: Sequence[int], kernel: KernelSpec, n_samples: int,
     """
     n_list = list(n_list)
     check_scan_n_list(n_list)
-    est, err, bnd = [], [], []
+    est, err = [], []
     for n in n_list:
         spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
         tf = standard_trial_function(n)
         e, s = rayleigh_quotient_mc(spec, tf, kernel, n_samples, rng)
         est.append(e)
         err.append(s)
-        bnd.append(lambda1_bound(n))
     est = np.asarray(est)
     err = np.asarray(err)
     slope, slope_stderr, _ = weighted_log_linear_fit(
         np.log(np.asarray(n_list, dtype=float)), est, err)
     return GapScanResult(
-        n_values=n_list,
         estimates=est,
         stderrs=err,
-        bounds=np.asarray(bnd),
         exponent=slope,
         exponent_stderr=slope_stderr,
     )

@@ -172,6 +172,12 @@ def test_gap_scan_csv_and_manifest(tmp_path):
     assert len(lines) == 4
 
 
+def test_int_list_items_parse_as_single_ints():
+    # every integer key, listed or not, takes the same literals
+    plan = parse_config("n_list = 4,0x8,16\ngamma = -3\n", "gap-scan")
+    assert plan.params["n_list"] == [4, 8, 16]
+
+
 def test_fpe_moments_table(tmp_path):
     cfg = ("flow = fpe\neps0 = 1.0\nm0 = 1,0,0\ns0_diag = 0.9,0.6,0.5\n"
            "t_list = 0,0.4620981203732968\n")
@@ -259,6 +265,8 @@ INVALID_CONFIGS = {
     "rayleigh_gamma": ("rayleigh", [("n_particles", "8"), ("gamma", "-6")], ["gamma"]),
     "gap_scan_descending": ("gap-scan", [("n_list", "16,8,4"), ("n_samples", "1000")],
                             ["n_list"]),
+    # a list item takes the literals of a single int key, so no leading zero
+    "gap_scan_n_list_leading_zero": ("gap-scan", [("n_list", "08,16,32")], ["n_list"]),
     "chaos_single_particle": ("chaos", [("n_list", "1,8"), ("t_end", "0.04")], ["n_list"]),
     "marginal_single_particle": ("marginal-compare",
                                  [("n_particles", "8"), ("n_list", "1,8")], ["n_list"]),

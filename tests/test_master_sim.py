@@ -636,6 +636,28 @@ def test_blocked_sphere_run_peak_allocation(mode):
     assert max(peaks.values()) <= 1.5, peaks
 
 
+@pytest.mark.parametrize("n, n_replicas", [(16, 256), (33, 64)])
+def test_pair_run_peak_allocation(n, n_replicas):
+    # the state array, the sweep's work and spare copies, the kick's
+    # temporaries and the four draws ahead come to about 8.5x; a copy of
+    # the states or one more draw of the round's normals would show
+    spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.5, u=[1.0, -0.5, 0.25])
+    cfg = SimConfig(dt=1e-3, t_end=3e-3, n_replicas=n_replicas, kernel=COULOMB)
+
+    def run():
+        run_ensemble(spec, cfg, ["sum_v1"], rng=np.random.default_rng(4))
+
+    run()  # warm caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run()
+        peak = tracemalloc.get_traced_memory()[1] / (n_replicas * n * 3 * 8)
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.75, peak
+
+
 # ---------------------------------------------------------------------------
 # the draws on a producer thread: the serial steppers' bits, and no thread left
 
@@ -660,7 +682,7 @@ def _assert_run_is_serial_loop(spec, cfg, serial_loop, lead, starts, **kwargs):
     after it must equal those that ``serial_loop(rng)`` leaves from the same
     seed, one producer must have started and none may be left.
 
-    The run switches threads every microsecond, so that a buffer refilled
+    The run switches threads every microsecond, so that a draw overwritten
     while still in use would show in the states."""
     rng = np.random.default_rng(31)
     before = threading.active_count()
@@ -786,6 +808,25 @@ def test_pair_breakdown_on_both_draw_paths(draw_path, spec_c4, producer_starts):
     assert threading.active_count() == before
     assert producer_starts == [4]
     assert info.value.step == 1 and info.value.replicas == [3]
+
+
+@pytest.mark.parametrize("lead", [1, 2, 3, 8])
+def test_drawn_ahead_lead_only_caps_memory(lead):
+    # every draw is a new array, so the lead changes no bit of what the
+    # stepper reads, and no kept draw is written again; 10 replicas in
+    # blocks of 4 end in a ragged block, and N = 7 has a bye each round
+    sources = {"sphere": lambda rng: master_sim._sphere_draws(rng, (10, 5, 3), 4, 3),
+               "pair": lambda rng: master_sim._pair_draws(rng, 6, 7, 2)}
+    for name, draws in sources.items():
+        inline = [x.copy() for x in draws(np.random.default_rng(8))]
+        ahead = master_sim._drawn_ahead(draws(np.random.default_rng(8)), lead)
+        kept = [next(ahead) for _ in inline]
+        ahead.close()
+        assert len(kept) == len(inline) > 8, name
+        for x, y in zip(kept, inline):
+            np.testing.assert_array_equal(x, y)
+        for i, x in enumerate(kept):
+            assert not any(np.shares_memory(x, y) for y in kept[i + 1:]), (name, i)
 
 
 class _FailingNormals:
