@@ -169,7 +169,6 @@ _SIM = {
     "fit_observable": Field(str, default=""),
     "entropy_times": Field(_parse_float_list, default=[]),
     "entropy_bins": Field(_parse_int, default=20),
-    "seed": _SEED,
 }
 
 
@@ -538,7 +537,7 @@ def _chaos(p, build):
           kernel, *specs)
 
     def grid():
-        sigma = math.sqrt(2.0 * p["eps"] / 3.0)
+        sigma = LimitParams(eps0=p["eps"]).sigma
         return np.linspace(-4 * sigma, 4 * sigma, p["bins"] + 1)
 
     edges = build(("bins",), grid, *specs)
@@ -562,36 +561,32 @@ def _chaos(p, build):
     return run_chaos
 
 
-# command name -> (config schema, builder)
+# command name -> (config schema, builder); every schema ends with the run's seed
 COMMANDS: dict[str, tuple[dict[str, Field], object]] = {
-    "spectrum": ({**_MANIFOLD, "j_max": Field(_parse_int, default=4), "seed": _SEED},
-                 _spectrum),
-    "sample": ({**_MANIFOLD, "n_samples": Field(_parse_int, default=1000),
-                "seed": _SEED}, _sample),
+    "spectrum": ({**_MANIFOLD, "j_max": Field(_parse_int, default=4)}, _spectrum),
+    "sample": ({**_MANIFOLD, "n_samples": Field(_parse_int, default=1000)}, _sample),
     "sim-sphere": (_SIM, _sim),
     "sim-bp": ({**_SIM, "gamma": Field(_parse_float, required=True)},
                partial(_sim, pair=True)),
     "rayleigh": ({"n_particles": Field(_parse_int, required=True),
                   "gamma": Field(_parse_float, default=-3.0),
-                  "n_samples": Field(_parse_int, default=100000),
-                  "seed": _SEED}, _rayleigh),
+                  "n_samples": Field(_parse_int, default=100000)}, _rayleigh),
     "gap-scan": ({"n_list": Field(_parse_int_list, required=True),
                   "gamma": Field(_parse_float, default=-3.0),
-                  "n_samples": Field(_parse_int, default=100000),
-                  "seed": _SEED}, _gap_scan),
+                  "n_samples": Field(_parse_int, default=100000)}, _gap_scan),
     "marginal-compare": ({"n_particles": Field(_parse_int, required=True),
                           "eps": Field(_parse_float, default=1.0),
                           "n_samples": Field(_parse_int, default=1000000),
-                          "n_list": Field(_parse_int_list, default=[8, 32, 128]),
-                          "seed": _SEED}, _marginal_compare),
+                          "n_list": Field(_parse_int_list, default=[8, 32, 128])},
+                         _marginal_compare),
     "fpe-moments": ({"flow": Field(_one_of(_FLOWS), default="fpe"),
                      "eps0": Field(_parse_float, default=1.0),
                      "u": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
                      "m0": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
                      "s0_diag": Field(_parse_vec3, default=[1.0, 1.0, 1.0]),
                      "s0_offdiag": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
-                     "t_list": Field(_parse_float_list, required=True),
-                     "seed": _SEED}, _fpe_moments),
+                     "t_list": Field(_parse_float_list, required=True)},
+                    _fpe_moments),
     "chaos": ({"n_list": Field(_parse_int_list, default=[8, 32, 128]),
                "eps": Field(_parse_float, default=1.0),
                "gamma": Field(_parse_float, default=-3.0),
@@ -599,9 +594,10 @@ COMMANDS: dict[str, tuple[dict[str, Field], object]] = {
                "t_end": Field(_parse_float, default=0.4),
                "pair_samples": Field(_parse_int, default=1000000),
                "bins": Field(_parse_int, default=16),
-               "component": Field(_parse_int, default=1),
-               "seed": _SEED}, _chaos),
+               "component": Field(_parse_int, default=1)}, _chaos),
 }
+COMMANDS = {name: ({**schema, "seed": _SEED}, builder)
+            for name, (schema, builder) in COMMANDS.items()}
 
 
 # ---------------------------------------------------------------------------

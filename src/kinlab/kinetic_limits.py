@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import ConservationMode, ManifoldSpec, log_sphere_area
+from .observables import bin_masses
 
 
 @dataclass(frozen=True)
@@ -151,10 +152,7 @@ def velocity_histogram3d(velocities: np.ndarray, edges) -> np.ndarray:
     ``edges``; samples outside the grid are dropped."""
     counts, _ = np.histogramdd(np.asarray(velocities, dtype=float).reshape(-1, 3),
                                bins=edges)
-    tot = counts.sum()
-    if tot == 0:
-        raise ValueError("no samples fall inside the grid")
-    return counts / tot
+    return bin_masses(counts)
 
 
 def relative_entropy(masses: np.ndarray, edges, p: LimitParams) -> float:

@@ -93,8 +93,8 @@ def _pooled(velocities: np.ndarray) -> np.ndarray:
     return np.asarray(velocities, dtype=float).reshape(-1, 3)
 
 
-def _masses(counts: np.ndarray) -> np.ndarray:
-    """Bin counts scaled to total mass 1."""
+def bin_masses(counts: np.ndarray) -> np.ndarray:
+    """Bin counts scaled to total mass 1: every histogram's normalisation."""
     total = counts.sum()
     if total == 0:
         raise ValueError("no samples fall inside the grid")
@@ -133,7 +133,7 @@ def one_marginal(velocities: np.ndarray, edges: np.ndarray,
     """
     values, edges = _component_values(velocities, edges, component)
     counts, _ = np.histogram(values.ravel(), bins=edges)
-    return _masses(counts)
+    return bin_masses(counts)
 
 
 def pair_marginal(velocities: np.ndarray, edges: np.ndarray, component: int,
@@ -153,7 +153,7 @@ def pair_marginal(velocities: np.ndarray, edges: np.ndarray, component: int,
     k = rng.integers(0, n, size=n_pairs)
     l = (k + rng.integers(1, n, size=n_pairs)) % n
     counts, _, _ = np.histogram2d(values[rep, k], values[rep, l], bins=(edges, edges))
-    return _masses(counts)
+    return bin_masses(counts)
 
 
 def chaos_distance(h2: np.ndarray, h1: np.ndarray) -> float:

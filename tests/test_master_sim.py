@@ -89,6 +89,26 @@ def test_config_validation():
     assert cfg.n_steps == 0
 
 
+def test_t_end_and_snapshot_times_share_one_step_grid_rule():
+    # a time within 1e-9 of a step is that step, for t_end as for the
+    # snapshot times; a negative t_end or one between two steps is refused
+    t = 0.01 * (1 - 1e-10)
+    cfg = SimConfig(dt=0.01, t_end=t, n_replicas=2)
+    assert cfg.n_steps == 1
+    assert cfg.snapshot_steps([t]) == {1: t}
+    for t_end in (-0.05, 0.005):
+        with pytest.raises(ValueError, match="^t_end must be a multiple of dt"):
+            SimConfig(dt=0.01, t_end=t_end, n_replicas=2)
+
+
+def test_non_finite_dt_or_t_end_is_named():
+    for name in ("dt", "t_end"):
+        for value in (math.inf, -math.inf, math.nan):
+            times = {"dt": 0.01, "t_end": 0.02, name: value}
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                SimConfig(n_replicas=2, **times)
+
+
 def test_round_layout_is_a_round_robin_schedule():
     # a sweep of particle labels: gathered in a random relabeled order, the
     # rows rotated from round to round form perfect matchings (i, P + i);
@@ -827,6 +847,47 @@ def test_drawn_ahead_lead_only_caps_memory(lead):
             np.testing.assert_array_equal(x, y)
         for i, x in enumerate(kept):
             assert not any(np.shares_memory(x, y) for y in kept[i + 1:]), (name, i)
+
+
+def test_drawn_ahead_ends_when_its_draws_end():
+    # drained with list(), the producer's end ends the consumer and the
+    # producer is joined; a consumer that hangs fails here, not the suite
+    sources = {"ints": (lambda rng: iter([1, 2]), 2),
+               "sphere": (lambda rng: master_sim._sphere_draws(rng, (10, 5, 3), 4, 3), 2),
+               "pair": (lambda rng: master_sim._pair_draws(rng, 6, 7, 2), 4)}
+    for name, (draws, lead) in sources.items():
+        inline = list(draws(np.random.default_rng(8)))
+        before = threading.active_count()
+        drained = []
+        watchdog = threading.Thread(daemon=True, target=lambda: drained.append(
+            list(master_sim._drawn_ahead(draws(np.random.default_rng(8)), lead))))
+        watchdog.start()
+        watchdog.join(timeout=10)
+        assert not watchdog.is_alive(), f"{name}: draining _drawn_ahead did not end"
+        assert threading.active_count() == before, name
+        assert len(drained[0]) == len(inline), name
+        for x, y in zip(drained[0], inline):
+            np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("spec", [
+    ManifoldSpec(9, ConservationMode.ENERGY_ONLY, eps=1.5),
+    ManifoldSpec(9, ConservationMode.ENERGY_MOMENTUM, eps=1.5, u=[1.0, -0.5, 0.25]),
+], ids=["c1", "c4_u"])
+def test_sweep_sphere_steps_as_many_replicas_as_each_normals_block(spec):
+    # uneven hand-made blocks step the states as one whole-array step on
+    # the concatenated normals, bit for bit; a bad replica in the middle
+    # block is named by its index in the ensemble
+    rng = np.random.default_rng(17)
+    states = sample_uniform_batch(spec, 20, rng)
+    blocks = [rng.standard_normal((r, 9, 3)) for r in (7, 3, 10)]
+    whole = step_sphere_diffusion(spec, states.copy(), 0.01, np.concatenate(blocks))
+    swept = master_sim._sweep_sphere(spec, states.copy(), 0.01, iter(blocks))
+    np.testing.assert_array_equal(swept, whole)
+    blocks[1][1, 4, 2] = np.nan
+    with pytest.raises(NonFiniteStateError) as info:
+        master_sim._sweep_sphere(spec, states.copy(), 0.01, iter(blocks))
+    assert info.value.replicas == [8]
 
 
 class _FailingNormals:
