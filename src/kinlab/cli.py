@@ -645,25 +645,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        # --seed is checked whatever the config holds, and its violation
-        # joins the config's in one list
-        seed, seed_errors = None, []
+        # one list: the config's violations, then --seed's, which is
+        # checked whatever the config holds
+        violations, seed = [], None
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+            plan = parse_config(text, args.command)
+        except (OSError, UnicodeDecodeError) as exc:
+            violations.append(f"--config: cannot read {args.config}: {exc}")
+        except ConfigError as exc:
+            violations += exc.violations
         if args.seed is not None:
             try:
                 seed = check_seed(args.seed)
             except ValueError as exc:
-                seed_errors = [f"--seed: {exc}"]
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError([f"--config: cannot read {args.config}: {exc}"]
-                              + seed_errors) from None
-        try:
-            plan = parse_config(text, args.command)
-        except ConfigError as exc:
-            raise ConfigError(exc.violations + seed_errors) from None
-        if seed_errors:
-            raise ConfigError(seed_errors)
+                violations.append(f"--seed: {exc}")
+        if violations:
+            raise ConfigError(violations)
         if seed is not None:
             plan.params["seed"] = seed
         out_dir = args.out if args.out is not None else f"out-{args.command}"

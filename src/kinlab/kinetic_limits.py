@@ -30,21 +30,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ConservationMode, ManifoldSpec, log_sphere_area
+from .geometry import EPS_RANGE, ConservationMode, ManifoldSpec, log_sphere_area
 from .observables import bin_masses
 
 
 @dataclass(frozen=True)
 class LimitParams:
-    """Drift u and co-moving energy per particle eps0 of the limit objects."""
+    """Drift u and co-moving energy per particle eps0 of the limit objects;
+    eps0 lies in ``geometry.EPS_RANGE``, as a manifold's does."""
 
     eps0: float
     u: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
-        if not self.eps0 > 0:
-            raise ValueError("eps0 must be positive")
+        lo, hi = EPS_RANGE
+        if not lo <= self.eps0 <= hi:
+            raise ValueError(f"eps0 must be in [{lo:g}, {hi:g}]")
 
     @property
     def sigma(self) -> float:

@@ -19,9 +19,10 @@ order O(dt):
 Each step visits every unordered pair exactly once, in the rounds of the
 circle-method round robin, in one fixed order, after a random particle
 relabeling per replica per step; pairs within a round are disjoint, so the
-vectorized simultaneous update coincides with a sequential sweep. From one
-round to the next the rows of the sweep's work array rotate one place
-along the circle, with no per-replica index.
+vectorized simultaneous update coincides with a sequential sweep. After
+each round the rows of the sweep's work array rotate one place along the
+circle, with no per-replica index; a sweep is one full turn, so the
+relabeling that gathers the states also scatters them back.
 
 Each process's draw order is written once, as a generator of the run's
 draws (``_sphere_draws``, ``_pair_draws``), each a new array.
@@ -41,7 +42,7 @@ import math
 import queue
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -131,8 +132,10 @@ class SimConfig:
         object.__setattr__(self, "n_steps", n)
 
     def _step_at(self, t: float) -> int | None:
-        """The step count of time t, or None if t is not a multiple of dt
-        to 1e-9 relative."""
+        """The step count of time t, or None if t is not finite or not a
+        multiple of dt to 1e-9 relative."""
+        if not math.isfinite(t):
+            return None
         s = int(round(t / self.dt))
         return s if abs(s * self.dt - t) <= 1e-9 * max(self.dt, abs(t)) else None
 
@@ -224,37 +227,27 @@ def _rotate_rows(src: np.ndarray, dst: np.ndarray) -> None:
     ascending over the k sides, descending over the l sides, then the bye
     row; each row's content moves one place along it. For even n, row 0 is
     the fixed player and stays. Every new round is a perfect matching, and
-    n_rounds rounds meet every unordered pair once (for odd n, each player
-    has the bye once). Needs n >= 3.
+    the ring's ``_n_rounds(n)`` rounds meet every unordered pair once (for
+    odd n, each player has the bye once); as many rotations bring every row
+    home. For n = 2 the ring is row 1 alone, so ``dst[:, s]`` is written
+    last.
     """
     n = src.shape[1]
     p = n // 2
     s = 1 - n % 2                   # even n: row 0 stays
     dst[:, :s] = src[:, :s]
-    dst[:, s] = src[:, 2 * p if n % 2 else p]
     dst[:, s + 1:p] = src[:, s:p - 1]
     dst[:, p:2 * p - 1] = src[:, p + 1:2 * p]
     dst[:, 2 * p - 1] = src[:, p - 1]
     if n % 2:
         dst[:, 2 * p] = src[:, p]
+    dst[:, s] = src[:, 2 * p if n % 2 else p]
 
 
-@lru_cache(maxsize=None)
-def _round_layout(n: int) -> tuple[int, np.ndarray]:
-    """(n_rounds, final) of the circle-method schedule of n players.
-
-    n_rounds is n - 1 for even n and n for odd n. Round 0 puts player j in
-    row j, and ``_rotate_rows`` moves the rows from each round to the next;
-    ``final`` (read-only) is the player in each row after the last round.
-    """
-    n_rounds = n - 1 + n % 2
-    rows, spare = np.arange(n)[None], np.empty((1, n), dtype=np.intp)
-    for _ in range(n_rounds - 1):
-        _rotate_rows(rows, spare)
-        rows, spare = spare, rows
-    final = rows[0].copy()
-    final.setflags(write=False)
-    return n_rounds, final
+def _n_rounds(n: int) -> int:
+    """The rounds of the circle-method schedule of n players, the length
+    of ``_rotate_rows``' ring: n - 1 for even n, n for odd n."""
+    return n - 1 + n % 2
 
 
 def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -321,9 +314,9 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
     component-major (3, N, R) copy of the states, gathered once in the
     relabeled order, so each round's k and l sides are the contiguous
     slices [:P] and [P:2P], kicked in place. One fixed rotation of the
-    copy's rows, a few slice copies, moves it from one round to the next,
-    with no per-replica index; the copy is scattered back once, through
-    the final row map of ``_round_layout``.
+    copy's rows, a few slice copies, follows each round, with no
+    per-replica index; the sweep is one full turn of the circle, so the
+    copy is scattered back once, through the relabeling itself.
     """
     r, n, _ = states.shape
     draws = _pair_draws(rng, r, n, n_steps=1)
@@ -339,11 +332,10 @@ def _pair_draws(rng, r: int, n: int, n_steps: int) -> Iterator[np.ndarray]:
     sweep kicks in place. Calls nothing but ``rng`` and numpy, so it can
     run on a producer thread.
     """
-    n_rounds, _ = _round_layout(n)
     p = n // 2
     for _ in range(n_steps):
         yield rng.random((r, n))
-        for _ in range(n_rounds):
+        for _ in range(_n_rounds(n)):
             yield rng.standard_normal((r, p, 3)).transpose(2, 1, 0).copy()
 
 
@@ -352,19 +344,18 @@ def _sweep_pairs(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
     """``step_pair_diffusion`` with its draws taken from ``draws``
     (``_pair_draws``): exactly one sweep's worth, 1 + n_rounds items."""
     r, n, _ = states.shape
-    n_rounds, final = _round_layout(n)
     perm = np.argsort(next(draws), axis=1)
     diff_scale = 2.0 / (n - 1)
     replica = np.arange(r)[:, None]
-    # row j of replica q holds particle perm[q, j] in round 0
+    # row j of replica q holds particle perm[q, j] in round 0, and again
+    # after the last round's rotation
     work = np.ascontiguousarray(states[replica, perm].transpose(2, 1, 0))
     spare = np.empty_like(work)
-    for j in range(n_rounds):
-        if j:
-            _rotate_rows(work, spare)
-            work, spare = spare, work
+    for _ in range(_n_rounds(n)):
         _pair_round_kick(work, next(draws), kernel.gamma, spec.cutoff, diff_scale, dt)
-    states[replica, perm[:, final]] = work.transpose(2, 1, 0)
+        _rotate_rows(work, spare)
+        work, spare = spare, work
+    states[replica, perm] = work.transpose(2, 1, 0)
     return renormalize_batch(spec, states)
 
 

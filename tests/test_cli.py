@@ -316,6 +316,8 @@ INVALID_CONFIGS = {
                                                ("eps", "1e-300")],
                           [("n_particles", "eps"), ("n_list", "eps")]),
     "bp_eps_huge": ("sim-bp", _with(SIM, eps="1e300", gamma="200"), ["eps"]),
+    # an fpe-moments eps0 in the window too: at 1e-320 the t = 0 row is NaN
+    "fpe_eps0_tiny": ("fpe-moments", [("t_list", "0,0.5"), ("eps0", "1e-320")], ["eps0"]),
     "eps0_tiny": ("sim-sphere", _with(SIM, mode="energy-momentum", eps="1e-100",
                                       u="1e-50,0,0"), [("eps", "u")]),
     # a pair weight above master_sim.PAIR_WEIGHT_MAX, (4 N eps)^((2+gamma)/2)

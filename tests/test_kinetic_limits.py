@@ -181,6 +181,16 @@ def test_fpe_moment_flow_identity_and_halving():
         fpe_moment_flow(p, m0, s0, -0.1)
 
 
+def test_limit_params_eps0_in_the_manifold_window():
+    # the window of geometry.EPS_RANGE: at eps0 = 1e-320, 1.5 / eps0 is inf
+    # and the FPE flow's t = 0 moments would be inf * 0 = NaN
+    for eps0 in (1e-320, 1e101, 0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^eps0 must be in"):
+            LimitParams(eps0=eps0)
+    for eps0 in (1e-100, 1e100):
+        assert LimitParams(eps0=eps0).eps0 == eps0
+
+
 def test_moment_flows_reject_non_psd_covariance():
     bad = np.diag([-1.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="semidefinite"):

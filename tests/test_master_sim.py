@@ -21,9 +21,9 @@ from kinlab.master_sim import (
     KernelSpec,
     SimConfig,
     TestPolynomial,
+    _n_rounds,
     _pair_round_kick,
     _rotate_rows,
-    _round_layout,
     generator_apply,
     run_ensemble,
     sheared_sampler,
@@ -109,36 +109,52 @@ def test_non_finite_dt_or_t_end_is_named():
                 SimConfig(n_replicas=2, **times)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_non_finite_snapshot_time_is_not_a_step(t):
+    cfg = SimConfig(dt=0.01, t_end=0.02, n_replicas=2)
+    match = f"^snapshot time {t} is not a step of the run"
+    with pytest.raises(ValueError, match=match):
+        cfg.snapshot_steps([0.01, t])
+    spec = ManifoldSpec(4, ConservationMode.ENERGY_ONLY, eps=1.0)
+    with pytest.raises(ValueError, match=match):
+        run_ensemble(spec, cfg, ["sum_v1"], rng=np.random.default_rng(0),
+                     snapshot_times=[t])
+
+
 def test_round_layout_is_a_round_robin_schedule():
     # a sweep of particle labels: gathered in a random relabeled order, the
     # rows rotated from round to round form perfect matchings (i, P + i);
     # over the n_rounds rounds every unordered pair appears exactly once,
-    # for odd n each particle has the bye (row n - 1) once, and the scatter
-    # through the final row map returns every row to its own particle
+    # for odd n each particle has the bye (row n - 1) once; the n_rounds
+    # rotations, one after each round, bring every row home, so the scatter
+    # through the relabeling itself returns every row to its own particle
     for n in (2, 3, 4, 5, 8, 9, 16, 33):
-        n_rounds, final = _round_layout(n)
+        n_rounds = _n_rounds(n)
         p = n // 2
         assert n_rounds == n - 1 + n % 2
         labels = np.arange(n)[None, :]
         perm = np.argsort(np.random.default_rng(n).random((1, n)), axis=1)
         work, spare = labels[:, perm[0]], np.empty_like(labels)
         pairs, byes = set(), []
-        for t in range(n_rounds):
-            if t:
-                _rotate_rows(work, spare)
-                work, spare = spare, work
+        for _ in range(n_rounds):
             row = work[0].tolist()
             pairs.update(frozenset(kl) for kl in zip(row[:p], row[p:2 * p]))
             byes += row[2 * p:]
+            _rotate_rows(work, spare)
+            work, spare = spare, work
         assert len(pairs) == n_rounds * p == n * (n - 1) // 2
         assert sorted(byes) == (list(range(n)) if n % 2 else [])
+        np.testing.assert_array_equal(work, labels[:, perm[0]])
         back = np.full_like(labels, -1)
-        back[:, perm[0, final]] = work
+        back[:, perm[0]] = work
         np.testing.assert_array_equal(back, labels)
 
 
 @pytest.mark.parametrize("n, mode, gamma, antithetic", [
     (2, ConservationMode.ENERGY_MOMENTUM, -3.0, False),
+    # the odd and the even ring of length 3
+    (3, ConservationMode.ENERGY_ONLY, -3.0, False),
+    (4, ConservationMode.ENERGY_MOMENTUM, 0.0, False),
     (9, ConservationMode.ENERGY_ONLY, 3.0, False),
     (33, ConservationMode.ENERGY_MOMENTUM, -4.5, False),
     (64, ConservationMode.ENERGY_ONLY, 0.0, False),
