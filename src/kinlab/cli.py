@@ -3,11 +3,11 @@ config file, writing a run-manifest JSON plus CSV tables.
 
 Subcommands: spectrum, sample, sim-sphere, sim-bp, rayleigh, gap-scan,
 marginal-compare, fpe-moments, chaos. Flags: --config PATH, --out DIR,
---seed U64 (written into the plan as its ``seed``, so the manifest's plan
-reruns the run). A subcommand is one ``COMMANDS`` entry: its config schema
-and the builder that makes its run objects at parse time and returns the
-runner that ``run`` calls. ``run(plan, out_dir)`` is the one way to run a
-plan, at the plan's own seed.
+--seed SEED (an integer >= 0, written into the plan as its ``seed``, so
+the manifest's plan reruns the run). A subcommand is one ``COMMANDS``
+entry: its config schema and the builder that makes its run objects at
+parse time and returns the runner that ``run`` calls. ``run(plan,
+out_dir)`` is the one way to run a plan, at the plan's own seed.
 
 Config format: UTF-8 lines "key = value"; '#' starts a comment; unknown
 keys are rejected and all violations are reported together with their line
@@ -425,6 +425,7 @@ def _sample(p, build):
 def _rayleigh(p, build):
     kernel = build(("gamma",), lambda: KernelSpec(p["gamma"]))
     spec = build(("n_particles",), lambda: ManifoldSpec(p["n_particles"], _C4, eps=1.0))
+    build(("n_particles", "gamma"), lambda: kernel.check_weights(spec), kernel, spec)
     trial = build(("n_particles",), lambda: standard_trial_function(p["n_particles"]),
                   spec)
     build(("n_samples",), lambda: check_mc_budget(p["n_samples"]))
@@ -442,8 +443,11 @@ def _rayleigh(p, build):
 def _gap_scan(p, build):
     kernel = build(("gamma",), lambda: KernelSpec(p["gamma"]))
     build(("n_list",), lambda: check_scan_n_list(p["n_list"]))
-    for n in p.get("n_list", []):
-        build(("n_list",), lambda n=n: ManifoldSpec(n, _C4, eps=1.0))
+    specs = [build(("n_list",), lambda n=n: ManifoldSpec(n, _C4, eps=1.0))
+             for n in p.get("n_list", [])]
+    build(("n_list", "gamma"),
+          lambda: kernel.check_weights(max(specs, key=lambda s: s.n_particles)),
+          kernel, *specs)
     build(("n_samples",), lambda: check_mc_budget(p["n_samples"]))
 
     def run_gap_scan(rng):

@@ -36,14 +36,14 @@ from .observables import bin_masses
 
 @dataclass(frozen=True)
 class LimitParams:
-    """Drift u and co-moving energy per particle eps0 of the limit objects;
-    eps0 lies in ``geometry.EPS_RANGE``, as a manifold's does."""
+    """Finite drift u and co-moving energy per particle eps0 of the limit
+    objects; eps0 lies in ``geometry.EPS_RANGE``, as a manifold's does."""
 
     eps0: float
     u: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(3))
+        object.__setattr__(self, "u", _finite3("u", self.u))
         lo, hi = EPS_RANGE
         if not lo <= self.eps0 <= hi:
             raise ValueError(f"eps0 must be in [{lo:g}, {hi:g}]")
@@ -66,19 +66,6 @@ class MomentState:
         self.mean = np.asarray(self.mean, dtype=float).reshape(3)
         self.centered = np.asarray(self.centered, dtype=float).reshape(3, 3)
 
-    @property
-    def second(self) -> np.ndarray:
-        return self.centered + np.outer(self.mean, self.mean)
-
-    @property
-    def energy(self) -> float:
-        return 0.5 * float(np.trace(self.second))
-
-    @property
-    def anisotropy(self) -> np.ndarray:
-        s = self.centered
-        return s - np.trace(s) / 3.0 * np.eye(3)
-
 
 def maxwellian_eval(p: LimitParams, v) -> np.ndarray | float:
     """Drifting Maxwellian (3/(4 pi eps0))^(3/2) exp(-3|v-u|^2/(4 eps0))."""
@@ -92,13 +79,6 @@ def maxwellian_eval(p: LimitParams, v) -> np.ndarray | float:
 
 # ---------------------------------------------------------------------------
 # exact stationary marginals of the uniform measure (energy-only manifold)
-
-
-def _marginal_log_prefactor(spec: ManifoldSpec, n: int) -> float:
-    big_n = spec.n_particles
-    return (log_sphere_area(3 * (big_n - n) - 1)
-            - log_sphere_area(3 * big_n - 1)
-            - 1.5 * n * math.log(spec.radius_sq))
 
 
 def stationary_marginal_eval(spec: ManifoldSpec, n: int, velocities) -> np.ndarray | float:
@@ -120,9 +100,11 @@ def stationary_marginal_eval(spec: ManifoldSpec, n: int, velocities) -> np.ndarr
     v = np.asarray(velocities, dtype=float)
     if v.shape[-2:] != (n, 3):
         raise ValueError(f"velocities must have shape (..., {n}, 3)")
+    big_n = spec.n_particles
     s = (v * v).sum(axis=(-1, -2)) / spec.radius_sq
-    expo = 0.5 * (3 * (spec.n_particles - n) - 2)
-    pref = math.exp(_marginal_log_prefactor(spec, n))
+    expo = 0.5 * (3 * (big_n - n) - 2)
+    pref = math.exp(log_sphere_area(3 * (big_n - n) - 1) - log_sphere_area(3 * big_n - 1)
+                    - 1.5 * n * math.log(spec.radius_sq))
     out = np.where(s < 1.0, pref * np.maximum(1.0 - s, 0.0) ** expo, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -185,9 +167,17 @@ def relative_entropy(masses: np.ndarray, edges, p: LimitParams) -> float:
 
 
 def check_time(t: float) -> None:
-    """Moment flows run forward in time only."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    """Moment flows run forward in time only, to a finite t."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and >= 0")
+
+
+def _finite3(name: str, x) -> np.ndarray:
+    """x as a 3-vector, checked to be finite; a ValueError names it."""
+    x = np.asarray(x, dtype=float).reshape(3)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 # smallest eigenvalue a covariance may have, relative to max(1, largest |eigenvalue|)
@@ -219,7 +209,7 @@ def fpe_moment_flow(p: LimitParams, m0, s0, t: float) -> MomentState:
     """
     check_time(t)
     s0 = check_covariance(s0)
-    m0 = np.asarray(m0, dtype=float).reshape(3)
+    m0 = _finite3("m0", m0)
     kappa = 1.5 / p.eps0
     m_t = p.u + (m0 - p.u) * math.exp(-kappa * t)
     s_inf = (2.0 * p.eps0 / 3.0) * np.eye(3)
@@ -237,6 +227,7 @@ def landau_moment_flow(m0, s0, t: float) -> MomentState:
     """
     check_time(t)
     s0 = check_covariance(s0)
+    m0 = _finite3("m0", m0)
     iso = np.trace(s0) / 3.0 * np.eye(3)
     s_t = iso + (s0 - iso) * math.exp(-12.0 * t)
     return MomentState(mean=m0, centered=s_t)

@@ -74,7 +74,8 @@ class KernelSpec:
     The pair weight is |v_k - v_l|^{2+gamma}; gamma = -3 reproduces the
     Coulomb weight |v_k - v_l|^{-1}. A pair closer than the manifold's
     cutoff (``ManifoldSpec.cutoff``, 1e-8 sqrt(eps)) has no separation
-    direction: the sweep skips it and the generator caps its separation.
+    direction: the sweep and the generator cap its separation at the
+    cutoff, and the sweep leaves the pair unmoved.
     """
 
     gamma: float
@@ -268,7 +269,8 @@ def _pair_round_kick(work: np.ndarray, eta: np.ndarray, gamma: float,
     and is overwritten. Per pair: increment sqrt(a dt) P_perp eta on
     particle k, the opposite on l (a = diff_scale * beta^{2+gamma}), then
     rescale the separation back to beta exactly. Pair momentum is conserved
-    identically; pairs below the cutoff are skipped.
+    identically. A pair below the cutoff runs the same arithmetic with beta
+    capped at the cutoff, and its move is scaled by 0.
     """
     p = eta.shape[1]
     vk = work[:, :p]
@@ -276,19 +278,17 @@ def _pair_round_kick(work: np.ndarray, eta: np.ndarray, gamma: float,
     d = vk - vl
     beta = np.sqrt(_dot3(d, d))
     ok = beta >= cutoff
-    all_ok = ok.all()  # single np.where path: +5.7%, +7.9% wall on pair workloads
-    safe = beta if all_ok else np.where(ok, beta, 1.0)
-    amp = np.sqrt(diff_scale * dt * safe ** (2.0 + gamma))
-    nhat = d / safe
+    np.maximum(beta, cutoff, out=beta)
+    amp = np.sqrt(diff_scale * dt * beta ** (2.0 + gamma))
+    nhat = d / beta
     eta -= nhat * _dot3(nhat, eta)          # P_perp eta
     eta *= 2.0 * amp
     eta += d                                # kicked separation
     eta *= beta / np.sqrt(_dot3(eta, eta))  # restored to length beta
     eta -= d
-    eta *= 0.5
-    half = eta if all_ok else np.where(ok, eta, 0.0)
-    vk += half
-    vl -= half
+    eta *= np.multiply(ok, 0.5, out=amp)    # half move, 0 below the cutoff
+    vk += eta
+    vl -= eta
 
 
 def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,

@@ -131,7 +131,8 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
     pair difference d = v_2 - v_1 under uniform sampling (module docstring),
     drawn 20000 at a time as 3 normals and one gamma variate each: the cost
     and memory per sample do not grow with N. The difference gradient is
-    A d_1 e_1 in closed form. Returns (estimate, stderr).
+    A d_1 e_1 in closed form. Returns (estimate, stderr); raises
+    FloatingPointError, naming N and gamma, when either is not finite.
     """
     _require_standard(spec)
     if tf.n_particles != spec.n_particles:
@@ -157,7 +158,11 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
         done += m
     mean = total / n_samples
     var = max(total_sq / n_samples - mean ** 2, 0.0)
-    return float(mean), float(math.sqrt(var / n_samples))
+    stderr = math.sqrt(var / n_samples)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise FloatingPointError(f"Rayleigh estimate {mean:g} +- {stderr:g} is not "
+                                 f"finite at N = {n}, gamma = {kernel.gamma:g}")
+    return float(mean), float(stderr)
 
 
 def lambda1_bound(n_particles: int) -> float:

@@ -361,6 +361,22 @@ def generator_conservation_residuals(spec, v, kernel) -> list[float]:
     return [abs(sum(g)) / sum(abs(x) for x in g) for g in groups]
 
 
+def moment_second(st):
+    """Second moment matrix M2 = S + m (x) m of a ``MomentState``."""
+    return st.centered + np.outer(st.mean, st.mean)
+
+
+def moment_energy(st):
+    """Energy per particle tr(M2) / 2 of a ``MomentState``."""
+    return 0.5 * float(np.trace(moment_second(st)))
+
+
+def moment_anisotropy(st):
+    """Anisotropic part S - (tr S / 3) I of a ``MomentState``'s covariance."""
+    s = st.centered
+    return s - np.trace(s) / 3.0 * np.eye(3)
+
+
 def landau_second_moment_rhs_mc(mean, cov, n_samples, rng):
     """Monte Carlo evaluation of the Maxwell-molecule second-moment flow.
 

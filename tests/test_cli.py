@@ -327,6 +327,13 @@ INVALID_CONFIGS = {
     "chaos_weight_overflow": ("chaos", [("n_list", "4,8"), ("t_end", "0.04"),
                                         ("eps", "1e100"), ("gamma", "200")],
                               [("n_list", "eps", "gamma")]),
+    # the Rayleigh estimator's separations have the same bound, sqrt(4 N eps)
+    "rayleigh_weight_overflow": ("rayleigh", [("n_particles", "8"), ("gamma", "2000"),
+                                              ("n_samples", "1000")],
+                                 [("n_particles", "gamma")]),
+    "gap_scan_weight_overflow": ("gap-scan", [("n_list", "4,8,16"), ("gamma", "600"),
+                                              ("n_samples", "1000")],
+                                 [("n_list", "gamma")]),
     # 1e200.9, just above the bound (eps = 5.9 runs: 1e199.5)
     "bp_weight_above_bound": ("sim-bp", _with(SIM, eps="6.1", gamma="200"),
                               [("n_particles", "eps", "gamma")]),

@@ -37,6 +37,9 @@ from oracles import (
     finite_n_marginal_rates,
     fpe_mean_rhs_quadrature,
     landau_second_moment_rhs_mc,
+    moment_anisotropy,
+    moment_energy,
+    moment_second,
     stationary_radial_pdf,
 )
 
@@ -172,7 +175,7 @@ def test_fpe_moment_flow_identity_and_halving():
     s0 = np.diag([1.2, 0.5, 0.9])
     st0 = fpe_moment_flow(p, m0, s0, 0.0)
     np.testing.assert_allclose(st0.mean, m0, atol=1e-15)
-    np.testing.assert_allclose(st0.second, s0 + np.outer(m0, m0), atol=1e-14)
+    np.testing.assert_allclose(moment_second(st0), s0 + np.outer(m0, m0), atol=1e-14)
     np.testing.assert_array_equal(st0.centered, s0)
     t_half = (2 * p.eps0 / 3) * math.log(2.0)
     st = fpe_moment_flow(p, m0, s0, t_half)
@@ -199,6 +202,30 @@ def test_moment_flows_reject_non_psd_covariance():
         landau_moment_flow(np.zeros(3), bad, 0.0)
 
 
+def test_moment_flows_reject_non_finite_time():
+    # a NaN t passes "t < 0" and would make every moment NaN
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            fpe_moment_flow(LimitParams(1.0), np.zeros(3), np.eye(3), t)
+        with pytest.raises(ValueError, match="^t must be finite"):
+            landau_moment_flow(np.zeros(3), np.eye(3), t)
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]])
+def test_moment_flows_reject_non_finite_mean(bad):
+    with pytest.raises(ValueError, match="^m0 must be finite"):
+        fpe_moment_flow(LimitParams(1.0), bad, np.eye(3), 0.5)
+    with pytest.raises(ValueError, match="^m0 must be finite"):
+        landau_moment_flow(bad, np.eye(3), 0.5)
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0]])
+def test_limit_params_reject_non_finite_drift(bad):
+    # maxwellian_eval would return NaN everywhere
+    with pytest.raises(ValueError, match="^u must be finite"):
+        LimitParams(1.0, u=bad)
+
+
 def test_fpe_moment_flow_mean_rhs_quadrature_oracle():
     # the mean drift produced by the flow matches the quadrature of the
     # drift-diffusion integrand at t=0
@@ -218,16 +245,16 @@ def test_fpe_moment_flow_limits_and_conservation():
     for t in (0.0, 0.1, 0.7, 3.0):
         st = fpe_moment_flow(p, p.u, s0, t)
         np.testing.assert_allclose(st.mean, p.u, atol=1e-14)
-        assert st.energy == pytest.approx(p.eps0 + 0.5 * p.u @ p.u, rel=1e-12)
+        assert moment_energy(st) == pytest.approx(p.eps0 + 0.5 * p.u @ p.u, rel=1e-12)
     inf = fpe_moment_flow(p, p.u, s0, 200.0)
-    np.testing.assert_allclose(inf.second,
+    np.testing.assert_allclose(moment_second(inf),
                                (2 * p.eps0 / 3) * np.eye(3) + np.outer(p.u, p.u),
                                atol=1e-12)
 
 
 def test_landau_moment_flow_isotropic_stationary():
     st = landau_moment_flow(np.zeros(3), 0.9 * np.eye(3), 2.0)
-    np.testing.assert_allclose(st.second, 0.9 * np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(moment_second(st), 0.9 * np.eye(3), atol=1e-14)
 
 
 def test_landau_moment_flow_conservation_and_rate():
@@ -237,7 +264,7 @@ def test_landau_moment_flow_conservation_and_rate():
         st = landau_moment_flow(m0, s0, t)
         np.testing.assert_allclose(st.mean, m0, atol=1e-15)
         assert np.trace(st.centered) == pytest.approx(np.trace(s0), rel=1e-12)
-        np.testing.assert_allclose(st.anisotropy,
+        np.testing.assert_allclose(moment_anisotropy(st),
                                    (s0 - np.trace(s0) / 3 * np.eye(3))
                                    * math.exp(-12.0 * t), rtol=1e-12)
 

@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 import threading
@@ -164,10 +165,18 @@ def test_pair_sweep_matches_natural_order_reference(n, mode, gamma, antithetic):
     spec = ManifoldSpec(n, mode, eps=1.5)
     kernel = KernelSpec(gamma)
     start = sample_uniform_batch(spec, 6, np.random.default_rng(n))
-    a, b = start.copy(), start.copy()
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
     if antithetic:
         rng_a, rng_b = AntitheticGenerator(rng_a), AntitheticGenerator(rng_b)
+    # the first step's round 0 has, in replica 0, a pair 1e-9 sqrt(eps)
+    # apart, below the cutoff, and (for P >= 2) a coincident pair, beside
+    # the pairs it kicks: pair i of a round is rows i and P + i of the
+    # relabeling
+    perm = np.argsort(copy.deepcopy(rng_a).random((6, n)), axis=1)
+    p = n // 2
+    for i, sep in enumerate([0.0, 1e-9 * math.sqrt(spec.eps)][-p:]):
+        start[0, perm[0, p + i]] = start[0, perm[0, i]] + [sep, 0.0, 0.0]
+    a, b = start.copy(), start.copy()
     # both steps restore in place; the kicked arrays are captured before that
     with restoration_inputs(master_sim, oracles) as kicked:
         for step in range(3):
@@ -358,16 +367,20 @@ def test_pair_round_kick_is_the_projected_increment(rng):
 
 
 def test_pair_step_skips_coincident_pairs():
-    spec = ManifoldSpec(4, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
-    p = np.zeros((4, 3))
+    spec = ManifoldSpec(6, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
+    p = np.zeros((6, 3))
     p[0] = p[1] = [1.0, 0.0, 0.0]       # coincident pair
-    p[2] = p[3] = [-1.0, 0.0, 0.0]
+    p[2] = [-1.0, 0.0, 0.0]             # a pair below the cutoff
+    p[3] = p[2] + [1e-9 * math.sqrt(spec.eps), 0.0, 0.0]
+    p[4] = [0.0, 1.0, 0.0]              # a pair kicked in the same round
+    p[5] = [0.0, -1.0, 0.0]
     states = p[None].copy()
-    k_idx = np.array([[0]])
-    l_idx = np.array([[1]])
-    eta = np.ones((1, 1, 3))
-    kick_round(states, k_idx, l_idx, eta, -3.0, spec.cutoff, 2.0 / 3.0, 1e-3)
-    np.testing.assert_array_equal(states[0], p)
+    k_idx = np.array([[0, 2, 4]])
+    l_idx = np.array([[1, 3, 5]])
+    eta = np.ones((1, 3, 3))
+    kick_round(states, k_idx, l_idx, eta, -3.0, spec.cutoff, 0.4, 1e-3)
+    np.testing.assert_array_equal(states[0, :4], p[:4])
+    assert np.all(states[0, 4:] != p[4:])
 
 
 def test_exchangeability_equivariance(rng):

@@ -156,7 +156,7 @@ def _bad(*values):
 # key -> (valid values, invalid ones); a valid value may still clash with
 # another key's
 _SEED = (_ints(0, 2 ** 64 - 1), _bad("-1", "x"))
-_GAMMA = (_floats(-4.9, 4.0), _bad("-5", "inf", "200"))
+_GAMMA = (_floats(-4.9, 4.0), _bad("-5", "inf", "200", "2000"))
 _EPS = (_floats(0.5, 4.0), _bad("0", "-1", "nan", "1e300"))
 _MANIFOLD = {"n_particles": (_ints(2, 9), _bad("-1", "0", "1", "2.5")),
              "mode": (st.sampled_from(["energy", "energy-momentum"]), _bad("c4")),

@@ -164,6 +164,17 @@ def test_rayleigh_requires_budget(rng):
         rayleigh_quotient_mc(spec, standard_trial_function(4), COULOMB, 10, rng)
 
 
+def test_rayleigh_names_a_non_finite_estimate(rng):
+    # the weights pass KernelSpec.check_weights (8^201 ~ 1e182 at most),
+    # but their squares overflow the stderr's sum
+    spec = ManifoldSpec(2, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
+    kernel = KernelSpec(400.0)
+    kernel.check_weights(spec)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="N = 2, gamma = 400"):
+        rayleigh_quotient_mc(spec, standard_trial_function(2), kernel, 1000, rng)
+
+
 def test_rayleigh_matches_exact_closed_form(rng):
     # dual-route check of the estimator: Beta-moment closed form
     for n, gamma in [(2, -3.0), (4, -3.0), (8, -3.0), (8, 0.0), (8, -2.0)]:
