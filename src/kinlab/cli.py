@@ -9,9 +9,10 @@ entry: its config schema and the builder that makes its run objects at
 parse time and returns the runner that ``run`` calls. ``run(plan,
 out_dir)`` is the one way to run a plan, at the plan's own seed.
 
-Config format: UTF-8 lines "key = value"; '#' starts a comment; unknown
-keys are rejected and all violations are reported together with their line
-numbers. Identical plan + seed reproduces byte-identical outputs.
+Config format: UTF-8 lines "key = value", with or without a leading
+byte-order mark; '#' starts a comment; unknown keys are rejected and all
+violations are reported together with their line numbers. Identical
+plan + seed reproduces byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -137,10 +138,6 @@ _INITS = {
     "shear": lambda s: sheared_sampler(s),
     "tagged-shift": lambda s: tagged_shift_sampler(s),
 }
-_FLOWS = {
-    "fpe": lambda lim: partial(fpe_moment_flow, lim),
-    "landau": lambda lim: landau_moment_flow,
-}
 
 
 @dataclass
@@ -189,7 +186,6 @@ def parse_config(text: str, command: str | None = None) -> ExperimentPlan:
     ``command =`` line in the config; if both are present they must agree.
     """
     violations: list[str] = []
-    seen: dict[str, int] = {}
     entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -199,12 +195,12 @@ def parse_config(text: str, command: str | None = None) -> ExperimentPlan:
             violations.append(f"line {lineno}: expected 'key = value', got {raw!r}")
             continue
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in seen:
+        if key in entries:
             violations.append(
-                f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})"
+                f"line {lineno}: duplicate key {key!r} "
+                f"(first set on line {entries[key][0]})"
             )
             continue
-        seen[key] = lineno
         entries[key] = (lineno, value)
 
     if "command" in entries:
@@ -252,7 +248,7 @@ def parse_config(text: str, command: str | None = None) -> ExperimentPlan:
         try:
             return make()
         except ValueError as exc:
-            cited = sorted((seen[k], k) for k in keys if k in seen)
+            cited = sorted((entries[k][0], k) for k in keys if k in entries)
             msg = ", ".join(f"line {n} ({k})" for n, k in cited) + f": {exc}"
             if msg not in violations:
                 violations.append(msg)
@@ -492,8 +488,11 @@ def _marginal_compare(p, build):
 
 
 def _fpe_moments(p, build):
-    lim = build(("eps0", "u"), lambda: LimitParams(p["eps0"], u=np.asarray(p["u"])))
-    flow = build(("flow",), lambda: _FLOWS[p["flow"]](lim), lim)
+    if p.get("flow") == "landau":   # reads neither eps0 nor u
+        flow = landau_moment_flow
+    else:
+        flow = build(("eps0", "u"), lambda: partial(
+            fpe_moment_flow, LimitParams(p["eps0"], u=np.asarray(p["u"]))))
 
     def s0():
         s = np.diag(p["s0_diag"]).astype(float)
@@ -546,18 +545,18 @@ def _chaos(p, build):
 
     edges = build(("bins",), grid, *specs)
     build(("bins",), lambda: check_marginal_args(edges=edges), edges)
-    build(("component",), lambda: check_marginal_args(component=p["component"] - 1))
     build(("pair_samples",), lambda: check_marginal_args(n_pairs=p["pair_samples"]))
 
     def run_chaos(rng):
         rows = []
-        component = p["component"] - 1
-        # one stream: each N's simulation, then its pair subsample
+        # the law starts uniform at u = 0 and the pair kicks are rotation
+        # equivariant, so the three velocity axes share one law; axis 1 is
+        # read. One stream: each N's simulation, then its pair subsample
         for spec, config in zip(specs, configs):
             result = run_ensemble(spec, config, [], rng=rng, snapshot_times=[p["t_end"]])
             velocities = result.snapshots[-1].velocities
-            h2 = pair_marginal(velocities, edges, component, p["pair_samples"], rng=rng)
-            h1 = one_marginal(velocities, edges, component)
+            h2 = pair_marginal(velocities, edges, 0, p["pair_samples"], rng=rng)
+            h1 = one_marginal(velocities, edges, 0)
             rows.append([spec.n_particles, p["t_end"], chaos_distance(h2, h1),
                          p["pair_samples"]])
         return {"chaos": (["N", "t", "l1_distance", "n_pairs"], rows)}, {}
@@ -583,7 +582,7 @@ COMMANDS: dict[str, tuple[dict[str, Field], object]] = {
                           "n_samples": Field(_parse_int, default=1000000),
                           "n_list": Field(_parse_int_list, default=[8, 32, 128])},
                          _marginal_compare),
-    "fpe-moments": ({"flow": Field(_one_of(_FLOWS), default="fpe"),
+    "fpe-moments": ({"flow": Field(_one_of(("fpe", "landau")), default="fpe"),
                      "eps0": Field(_parse_float, default=1.0),
                      "u": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
                      "m0": Field(_parse_vec3, default=[0.0, 0.0, 0.0]),
@@ -597,8 +596,7 @@ COMMANDS: dict[str, tuple[dict[str, Field], object]] = {
                "dt": Field(_parse_float, default=0.004),
                "t_end": Field(_parse_float, default=0.4),
                "pair_samples": Field(_parse_int, default=1000000),
-               "bins": Field(_parse_int, default=16),
-               "component": Field(_parse_int, default=1)}, _chaos),
+               "bins": Field(_parse_int, default=16)}, _chaos),
 }
 COMMANDS = {name: ({**schema, "seed": _SEED}, builder)
             for name, (schema, builder) in COMMANDS.items()}
@@ -653,7 +651,7 @@ def main(argv: list[str] | None = None) -> int:
         # checked whatever the config holds
         violations, seed = [], None
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
+            text = Path(args.config).read_text(encoding="utf-8-sig")
             plan = parse_config(text, args.command)
         except (OSError, UnicodeDecodeError) as exc:
             violations.append(f"--config: cannot read {args.config}: {exc}")

@@ -101,24 +101,20 @@ def bin_masses(counts: np.ndarray) -> np.ndarray:
     return counts / total
 
 
-def check_marginal_args(edges=None, component: int | None = None,
-                        n_pairs: int | None = None) -> None:
-    """Arguments of ``one_marginal`` and ``pair_marginal``: at least one bin,
-    a component that indexes one of the 3 velocity axes, and at least one
-    sampled pair. An argument left as None is not checked."""
+def check_marginal_args(edges=None, n_pairs: int | None = None) -> None:
+    """Arguments of ``one_marginal`` and ``pair_marginal``: at least one bin
+    and at least one sampled pair. An argument left as None is not checked."""
     if edges is not None and np.size(edges) < 2:
         raise ValueError("need at least one bin")
-    if component is not None and component not in (0, 1, 2):
-        raise ValueError("component must index one of the 3 velocity axes")
     if n_pairs is not None and n_pairs < 1:
         raise ValueError("need at least one sampled pair")
 
 
 def _component_values(velocities, edges, component):
     """The (R, N) values of one velocity component and the checked edges."""
-    if component is None:
-        raise ValueError("a marginal needs a component")
-    check_marginal_args(edges, component)
+    if component not in (0, 1, 2):
+        raise ValueError("component must index one of the 3 velocity axes")
+    check_marginal_args(edges)
     return (np.asarray(velocities, dtype=float)[..., component],
             np.asarray(edges, dtype=float))
 

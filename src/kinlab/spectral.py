@@ -146,8 +146,9 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
     while done < n_samples:
         m = min(20000, n_samples - done)
         g = rng.standard_normal((m, 3))
-        # Q ~ chi^2(3N-6) = 2 Gamma(3(N-2)/2); the pair spans the sphere at N=2
-        q = 2.0 * rng.standard_gamma(1.5 * (n - 2), m) if n > 2 else 0.0
+        # Q ~ chi^2(3N-6) = 2 Gamma(3(N-2)/2); the pair spans the sphere at
+        # N=2, where the shape-0 gamma returns zeros and draws nothing
+        q = 2.0 * rng.standard_gamma(1.5 * (n - 2), m)
         d = g * (scale / np.sqrt((g ** 2).sum(axis=1) + q))[:, None]
         beta = np.maximum(np.linalg.norm(d, axis=1), spec.cutoff)
         w = beta ** (2.0 + kernel.gamma)

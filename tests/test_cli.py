@@ -188,6 +188,31 @@ def test_fpe_moments_table(tmp_path):
     assert float(lines[2].split(",")[1]) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_landau_flow_neither_reads_nor_checks_eps0(tmp_path):
+    # eps0 = 0 is outside geometry.EPS_RANGE, but the landau flow never reads it
+    tables = []
+    for eps0 in ("0", "1"):
+        cfg = tmp_path / f"landau_{eps0}.cfg"
+        cfg.write_text(f"flow = landau\neps0 = {eps0}\nm0 = 1,0,0\nt_list = 0,0.5\n")
+        out = tmp_path / f"out_{eps0}"
+        assert main(["fpe-moments", "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append((out / "moments.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_config_with_byte_order_mark_runs_like_without(tmp_path):
+    # some editors save UTF-8 text with a leading byte-order mark
+    text = b"n_particles = 16\nmode = energy\nj_max = 4\n"
+    tables = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(prefix + text)
+        out = tmp_path / f"out_{name}"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append((out / "spectrum.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("flag", [["--threads", "1"], ["--plot"], ["--format", "json"]])
 def test_removed_flags_rejected(flag, tmp_path):
     cfg = tmp_path / "s.cfg"
@@ -306,6 +331,9 @@ INVALID_CONFIGS = {
     "spectrum_eps_inf": ("spectrum", [("n_particles", "8"), ("eps", "inf")], ["eps"]),
     "sample_eps_inf": ("sample", [("n_particles", "4"), ("eps", "inf")], ["eps"]),
     "fpe_eps0_inf": ("fpe-moments", [("t_list", "0,1"), ("eps0", "inf")], ["eps0"]),
+    # the fpe flow reads eps0, so it is checked there (and not for landau)
+    "fpe_eps0_zero": ("fpe-moments", [("flow", "fpe"), ("t_list", "0,1"), ("eps0", "0")],
+                      ["eps0"]),
     "bp_gamma_inf": ("sim-bp", _with(SIM, gamma="inf"), ["gamma"]),
     "u_nan": ("sim-sphere", _with(SIM, mode="energy-momentum", u="nan,0,0"), ["u"]),
     "fpe_t_list_inf": ("fpe-moments", [("t_list", "0,inf")], ["t_list"]),

@@ -175,6 +175,16 @@ def test_rayleigh_names_a_non_finite_estimate(rng):
         rayleigh_quotient_mc(spec, standard_trial_function(2), kernel, 1000, rng)
 
 
+def test_rayleigh_at_n2_draws_only_its_normals():
+    # at N = 2 the pair spans the sphere: the shape-0 gamma variates are
+    # zeros and take nothing from the stream
+    spec = ManifoldSpec(2, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
+    rng, twin = np.random.default_rng(1600), np.random.default_rng(1600)
+    rayleigh_quotient_mc(spec, standard_trial_function(2), COULOMB, 1000, rng)
+    twin.standard_normal((1000, 3))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_rayleigh_matches_exact_closed_form(rng):
     # dual-route check of the estimator: Beta-moment closed form
     for n, gamma in [(2, -3.0), (4, -3.0), (8, -3.0), (8, 0.0), (8, -2.0)]:
