@@ -41,6 +41,13 @@ STATE_BLOCK_ENTRIES = 1 << 16
 # and the Maxwellian normalisation (4 pi eps0 / 3)^(-3/2) stay finite.
 EPS_RANGE = (1e-100, 1e100)
 
+# Widening of the stop bound of ``max_pair_separation_sq``: a relative slack
+# far above the few ulps of rounding in a speed, and an absolute floor above
+# the error sqrt(few subnormal ulps) ~ 4e-162 of a speed whose squares
+# underflow. Neither moves the stop of a state at ordinary scale.
+_SPEED_SLACK = 1e-12
+_SPEED_FLOOR = 1e-160
+
 
 def block_states(n_particles: int) -> int:
     """States per block of ``STATE_BLOCK_ENTRIES`` coordinates, at least one."""
@@ -216,38 +223,74 @@ def constraint_errors(spec: ManifoldSpec,
 
     Returns the signed relative energy error E/(N eps) - 1 and the largest
     per-component momentum violation |sum_k v_k - N u| in units of sqrt(N).
+    The energy-only sphere conserves no momentum, so its momentum violation
+    is 0.
     """
     states = np.asarray(states, dtype=float)
     n = spec.n_particles
-    energy = 0.5 * (states * states).sum(-1).sum(-1)
+    energy = 0.5 * (states * states).sum(-1).sum(-1) / (n * spec.eps) - 1.0
+    if spec.mode is ConservationMode.ENERGY_ONLY:
+        return energy, np.zeros_like(energy)
     momentum = np.abs(states.sum(axis=-2) - n * spec.u).max(axis=-1)
-    return energy / (n * spec.eps) - 1.0, momentum / math.sqrt(n)
+    return energy, momentum / math.sqrt(n)
 
 
 def max_pair_separation_sq(states: np.ndarray) -> np.ndarray:
     """Largest squared pair separation max_{k<l} |v_k - v_l|^2 of each of
     the (..., N, 3) states, shape (...).
 
-    Scans the particles k in turn: the differences d = v_{k+1:} - v_k are
-    taken component-major, with the states along the fast axis, and a
-    running per-state maximum keeps the largest |d|^2. Memory is O(N) per
-    state (no N x N array), and squaring the differences themselves has no
-    cancellation, unlike |v_k|^2 + |v_l|^2 - 2 v_k.v_l away from the origin.
+    Scans each state's particles in descending speed s_1 >= s_2 >= ...
+    about the state's particle mean c (s_i = |v_i - c|). Step k differences
+    the k-th fastest particle against all N, component-major with the
+    states along the fast axis, and keeps a running per-state maximum of
+    |d|^2. After step k every unseen pair has both particles at rank k+1 or
+    later, so by the triangle inequality none exceeds (s_{k+1} + s_{k+2})^2;
+    the scan stops once every state's maximum reaches that bound, widened
+    by ``_SPEED_SLACK`` (relative) and ``_SPEED_FLOOR`` (absolute) so that
+    rounding in the speeds cannot stop it early. A state with a NaN or an
+    infinite speed never passes the test and is scanned in full.
+
+    The result is the maximum of the same terms as the scan over all pairs
+    k < l (``tests/oracles.py``), bit for bit: (a - b)^2 equals (b - a)^2
+    exactly, the components are summed in the order 0, 1, 2, and repeated
+    pairs and the self-pair, set to 0, leave the maximum unchanged.
+    Memory is O(N) per state (no N x N array), and squaring the differences
+    themselves has no cancellation, unlike |v_k|^2 + |v_l|^2 - 2 v_k.v_l
+    away from the origin.
     """
     states = np.asarray(states, dtype=float)
     n = states.shape[-2]
     # (3, N, R): one contiguous (N, R) plane per velocity component
     comp = np.ascontiguousarray(np.moveaxis(states.reshape(-1, n, 3), (1, 2), (1, 0)))
-    diff = np.empty((3, n - 1, comp.shape[2]))
-    sq = np.empty(diff.shape[1:])
-    best = np.zeros(comp.shape[2])
+    r = comp.shape[2]
+    sq, d = np.empty((n, r)), np.empty((n, r))
+
+    def squared_distances_to(point):
+        # |v_i - point|^2 of every particle i, point of shape (3, R); one
+        # component at a time, so the scratch is two (N, R) planes
+        np.subtract(comp[0], point[0], out=sq)
+        np.multiply(sq, sq, out=sq)
+        for j in (1, 2):
+            np.subtract(comp[j], point[j], out=d)
+            np.multiply(d, d, out=d)
+            np.add(sq, d, out=sq)
+        return sq
+
+    speed = np.sqrt(squared_distances_to(comp.mean(axis=1)))
+    # NaN fails every comparison, so a non-finite state, or one whose
+    # squared speeds overflow, never passes the stop test
+    speed[np.isinf(speed)] = np.nan
+    order = np.argsort(-speed, axis=0)
+    cols = np.arange(r)
+    best = np.zeros(r)
     for k in range(n - 1):
-        d, s = diff[:, :n - 1 - k], sq[:n - 1 - k]
-        np.subtract(comp[:, k + 1:], comp[:, k, None], out=d)
-        np.multiply(d, d, out=d)
-        np.add(d[0], d[1], out=s)
-        s += d[2]
-        np.maximum(best, s.max(axis=0), out=best)
+        row = squared_distances_to(comp[:, order[k], cols])
+        row[order[k], cols] = 0.0   # the self-pair, NaN for an infinite particle
+        np.maximum(best, row.max(axis=0), out=best)
+        if k + 2 < n:
+            tail = speed[order[k + 1], cols] + speed[order[k + 2], cols]
+            if np.all(best >= (tail * (1.0 + _SPEED_SLACK) + _SPEED_FLOOR) ** 2):
+                break
     return best.reshape(states.shape[:-2])
 
 

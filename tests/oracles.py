@@ -83,6 +83,31 @@ def pair_projector_apply(spec: ManifoldSpec, v: np.ndarray, k: int, l: int,
     return out
 
 
+def max_pair_separation_sq_full(states: np.ndarray) -> np.ndarray:
+    """``max_pair_separation_sq`` over all N(N-1)/2 pairs, the reference for
+    the library's descending-speed scan.
+
+    Scans the particles k in turn: the differences d = v_{k+1:} - v_k are
+    taken component-major, with the states along the fast axis, and a
+    running per-state maximum keeps the largest |d|^2.
+    """
+    states = np.asarray(states, dtype=float)
+    n = states.shape[-2]
+    # (3, N, R): one contiguous (N, R) plane per velocity component
+    comp = np.ascontiguousarray(np.moveaxis(states.reshape(-1, n, 3), (1, 2), (1, 0)))
+    diff = np.empty((3, n - 1, comp.shape[2]))
+    sq = np.empty(diff.shape[1:])
+    best = np.zeros(comp.shape[2])
+    for k in range(n - 1):
+        d, s = diff[:, :n - 1 - k], sq[:n - 1 - k]
+        np.subtract(comp[:, k + 1:], comp[:, k, None], out=d)
+        np.multiply(d, d, out=d)
+        np.add(d[0], d[1], out=s)
+        s += d[2]
+        np.maximum(best, s.max(axis=0), out=best)
+    return best.reshape(states.shape[:-2])
+
+
 def renormalize_reference(spec: ManifoldSpec, states: np.ndarray) -> np.ndarray:
     """Exact constraint restoration written out with broadcast means and
     sums, the plain reference for ``geometry.renormalize_batch``: center

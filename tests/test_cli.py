@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 import tracemalloc
@@ -633,6 +634,28 @@ def test_sample_table_is_independent_of_block_size(monkeypatch, tmp_path):
     run(plan, tmp_path / "blocks_of_7")
     assert (tmp_path / "default" / "samples.csv").read_bytes() == \
         (tmp_path / "blocks_of_7" / "samples.csv").read_bytes()
+
+
+def test_sample_table_bytes_are_pinned(tmp_path):
+    # two blocks (341 + 59 states) of the sampler and the pair scan, written
+    # by the CSV writer: any change to one of them changes this digest and
+    # must say so by updating it
+    plan = parse_config("n_particles = 64\nmode = energy-momentum\neps = 1.0\n"
+                        "u = 0.5,-0.25,0\nn_samples = 400\nseed = 29\n", "sample")
+    run(plan, tmp_path)
+    assert hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest() == \
+        "d32f0c227325a93af4c38a9111e4548c200648ff0f5082cb681d5013c0e3073f"
+
+
+def test_sample_on_energy_sphere_reports_no_momentum_error(tmp_path):
+    # C = 1 conserves no momentum, so there is no momentum constraint to break
+    plan = parse_config("n_particles = 8\nmode = energy\nn_samples = 50\nseed = 3\n",
+                        "sample")
+    run(plan, tmp_path)
+    with open(tmp_path / "samples.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 50
+    assert {row["momentum_error"] for row in rows} == {"0"}
 
 
 @pytest.mark.parametrize("recipe", sorted(p.name for p in RECIPES.glob("*.cfg")))

@@ -19,6 +19,7 @@ from kinlab.geometry import (
 
 from oracles import (
     DegeneratePairError,
+    max_pair_separation_sq_full,
     pair_projector_apply,
     renormalize_reference,
     state_from_standard,
@@ -112,6 +113,106 @@ def test_max_pair_separation_matches_pair_loop(mode, n, rng):
     assert max_pair_separation_sq(states).tolist() == want
     assert max_pair_separation_sq(states.reshape(3, 20, n, 3)).tolist() == \
         np.reshape(want, (3, 20)).tolist()
+
+
+_C1, _C4 = ConservationMode.ENERGY_ONLY, ConservationMode.ENERGY_MOMENTUM
+
+
+def _uniform(mode, n, r=120, u=(0.0, 0.0, 0.0), eps=1.5):
+    return lambda rng: sample_uniform_batch(ManifoldSpec(n, mode, eps=eps, u=u), r, rng)
+
+
+def _scaled(rng):
+    # off the sphere, anisotropic: speed order no longer follows any axis
+    return _uniform(_C4, 64)(rng) * [1e-3, 1.0, 30.0]
+
+
+def _duplicated(rng):
+    v = _uniform(_C4, 32)(rng)
+    v[:, 16:] = v[:, :16]
+    return v
+
+
+def _reflected(rng):
+    # pairs u + w, u - w of one length: every speed ties and every pair
+    # reaches the triangle bound up to rounding, so only the slack stops
+    # the scan from ending before the largest one is seen
+    w = rng.standard_normal((150, 12, 3))
+    w /= np.linalg.norm(w, axis=-1, keepdims=True)
+    u = np.array([0.3, -1.2, 0.5])
+    return np.concatenate([u + w, u - w], axis=1)
+
+
+def _pair_behind_fastest(rng):
+    # the fastest particle (speed 1.2) is orthogonal to the largest pair, two
+    # particles reflected through the mean (speeds 1, separation 2), and ten
+    # slow ones balance it: the scan must not stop after the first particle
+    base = np.zeros((13, 3))
+    base[0, 0], base[1, 1], base[2, 1], base[3:, 0] = 1.2, 1.0, -1.0, -0.12
+    rot = np.linalg.qr(rng.standard_normal((40, 3, 3)))[0]
+    return base @ rot + rng.standard_normal((40, 1, 3))
+
+
+def _underflow(rng):
+    # v = +-delta (1, 1, 1) about 0: delta^2 rounds to 0, so every speed
+    # is 0, but (2 delta)^2 does not, so the pair is not 0
+    v = np.zeros((50, 6, 3))
+    delta = rng.uniform(8e-163, 1.5e-162, size=(50, 1))
+    v[:, 4], v[:, 5] = delta, -delta
+    return v
+
+
+def _all_equal(rng):
+    return np.repeat(rng.standard_normal((40, 1, 3)), 9, axis=1)
+
+
+def _nan(rng):
+    v = _uniform(_C4, 16, r=8)(rng)
+    v[3, 5, 1] = np.nan
+    return v
+
+
+def _inf(rng):
+    # a batch of its own: a NaN state would keep the whole block scanning
+    v = _uniform(_C4, 16, r=8)(rng)
+    v[3, 2, 0] = v[3, 9, 0] = np.inf    # inf - inf: the full scan gives NaN
+    v[5, 7, 2] = -np.inf                # one infinite particle: inf
+    return v
+
+
+PAIR_SCAN_CASES = {
+    **{f"uniform_c{mode.value}_n{n}": _uniform(mode, n)
+       for mode in (_C1, _C4) for n in (2, 3, 8, 64, 257)},
+    "drift_u50": _uniform(_C4, 64, u=(50.0, 0.0, 0.0), eps=1251.0),
+    "scaled": _scaled,
+    "underflow": _underflow,
+    "huge": lambda rng: _uniform(_C4, 16)(rng) * 1e154,    # pair squares overflow
+    "pair_behind_fastest": _pair_behind_fastest,
+    "duplicated": _duplicated,
+    "reflected": _reflected,
+    "all_equal": _all_equal,
+    "empty": lambda rng: np.empty((0, 6, 3)),
+    "nan": _nan,
+    "inf": _inf,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_SCAN_CASES))
+def test_max_pair_separation_matches_full_scan(case, rng):
+    # the descending-speed scan returns the full scan's maximum bit for bit
+    states = PAIR_SCAN_CASES[case](rng)
+    with np.errstate(invalid="ignore", over="ignore"):   # nan, inf, huge
+        got = max_pair_separation_sq(states)
+        want = max_pair_separation_sq_full(states)
+    assert got.shape == want.shape == states.shape[:-2]
+    assert np.array_equal(got, want, equal_nan=True)
+    if case == "all_equal":
+        assert not got.any()
+    if case == "nan":
+        assert np.isnan(got[3]) and np.isfinite(np.delete(got, 3)).all()
+    if case == "inf":
+        assert np.isnan(got[3]) and got[5] == np.inf
+        assert np.isfinite(np.delete(got, [3, 5])).all()
 
 
 def test_renormalize_fixed_point(spec_c4, rng):

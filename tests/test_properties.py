@@ -52,8 +52,7 @@ steps = st.floats(1e-4, 0.05)
 def _assert_on_manifold(spec, states):
     energy, momentum = constraint_errors(spec, states)
     assert np.abs(energy).max() <= TOL
-    if spec.mode is ConservationMode.ENERGY_MOMENTUM:
-        assert momentum.max() <= TOL
+    assert momentum.max() <= TOL
 
 
 @SETTINGS
