@@ -11,8 +11,9 @@ families of constraint manifolds are supported:
 This module provides uniform sampling, exact constraint restoration in
 place (``renormalize_batch``) and its error measure, the largest pair
 separation of a state, the tangent projector of the manifold, log
-hypersphere surface areas, and the block size of the loops that run over
-states in cache-sized blocks (``block_states``).
+hypersphere surface areas, the block size of the loops that run over
+states in cache-sized blocks (``block_states``), and the one sum over a
+velocity's three components (``dot3``).
 
 States are float arrays of shape (..., N, 3); the batch functions take
 (R, N, 3), and a single state is the batch R = 1.
@@ -52,6 +53,21 @@ _SPEED_FLOOR = 1e-160
 def block_states(n_particles: int) -> int:
     """States per block of ``STATE_BLOCK_ENTRIES`` coordinates, at least one."""
     return max(1, STATE_BLOCK_ENTRIES // (3 * n_particles))
+
+
+def dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[0] y[0] + x[1] y[1] + x[2] y[2], summed in that order.
+
+    x and y are component-first, shape (3, ...): ``g.T`` of an (m, 3)
+    array or ``np.moveaxis(states, -1, 0)``. Three whole-plane products
+    cost a fraction of numpy's reduction over a length-3 last axis, which
+    adds a row in the same order, (a0 + a1) + a2 (numpy 2.4), so
+    ``dot3(x.T, x.T)`` equals ``(x * x).sum(-1)`` bit for bit.
+    """
+    out = x[0] * y[0]
+    out += x[1] * y[1]
+    out += x[2] * y[2]
+    return out
 
 
 class DegenerateStateError(ValueError):
@@ -224,11 +240,12 @@ def constraint_errors(spec: ManifoldSpec,
     Returns the signed relative energy error E/(N eps) - 1 and the largest
     per-component momentum violation |sum_k v_k - N u| in units of sqrt(N).
     The energy-only sphere conserves no momentum, so its momentum violation
-    is 0.
+    is 0. Each |v_k|^2 sums components 0, 1, 2 through ``dot3``.
     """
     states = np.asarray(states, dtype=float)
     n = spec.n_particles
-    energy = 0.5 * (states * states).sum(-1).sum(-1) / (n * spec.eps) - 1.0
+    c = np.moveaxis(states, -1, 0)
+    energy = 0.5 * dot3(c, c).sum(-1) / (n * spec.eps) - 1.0
     if spec.mode is ConservationMode.ENERGY_ONLY:
         return energy, np.zeros_like(energy)
     momentum = np.abs(states.sum(axis=-2) - n * spec.u).max(axis=-1)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import EPS_RANGE, ConservationMode, ManifoldSpec, log_sphere_area
+from .geometry import EPS_RANGE, ConservationMode, ManifoldSpec, dot3, log_sphere_area
 from .observables import bin_masses
 
 
@@ -68,10 +68,10 @@ class MomentState:
 
 
 def maxwellian_eval(p: LimitParams, v) -> np.ndarray | float:
-    """Drifting Maxwellian (3/(4 pi eps0))^(3/2) exp(-3|v-u|^2/(4 eps0))."""
-    v = np.asarray(v, dtype=float)
-    dv = v - p.u
-    r2 = (dv * dv).sum(axis=-1)
+    """Drifting Maxwellian (3/(4 pi eps0))^(3/2) exp(-3|v-u|^2/(4 eps0)) at
+    (..., 3) velocities; |v - u|^2 sums components 0, 1, 2 through ``dot3``."""
+    dv = np.moveaxis(np.asarray(v, dtype=float) - p.u, -1, 0)
+    r2 = dot3(dv, dv)
     norm = (3.0 / (4.0 * math.pi * p.eps0)) ** 1.5
     out = norm * np.exp(-3.0 * r2 / (4.0 * p.eps0))
     return float(out) if out.ndim == 0 else out

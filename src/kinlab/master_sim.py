@@ -55,6 +55,7 @@ from .geometry import (
     NonFiniteStateError,
     block_states,
     center_batch,
+    dot3,
     renormalize_batch,
     sample_uniform_batch,
     tangent_project_batch,  # noqa: F401 - perfbench/spans.py wraps it by name
@@ -251,14 +252,6 @@ def _n_rounds(n: int) -> int:
     return n - 1 + n % 2
 
 
-def _dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[0] y[0] + x[1] y[1] + x[2] y[2], summed in that order."""
-    out = x[0] * y[0]
-    out += x[1] * y[1]
-    out += x[2] * y[2]
-    return out
-
-
 def _pair_round_kick(work: np.ndarray, eta: np.ndarray, gamma: float,
                      cutoff: float, diff_scale: float, dt: float) -> None:
     """Kick one round of disjoint pairs in place.
@@ -276,15 +269,15 @@ def _pair_round_kick(work: np.ndarray, eta: np.ndarray, gamma: float,
     vk = work[:, :p]
     vl = work[:, p:2 * p]
     d = vk - vl
-    beta = np.sqrt(_dot3(d, d))
+    beta = np.sqrt(dot3(d, d))
     ok = beta >= cutoff
     np.maximum(beta, cutoff, out=beta)
     amp = np.sqrt(diff_scale * dt * beta ** (2.0 + gamma))
     nhat = d / beta
-    eta -= nhat * _dot3(nhat, eta)          # P_perp eta
+    eta -= nhat * dot3(nhat, eta)           # P_perp eta
     eta *= 2.0 * amp
     eta += d                                # kicked separation
-    eta *= beta / np.sqrt(_dot3(eta, eta))  # restored to length beta
+    eta *= beta / np.sqrt(dot3(eta, eta))   # restored to length beta
     eta -= d
     eta *= np.multiply(ok, 0.5, out=amp)    # half move, 0 below the cutoff
     vk += eta
@@ -396,13 +389,18 @@ class TestPolynomial:
         raise ValueError(f"unknown test polynomial kind {self.kind!r}")
 
 
+def _capped_norm(d: np.ndarray, cutoff: float) -> np.ndarray:
+    """|d| over the last (component) axis, capped below at the cutoff."""
+    c = np.moveaxis(d, -1, 0)
+    return np.maximum(np.sqrt(dot3(c, c)), cutoff)
+
+
 def _capped_beta(p: np.ndarray, k: int, cutoff: float):
     """Separations v_k - v_l from the other particles l != k, shape
     (..., N-1, 3), and their magnitudes capped below at the cutoff."""
     others = np.arange(p.shape[-2]) != k
     d = (p[..., k, None, :] - p)[..., others, :]
-    beta_t = np.maximum(np.linalg.norm(d, axis=-1), cutoff)
-    return d, beta_t
+    return d, _capped_norm(d, cutoff)
 
 
 def generator_apply(spec: ManifoldSpec, v: np.ndarray, kernel: KernelSpec,
@@ -438,7 +436,7 @@ def generator_apply(spec: ManifoldSpec, v: np.ndarray, kernel: KernelSpec,
             total += scale * (w * proj).sum(-1)
         else:
             d_km = p[..., k, :] - p[..., m, :]
-            b = np.maximum(np.linalg.norm(d_km, axis=-1), cutoff)
+            b = _capped_norm(d_km, cutoff)
             proj = float(s == t) - d_km[..., s] * d_km[..., t] / b ** 2
             total += -scale * b ** (2.0 + g) * proj
         return total

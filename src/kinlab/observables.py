@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ConservationMode, ManifoldSpec
+from .geometry import ConservationMode, ManifoldSpec, dot3
 
 
 @dataclass
@@ -91,6 +91,12 @@ def get_observable(name: str) -> Callable[[np.ndarray], np.ndarray]:
 
 def _pooled(velocities: np.ndarray) -> np.ndarray:
     return np.asarray(velocities, dtype=float).reshape(-1, 3)
+
+
+def _pooled_speeds(velocities: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """|v - u| of every pooled particle, summed through ``dot3``."""
+    dv = (_pooled(velocities) - u).T
+    return np.sqrt(dot3(dv, dv))
 
 
 def bin_masses(counts: np.ndarray) -> np.ndarray:
@@ -186,7 +192,8 @@ def radial_ks_statistic(velocities: np.ndarray, spec: ManifoldSpec) -> tuple[flo
 
     Under the uniform measure on the energy-only sphere, s = r^2 / (2 N eps0)
     follows a Beta(3/2, (3N-3)/2) law, which gives the radial CDF in closed
-    form. Returns (statistic, pooled sample count).
+    form. Each |v - u|^2 sums components 0, 1, 2 through ``geometry.dot3``.
+    Returns (statistic, pooled sample count).
 
     The CDF F is evaluated first at every ``_KS_STRIDE``-th sorted point and
     the last one. F is monotone, so no point of the block between sorted
@@ -200,7 +207,7 @@ def radial_ks_statistic(velocities: np.ndarray, spec: ManifoldSpec) -> tuple[flo
     from scipy.special import betainc  # here, so importing kinlab skips scipy
 
     n = spec.n_particles
-    r = np.sort(np.linalg.norm(_pooled(velocities) - spec.u, axis=1))
+    r = np.sort(_pooled_speeds(velocities, spec.u))
     s = np.clip(r ** 2 / (2.0 * n * spec.eps0), 0.0, 1.0)
     m = len(r)
     a, b = 1.5, 1.5 * (n - 1)

@@ -36,6 +36,7 @@ import numpy as np
 from .geometry import (
     ConservationMode,
     ManifoldSpec,
+    dot3,
     sample_uniform_batch,  # noqa: F401 - perfbench/spans.py wraps it by name
 )
 from .master_sim import KernelSpec
@@ -122,6 +123,21 @@ def check_mc_budget(n_samples: int) -> None:
         raise ValueError("n_samples must be >= 1000")
 
 
+def _pair_terms(spec: ManifoldSpec, tf: TrialFunction, kernel: KernelSpec,
+                g: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(N/2) w_12 |P_perp (d_2 - d_1) psi|^2 at the pair differences
+    d = sqrt(2 radius^2) g / sqrt(|g|^2 + q) of (m, 3) normals g and (m,)
+    chi^2 draws q. |g|^2 and |d|^2 sum components 0, 1, 2 through
+    ``geometry.dot3``; the difference gradient is A d_1 e_1 in closed form.
+    """
+    scale = math.sqrt(2.0 * spec.radius_sq)
+    d = g * (scale / np.sqrt(dot3(g.T, g.T) + q))[:, None]
+    beta = np.maximum(np.sqrt(dot3(d.T, d.T)), spec.cutoff)
+    w = beta ** (2.0 + kernel.gamma)
+    grad_sq = (tf.a_const * d[:, 0]) ** 2 * (1.0 - (d[:, 0] / beta) ** 2)
+    return 0.5 * spec.n_particles * w * grad_sq
+
+
 def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
                          kernel: KernelSpec, n_samples: int,
                          rng: np.random.Generator) -> tuple[float, float]:
@@ -130,8 +146,9 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
     Averages (N/2) w_12 |P_perp (d_2 - d_1) psi|^2 over the exact law of the
     pair difference d = v_2 - v_1 under uniform sampling (module docstring),
     drawn 20000 at a time as 3 normals and one gamma variate each: the cost
-    and memory per sample do not grow with N. The difference gradient is
-    A d_1 e_1 in closed form. Returns (estimate, stderr); raises
+    and memory per sample do not grow with N. Each term (``_pair_terms``)
+    sums the components 0, 1, 2 of |g|^2 and |d|^2 through
+    ``geometry.dot3``. Returns (estimate, stderr); raises
     FloatingPointError, naming N and gamma, when either is not finite.
     """
     _require_standard(spec)
@@ -139,7 +156,6 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
         raise ValueError("trial function and manifold have different N")
     check_mc_budget(n_samples)
     n = spec.n_particles
-    scale = math.sqrt(2.0 * spec.radius_sq)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -149,11 +165,7 @@ def rayleigh_quotient_mc(spec: ManifoldSpec, tf: TrialFunction,
         # Q ~ chi^2(3N-6) = 2 Gamma(3(N-2)/2); the pair spans the sphere at
         # N=2, where the shape-0 gamma returns zeros and draws nothing
         q = 2.0 * rng.standard_gamma(1.5 * (n - 2), m)
-        d = g * (scale / np.sqrt((g ** 2).sum(axis=1) + q))[:, None]
-        beta = np.maximum(np.linalg.norm(d, axis=1), spec.cutoff)
-        w = beta ** (2.0 + kernel.gamma)
-        grad_sq = (tf.a_const * d[:, 0]) ** 2 * (1.0 - (d[:, 0] / beta) ** 2)
-        vals = 0.5 * n * w * grad_sq
+        vals = _pair_terms(spec, tf, kernel, g, q)
         total += vals.sum()
         total_sq += (vals ** 2).sum()
         done += m

@@ -8,8 +8,10 @@ stationary radial law and its KS statistic over every point, the
 eigenfunction catalog and its decay rates, the trial function, the quadratic
 form on conserved quantities, and the Rayleigh estimator over whole
 N-particle states), which the library itself does not need. It also holds
-the antithetic Generator stand-in of the weak-order tests and the capture of
-the arrays handed to the in-place restoration.
+the antithetic Generator stand-in of the weak-order tests, the capture of
+the arrays handed to the in-place restoration, and each length-3 component
+sum of the library as numpy's last-axis reduction that ``geometry.dot3``
+must equal bit for bit.
 """
 
 import math
@@ -628,3 +630,75 @@ def step_pair_diffusion_reference(spec, states, kernel, dt, rng):
         states[rows, k_idx] = vk + half
         states[rows, l_idx] = vl - half
     return renormalize_batch(spec, states)
+
+
+# ---------------------------------------------------------------------------
+# numpy's last-axis reductions at the sites that sum a velocity's components
+# through ``geometry.dot3``: the references of their bit-for-bit contract
+
+
+def constraint_errors_axis_sum(spec: ManifoldSpec,
+                               states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``geometry.constraint_errors`` with each |v_k|^2 a last-axis sum."""
+    states = np.asarray(states, dtype=float)
+    n = spec.n_particles
+    energy = 0.5 * (states * states).sum(-1).sum(-1) / (n * spec.eps) - 1.0
+    if spec.mode is ConservationMode.ENERGY_ONLY:
+        return energy, np.zeros_like(energy)
+    momentum = np.abs(states.sum(axis=-2) - n * spec.u).max(axis=-1)
+    return energy, momentum / math.sqrt(n)
+
+
+def pooled_speeds_axis_sum(velocities: np.ndarray, u) -> np.ndarray:
+    """``observables._pooled_speeds`` as ``np.linalg.norm`` over the last axis."""
+    return np.linalg.norm(_pooled(velocities) - u, axis=1)
+
+
+def capped_norm_axis_sum(d: np.ndarray, cutoff: float) -> np.ndarray:
+    """``master_sim._capped_norm`` as ``np.linalg.norm`` over the last axis."""
+    return np.maximum(np.linalg.norm(d, axis=-1), cutoff)
+
+
+def maxwellian_eval_axis_sum(p, v):
+    """``kinetic_limits.maxwellian_eval`` with |v - u|^2 a last-axis sum."""
+    v = np.asarray(v, dtype=float)
+    dv = v - p.u
+    r2 = (dv * dv).sum(axis=-1)
+    norm = (3.0 / (4.0 * math.pi * p.eps0)) ** 1.5
+    out = norm * np.exp(-3.0 * r2 / (4.0 * p.eps0))
+    return float(out) if out.ndim == 0 else out
+
+
+def pair_terms_axis_sum(spec: ManifoldSpec, tf: TrialFunction, kernel,
+                        g: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``spectral._pair_terms`` with |g|^2 and |d| last-axis reductions."""
+    scale = math.sqrt(2.0 * spec.radius_sq)
+    d = g * (scale / np.sqrt((g ** 2).sum(axis=1) + q))[:, None]
+    beta = np.maximum(np.linalg.norm(d, axis=1), spec.cutoff)
+    w = beta ** (2.0 + kernel.gamma)
+    grad_sq = (tf.a_const * d[:, 0]) ** 2 * (1.0 - (d[:, 0] / beta) ** 2)
+    return 0.5 * spec.n_particles * w * grad_sq
+
+
+def rayleigh_quotient_mc_axis_sum(spec: ManifoldSpec, tf: TrialFunction, kernel,
+                                  n_samples: int,
+                                  rng: np.random.Generator) -> tuple[float, float]:
+    """``spectral.rayleigh_quotient_mc`` over ``pair_terms_axis_sum``: the
+    same draws and the same arithmetic otherwise."""
+    _require_standard(spec)
+    check_mc_budget(n_samples)
+    n = spec.n_particles
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < n_samples:
+        m = min(20000, n_samples - done)
+        g = rng.standard_normal((m, 3))
+        q = 2.0 * rng.standard_gamma(1.5 * (n - 2), m)
+        vals = pair_terms_axis_sum(spec, tf, kernel, g, q)
+        total += vals.sum()
+        total_sq += (vals ** 2).sum()
+        done += m
+    mean = total / n_samples
+    var = max(total_sq / n_samples - mean ** 2, 0.0)
+    return float(mean), float(math.sqrt(var / n_samples))

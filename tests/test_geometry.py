@@ -10,6 +10,7 @@ from kinlab.geometry import (
     ManifoldSpec,
     NonFiniteStateError,
     constraint_errors,
+    dot3,
     log_sphere_area,
     max_pair_separation_sq,
     renormalize_batch,
@@ -19,6 +20,7 @@ from kinlab.geometry import (
 
 from oracles import (
     DegeneratePairError,
+    constraint_errors_axis_sum,
     max_pair_separation_sq_full,
     pair_projector_apply,
     renormalize_reference,
@@ -213,6 +215,73 @@ def test_max_pair_separation_matches_full_scan(case, rng):
     if case == "inf":
         assert np.isnan(got[3]) and got[5] == np.inf
         assert np.isfinite(np.delete(got, [3, 5])).all()
+
+
+def _layout(x, layout):
+    """x itself, or an equal array whose components are not the fast axis:
+    a component-major copy seen as (..., 3), or every other row of an array
+    with twice the rows."""
+    if layout == "component_major":
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+    if layout == "strided":
+        wide = np.full(x.shape[:-1] + (2, 3), -1.0)
+        wide[..., 0, :] = x
+        return wide[..., 0, :]
+    return x
+
+
+def _component_rows(rng, shape):
+    """(..., 3) rows at scales from 1e-150 to 1e150, one scale per row, so
+    that the order of the component sum decides its rounding; some rows
+    hold NaN, +-inf, squares that overflow or underflow, and subnormals."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape[:-1] + (1,))
+    rows = x.reshape(-1, 3)
+    for i, value in enumerate([np.nan, np.inf, -np.inf, 1e150, -1e160, 1e-150,
+                               1e-310, -5e-324]):
+        rows[5 * i, i % 3] = value
+    rows[2] = (1e-310, -2e-320, 5e-324)       # subnormal components
+    rows[3] = (1e-160, -2e-161, 3e-162)       # subnormal squares
+    rows[4] = (1e154, 1e154, -1e154)          # the sum overflows
+    return x
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "component_major", "strided"])
+@pytest.mark.parametrize("shape", [(400, 3), (16, 9, 3)])
+def test_dot3_matches_numpy_last_axis_sum(shape, layout, rng):
+    # numpy adds a length-3 row as (a0 + a1) + a2, the order of dot3
+    x = _layout(_component_rows(rng, shape), layout)
+    y = _layout(_component_rows(rng, shape), layout)
+    assert (layout == "contiguous") == x.flags.c_contiguous
+    cx, cy = np.moveaxis(x, -1, 0), np.moveaxis(y, -1, 0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        sq = dot3(cx, cx)
+        assert np.array_equal(sq, (x * x).sum(-1), equal_nan=True)
+        assert np.array_equal(np.sqrt(sq), np.linalg.norm(x, axis=-1), equal_nan=True)
+        assert np.array_equal(dot3(cx, cy), (x * y).sum(-1), equal_nan=True)
+        # the rows tell the orders apart: a0 + (a1 + a2) differs somewhere
+        other = x[..., 0] ** 2 + (x[..., 1] ** 2 + x[..., 2] ** 2)
+    assert not np.array_equal(sq, other, equal_nan=True)
+    assert np.isnan(sq).any() and np.isinf(sq).any()
+    assert ((sq > 0) & (sq < np.finfo(float).tiny)).any()   # a subnormal sum
+
+
+@pytest.mark.parametrize("layout", ["single", "batch", "component_major"])
+@pytest.mark.parametrize("n", [2, 8, 64])
+@pytest.mark.parametrize("mode", list(ConservationMode))
+def test_constraint_errors_match_axis_sum(mode, n, layout, rng):
+    # the energy sums each |v_k|^2 through dot3, bit for bit with the
+    # last-axis sum it replaced
+    u = [1.0, -0.5, 0.25] if mode is ConservationMode.ENERGY_MOMENTUM else [0.0] * 3
+    spec = ManifoldSpec(n, mode, eps=1.5, u=u)
+    states = sample_uniform_batch(spec, 40, rng)
+    states *= 1.0 + 1e-6 * rng.standard_normal(states.shape)
+    states = states[0] if layout == "single" else _layout(states, layout)
+    got = constraint_errors(spec, states)
+    want = constraint_errors_axis_sum(spec, states)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w) == states.shape[:-2]
+        assert np.array_equal(g, w)
+    assert np.all(got[0] != 0.0)
 
 
 def test_renormalize_fixed_point(spec_c4, rng):

@@ -37,6 +37,7 @@ from oracles import (
     finite_n_marginal_rates,
     fpe_mean_rhs_quadrature,
     landau_second_moment_rhs_mc,
+    maxwellian_eval_axis_sum,
     moment_anisotropy,
     moment_energy,
     moment_second,
@@ -49,6 +50,23 @@ def test_maxwellian_peak_value():
     assert maxwellian_eval(p, np.zeros(3)) == pytest.approx(
         (3.0 / (4.0 * math.pi)) ** 1.5, rel=1e-12)
     assert maxwellian_eval(p, np.zeros(3)) == pytest.approx(0.116645, abs=5e-7)
+
+
+def test_maxwellian_sums_components_as_the_axis_sum(rng):
+    # |v - u|^2 through geometry.dot3 equals the last-axis sum bit for bit:
+    # one velocity, rows, a strided view, a component-major copy and a grid
+    p = LimitParams(eps0=0.7, u=[0.3, -0.2, 0.1])
+    rows = 2.0 * rng.standard_normal((1000, 3))
+    rows[:3] = [[np.nan, 0, 0], [np.inf, 1, 1], [1e-160, 0, 0]]
+    probe = 3.0 * rng.standard_normal((40, 1, 3))
+    edges = [np.linspace(-3, 3, n) for n in (5, 6, 7)]
+    centers = np.stack(np.meshgrid(*[(e[1:] + e[:-1]) / 2 for e in edges],
+                                   indexing="ij"), axis=-1)
+    for v in (rows[10], rows, probe[:, 0, :], np.ascontiguousarray(rows.T).T, centers):
+        with np.errstate(invalid="ignore"):
+            got, want = maxwellian_eval(p, v), maxwellian_eval_axis_sum(p, v)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_maxwellian_quadrature():

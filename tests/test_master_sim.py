@@ -22,6 +22,8 @@ from kinlab.master_sim import (
     KernelSpec,
     SimConfig,
     TestPolynomial,
+    _capped_beta,
+    _capped_norm,
     _n_rounds,
     _pair_round_kick,
     _rotate_rows,
@@ -39,6 +41,7 @@ from kinlab.spectral import eigenvalue_scaled
 
 from oracles import (
     AntitheticGenerator,
+    capped_norm_axis_sum,
     generator_apply_fd,
     generator_conservation_residuals,
     pair_kick_contraction,
@@ -441,6 +444,26 @@ def test_generator_matches_finite_differences(gamma, rng):
         cf = generator_apply(spec, v, kernel, phi)
         fd = generator_apply_fd(spec, v, kernel, phi)
         assert cf == pytest.approx(fd, rel=2e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_generator_norms_match_the_axis_norm(batch, rng):
+    # the generator's capped separations sum components 0, 1, 2 through
+    # geometry.dot3, bit for bit with np.linalg.norm over the last axis, on
+    # one state and on a batch, with a coincident pair capped at the cutoff
+    spec = ManifoldSpec(8, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
+    p = sample_uniform_batch(spec, 50, rng)
+    p[:, 3] = p[:, 5]
+    p = p if batch else p[0]
+    for k in (0, 3):
+        d, beta = _capped_beta(p, k, spec.cutoff)
+        assert np.array_equal(beta, capped_norm_axis_sum(d, spec.cutoff))
+    for k, m in ((0, 1), (3, 5)):
+        d_km = p[..., k, :] - p[..., m, :]
+        got = _capped_norm(d_km, spec.cutoff)
+        assert np.shape(got) == p.shape[:-2]
+        assert np.array_equal(got, capped_norm_axis_sum(d_km, spec.cutoff))
+    assert np.all(_capped_norm(p[..., 3, :] - p[..., 5, :], spec.cutoff) == spec.cutoff)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])

@@ -9,6 +9,7 @@ from kinlab.kinetic_limits import velocity_histogram3d
 from kinlab.master_sim import SimConfig, run_ensemble
 from kinlab.observables import (
     ObservableSeries,
+    _pooled_speeds,
     chaos_distance,
     decay_rate_fit,
     get_observable,
@@ -18,7 +19,7 @@ from kinlab.observables import (
     radial_ks_statistic,
 )
 
-from oracles import radial_ks_statistic_full
+from oracles import pooled_speeds_axis_sum, radial_ks_statistic_full
 
 
 def test_series_validation():
@@ -158,6 +159,21 @@ def test_radial_ks_bracketing_is_exact(n):
     ks, m = radial_ks_statistic(1.05 * pooled, spec)
     assert ks > 5 * ks_quantile_99(m)
     assert (ks, m) == radial_ks_statistic_full(1.05 * pooled, spec)
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed_copy"])
+def test_radial_ks_speeds_match_the_norm(layout, rng):
+    # the pooled speeds sum components 0, 1, 2 through geometry.dot3, bit
+    # for bit with np.linalg.norm over the last axis, on the workload's
+    # 100,000 pooled rows
+    spec = ManifoldSpec(8, ConservationMode.ENERGY_ONLY, eps=1.0)
+    vel = sample_uniform_batch(spec, 12500, rng)
+    if layout == "transposed_copy":
+        vel = np.ascontiguousarray(vel.T).T
+        assert not vel.flags.c_contiguous
+    for u in (spec.u, np.array([0.5, -1.0, 2.0])):
+        assert np.array_equal(_pooled_speeds(vel, u), pooled_speeds_axis_sum(vel, u))
+    assert radial_ks_statistic(vel, spec) == radial_ks_statistic_full(vel, spec)
 
 
 def test_radial_ks_evaluates_few_points(monkeypatch, rng):

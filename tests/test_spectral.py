@@ -13,6 +13,7 @@ from kinlab.geometry import (
 )
 from kinlab.master_sim import KernelSpec
 from kinlab.spectral import (
+    _pair_terms,
     eigenvalue_scaled,
     eigenvalue_unscaled,
     gap_scan,
@@ -28,7 +29,9 @@ from oracles import (
     family_decay_rate,
     get_family,
     is_constant_on,
+    pair_terms_axis_sum,
     rayleigh_quotient_exact,
+    rayleigh_quotient_mc_axis_sum,
     rayleigh_quotient_mc_reference,
     symmetric_eigenfunction,
     trial_eval,
@@ -208,6 +211,30 @@ def test_rayleigh_matches_n_particle_reference():
         ref, ref_err = rayleigh_quotient_mc_reference(
             spec, tf, kernel, 40000, np.random.default_rng(1400 + k))
         assert est == pytest.approx(ref, abs=4.5 * math.hypot(err, ref_err))
+
+
+@pytest.mark.parametrize("gamma", [-3.0, 0.0, 2.0])
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_rayleigh_sums_components_as_the_axis_sum(n, gamma):
+    # |g|^2 and |d| through geometry.dot3 give the last-axis reductions'
+    # estimate bit for bit, over two whole chunks and a partial one; at
+    # N = 2, q = 0 and |d| is the sphere's pair radius itself
+    spec = ManifoldSpec(n, ConservationMode.ENERGY_MOMENTUM, eps=1.0)
+    tf = standard_trial_function(n)
+    rng, twin = np.random.default_rng(1600 + n), np.random.default_rng(1600 + n)
+    got = rayleigh_quotient_mc(spec, tf, KernelSpec(gamma), 45000, rng)
+    want = rayleigh_quotient_mc_axis_sum(spec, tf, KernelSpec(gamma), 45000, twin)
+    assert got[0] == want[0] and got[1] == want[1]
+    assert rng.bit_generator.state == twin.bit_generator.state
+    # each term, not only their sums, which round most one-ulp changes
+    # away; rows at the cutoff, at subnormal and at huge scale included
+    g = rng.standard_normal((20000, 3))
+    g[:4] *= np.array([1e-300, 1e-160, 1e150, 0.0])[:, None]
+    q = 2.0 * rng.standard_gamma(1.5 * (n - 2), 20000)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        terms = _pair_terms(spec, tf, KernelSpec(gamma), g, q)
+        want_terms = pair_terms_axis_sum(spec, tf, KernelSpec(gamma), g, q)
+    assert np.array_equal(terms, want_terms, equal_nan=True)
 
 
 def test_rayleigh_memory_flat_in_n():

@@ -181,6 +181,24 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_one_component_sum():
+    # one kernel sums a velocity's three components, geometry.dot3: no other
+    # module defines or assigns a dot3 of its own, private or not, and
+    # master_sim's former private copy is gone
+    defined = []
+    for path in sorted((ROOT / "src" / "kinlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            names = ([node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else
+                     [t.id for t in node.targets if isinstance(t, ast.Name)]
+                     if isinstance(node, ast.Assign) else [])
+            defined += [(path.stem, name) for name in names if name.lstrip("_") == "dot3"]
+    assert defined == [("geometry", "dot3")]
+    ms = ast.parse((ROOT / "src" / "kinlab" / "master_sim.py").read_text())
+    assert "_dot3" not in {getattr(node, "id", getattr(node, "attr", None))
+                           for node in ast.walk(ms)}
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # scipy.special takes a large share of a fresh import's time and memory;
     # only the functions that evaluate its special functions import it
