@@ -18,13 +18,13 @@ plan + seed reproduces byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import subprocess
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -264,18 +264,45 @@ def parse_config(text: str, command: str | None = None) -> ExperimentPlan:
 # output helpers
 
 
-def _fmt(x) -> str:
+def _cell(x) -> str:
+    """One table cell: a float to 17 significant digits, anything else as
+    its ``str``, which must be nonempty and free of , " CR and LF (the
+    characters that CSV quotes)."""
     if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    return str(x)
+        return "%.17g" % x
+    text = str(x)
+    if not text or any(c in text for c in ',"\r\n'):
+        raise ValueError(f"table cell {text!r} would need CSV quoting")
+    return text
+
+
+def _column(cells) -> tuple[str, list]:
+    """The %-format of one column's cells and the values it formats: floats
+    alone format as ``%.17g``, ints alone as ``%s`` (their ``str``), and
+    any other column is formatted cell by cell by ``_cell``."""
+    kinds = set(map(type, cells))
+    if all(issubclass(k, (float, np.floating)) for k in kinds):
+        return "%.17g", cells
+    if kinds <= {int}:
+        return "%s", cells
+    return "%s", [_cell(x) for x in cells]
 
 
 def _write_table(path: Path, header: list[str], rows: list[list]):
+    """The one table format: RFC-4180 CSV with CRLF line ends and floats to
+    17 significant digits (they round-trip). Each column picks its format
+    once, every cell is formatted once by one % of the whole body, and the
+    text is written in one go. No cell is quoted: one that would need it
+    raises ValueError, as does an empty header or a row whose length differs
+    from the header's."""
+    if not header or set(map(len, rows)) - {len(header)}:
+        raise ValueError("every row must have the header's cells, at least one")
+    specs, columns = zip(*map(_column, zip(*rows))) if rows else ((), ())
+    body = "".join([",".join(specs) + "\r\n"] * len(rows))
+    text = ",".join(map(_cell, header)) + "\r\n" + body % tuple(
+        chain.from_iterable(zip(*columns)))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        fh.write(text)
 
 
 @lru_cache(maxsize=None)
@@ -408,8 +435,8 @@ def _sample(p, build):
             b = sample_uniform_batch(spec, min(block, n_states - start), rng)
             ratio = max_pair_separation_sq(b) / (4 * n * spec.eps)
             energy_err, mom_err = constraint_errors(spec, b)
-            rows += [[start + i, *errs]
-                     for i, errs in enumerate(zip(energy_err, mom_err, ratio))]
+            rows += [[start + i, *errs] for i, errs in enumerate(
+                zip(energy_err.tolist(), mom_err.tolist(), ratio.tolist()))]
         header = ["sample", "energy_rel_error", "momentum_error",
                   "max_pair_sep_sq_over_4Neps"]
         return {"samples": (header, rows)}, \
@@ -540,11 +567,11 @@ def _chaos(p, build):
           kernel, *specs)
 
     def grid():
+        check_marginal_args(pair_bins=p["bins"])   # before the edges are built
         sigma = LimitParams(eps0=p["eps"]).sigma
         return np.linspace(-4 * sigma, 4 * sigma, p["bins"] + 1)
 
     edges = build(("bins",), grid, *specs)
-    build(("bins",), lambda: check_marginal_args(edges=edges), edges)
     build(("pair_samples",), lambda: check_marginal_args(n_pairs=p["pair_samples"]))
 
     def run_chaos(rng):

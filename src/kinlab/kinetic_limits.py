@@ -123,20 +123,87 @@ def radial_probe(spec: ManifoldSpec, points: int) -> np.ndarray:
 # relative entropy
 
 
+# Most cells of an entropy grid, bins^3 (bins <= 128): ``relative_entropy``
+# builds a few float64 arrays of bins^3 cells and three more for the centers,
+# about 200 MiB at the cap.
+ENTROPY_GRID_MAX_CELLS = 2 ** 21
+
+
+def _evenly_spaced(edges) -> np.ndarray:
+    """One axis's edges, checked to be increasing and evenly spaced: exactly
+    ``np.linspace`` of their end points, as ``entropy_grid_edges`` makes them."""
+    e = np.asarray(edges, dtype=float)
+    if not (e.ndim == 1 and len(e) >= 2 and np.isfinite(e).all()
+            and (e[1:] > e[:-1]).all()
+            and np.array_equal(e, np.linspace(e[0], e[-1], len(e)))):
+        raise ValueError("edges must be increasing and evenly spaced "
+                         "(np.linspace of their end points)")
+    return e
+
+
 def entropy_grid_edges(p: LimitParams, bins: int):
-    """Per-axis cubic-bin edges over [u - 5 sigma, u + 5 sigma]^3."""
+    """Per-axis cubic-bin edges over [u - 5 sigma, u + 5 sigma]^3, each a
+    ``np.linspace`` of bins + 1 points; bins^3 is at most
+    ``ENTROPY_GRID_MAX_CELLS``, and 10 sigma / bins must be wide enough at u
+    for the edges to increase."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    if bins ** 3 > ENTROPY_GRID_MAX_CELLS:
+        raise ValueError(f"bins^3 = {bins ** 3} cells exceed the entropy grid's "
+                         f"{ENTROPY_GRID_MAX_CELLS}")
     h = 5.0 * p.sigma
-    return tuple(np.linspace(p.u[i] - h, p.u[i] + h, bins + 1) for i in range(3))
+    return tuple(_evenly_spaced(np.linspace(p.u[i] - h, p.u[i] + h, bins + 1))
+                 for i in range(3))
+
+
+def _axis_bins(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin index of each value x on the evenly spaced edges e, and whether x
+    lies on the grid [e[0], e[-1]] (NaN and +-inf do not).
+
+    np.histogram's uniform-bin rule: the index (x - e[0]) / (e[-1] - e[0])
+    * bins, truncated, is corrected by one comparison with the edge on each
+    side, so that e[i] <= x < e[i + 1], or x <= e[-1] in the closed last bin.
+    Values off the grid are clamped onto it first, so no step overflows or
+    casts a NaN; their indices are discarded by the caller.
+    """
+    bins = len(e) - 1
+    c = np.fmax(x, e[0])   # NaN -> e[0]
+    np.fmin(c, e[-1], out=c)
+    inside = c == x
+    f = np.subtract(c, e[0])
+    f /= e[-1] - e[0]
+    f *= bins
+    idx = f.astype(np.intp)
+    np.minimum(idx, bins - 1, out=idx)
+    idx -= c < e.take(idx)
+    # the upper edge of each bin, open except the last
+    idx += c >= np.append(e[1:-1], np.inf).take(idx)
+    return idx, inside
 
 
 def velocity_histogram3d(velocities: np.ndarray, edges) -> np.ndarray:
-    """Bin masses (total 1) of the pooled velocities on the per-axis
-    ``edges``; samples outside the grid are dropped."""
-    counts, _ = np.histogramdd(np.asarray(velocities, dtype=float).reshape(-1, 3),
-                               bins=edges)
-    return bin_masses(counts)
+    """Bin masses (total 1) of the pooled velocities on the three per-axis
+    ``edges``, each increasing and evenly spaced (``entropy_grid_edges``).
+
+    Each axis is binned by index arithmetic (``_axis_bins``) and one
+    ``np.bincount`` counts the cells: the counts of ``np.histogramdd`` on
+    the same edges, whose bins are half-open but for the closed last one.
+    Samples outside the grid, NaN and +-inf are dropped.
+    """
+    if len(edges) != 3:
+        raise ValueError("need the edges of 3 velocity axes")
+    edges = [_evenly_spaced(e) for e in edges]
+    pooled = np.asarray(velocities, dtype=float).reshape(-1, 3)
+    shape = tuple(len(e) - 1 for e in edges)
+    flat, inside = _axis_bins(pooled[:, 0], edges[0])
+    for axis in (1, 2):
+        idx, on_grid = _axis_bins(pooled[:, axis], edges[axis])
+        flat *= shape[axis]
+        flat += idx
+        inside &= on_grid
+    if not inside.all():
+        flat = flat[inside]
+    return bin_masses(np.bincount(flat, minlength=math.prod(shape)).reshape(shape))
 
 
 def relative_entropy(masses: np.ndarray, edges, p: LimitParams) -> float:

@@ -94,9 +94,13 @@ def _pooled(velocities: np.ndarray) -> np.ndarray:
 
 
 def _pooled_speeds(velocities: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """|v - u| of every pooled particle, summed through ``dot3``."""
-    dv = (_pooled(velocities) - u).T
-    return np.sqrt(dot3(dv, dv))
+    """|v - u| of every pooled particle, summed through ``dot3``; v - u is
+    written component-major, so that ``dot3`` reads contiguous planes."""
+    pooled = _pooled(velocities)
+    dv = np.empty((3, len(pooled)))
+    np.subtract(pooled.T, np.reshape(u, (3, 1)), out=dv)
+    r2 = dot3(dv, dv)
+    return np.sqrt(r2, out=r2)
 
 
 def bin_masses(counts: np.ndarray) -> np.ndarray:
@@ -107,11 +111,25 @@ def bin_masses(counts: np.ndarray) -> np.ndarray:
     return counts / total
 
 
-def check_marginal_args(edges=None, n_pairs: int | None = None) -> None:
-    """Arguments of ``one_marginal`` and ``pair_marginal``: at least one bin
-    and at least one sampled pair. An argument left as None is not checked."""
+# Most cells of a pair-marginal grid, bins^2 (bins <= 4096): ``pair_marginal``
+# and ``chaos_distance`` build a few float64 arrays of bins^2 cells, 128 MiB
+# each at the cap.
+PAIR_GRID_MAX_CELLS = 2 ** 24
+
+
+def check_marginal_args(edges=None, n_pairs: int | None = None,
+                        pair_bins: int | None = None) -> None:
+    """Arguments of ``one_marginal`` and ``pair_marginal``: at least one bin,
+    at least one sampled pair, and a pair grid of ``pair_bins``^2 cells, at
+    most ``PAIR_GRID_MAX_CELLS``. An argument left as None is not checked."""
     if edges is not None and np.size(edges) < 2:
         raise ValueError("need at least one bin")
+    if pair_bins is not None:
+        if pair_bins < 1:
+            raise ValueError("need at least one bin")
+        if pair_bins ** 2 > PAIR_GRID_MAX_CELLS:
+            raise ValueError(f"bins^2 = {pair_bins ** 2} cells exceed the pair grid's "
+                             f"{PAIR_GRID_MAX_CELLS}")
     if n_pairs is not None and n_pairs < 1:
         raise ValueError("need at least one sampled pair")
 
@@ -148,7 +166,7 @@ def pair_marginal(velocities: np.ndarray, edges: np.ndarray, component: int,
     then the offsets 1..N-1 from k to the second. Samples outside the grid
     are dropped before normalization to mass 1.
     """
-    check_marginal_args(n_pairs=n_pairs)
+    check_marginal_args(n_pairs=n_pairs, pair_bins=np.size(edges) - 1)
     values, edges = _component_values(velocities, edges, component)
     r, n = values.shape
     rep = rng.integers(0, r, size=n_pairs)

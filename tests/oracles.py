@@ -9,11 +9,14 @@ eigenfunction catalog and its decay rates, the trial function, the quadratic
 form on conserved quantities, and the Rayleigh estimator over whole
 N-particle states), which the library itself does not need. It also holds
 the antithetic Generator stand-in of the weak-order tests, the capture of
-the arrays handed to the in-place restoration, and each length-3 component
+the arrays handed to the in-place restoration, each length-3 component
 sum of the library as numpy's last-axis reduction that ``geometry.dot3``
-must equal bit for bit.
+must equal bit for bit, the table writer as the ``csv`` module and the 3-D
+velocity histogram as ``np.histogramdd``, which the library's one-pass
+versions must equal byte for byte and count for count.
 """
 
+import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -36,7 +39,7 @@ from kinlab.master_sim import (
     generator_apply,
     step_sphere_diffusion,
 )
-from kinlab.observables import OBSERVABLES, Observable, _pooled
+from kinlab.observables import OBSERVABLES, Observable, _pooled, bin_masses
 from kinlab.spectral import (
     TrialFunction,
     _require_standard,
@@ -702,3 +705,30 @@ def rayleigh_quotient_mc_axis_sum(spec: ManifoldSpec, tf: TrialFunction, kernel,
     mean = total / n_samples
     var = max(total_sq / n_samples - mean ** 2, 0.0)
     return float(mean), float(math.sqrt(var / n_samples))
+
+
+# ---------------------------------------------------------------------------
+# table writer and 3-D histogram
+
+
+def write_table_csv(path, header, rows) -> None:
+    """``cli._write_table`` through ``csv.writer`` (minimal quoting, CRLF),
+    each float cell formatted to 17 significant digits."""
+
+    def fmt(x):
+        if isinstance(x, (float, np.floating)):
+            return f"{float(x):.17g}"
+        return str(x)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(x) for x in row])
+
+
+def velocity_histogram3d_histogramdd(velocities, edges) -> np.ndarray:
+    """``kinetic_limits.velocity_histogram3d`` through ``np.histogramdd``."""
+    counts, _ = np.histogramdd(np.asarray(velocities, dtype=float).reshape(-1, 3),
+                               bins=edges)
+    return bin_masses(counts)

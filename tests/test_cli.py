@@ -10,7 +10,7 @@ import pytest
 
 from kinlab import cli, geometry
 from kinlab.cli import ConfigError, main, parse_config, run
-from oracles import rayleigh_quotient_exact
+from oracles import rayleigh_quotient_exact, write_table_csv
 
 RECIPES = Path(__file__).resolve().parents[1] / "recipes"
 
@@ -285,6 +285,9 @@ INVALID_CONFIGS = {
                          ["fit_observable"]),
     "entropy_bins_zero": ("sim-sphere", _with(SIM, entropy_times="0.05", entropy_bins="0"),
                           ["entropy_bins"]),
+    # bins^3 = 8e9 cells would ask relative_entropy for about 60 GiB after the run
+    "entropy_bins_huge": ("sim-sphere", _with(SIM, entropy_times="0.05", entropy_bins="2000"),
+                          ["entropy_bins"]),
     "mode_unknown": ("sim-sphere", _with(SIM, mode="bogus"), ["mode"]),
     "mode_c4": ("sim-sphere", _with(SIM, mode="c4"), ["mode"]),
     "mode_energy_only": ("sim-sphere", _with(SIM, mode="energy-only"), ["mode"]),
@@ -311,6 +314,9 @@ INVALID_CONFIGS = {
     "chaos_pair_samples_zero": ("chaos", [("n_list", "4,8"), ("t_end", "0.04"),
                                           ("pair_samples", "0")], ["pair_samples"]),
     "chaos_bins_zero": ("chaos", [("n_list", "4,8"), ("t_end", "0.04"), ("bins", "0")],
+                        ["bins"]),
+    # bins^2 = 1e10 cells would ask pair_marginal for about 75 GiB after a run
+    "chaos_bins_huge": ("chaos", [("n_list", "4,8"), ("t_end", "0.04"), ("bins", "100000")],
                         ["bins"]),
     "spectrum_j_max_negative": ("spectrum", [("n_particles", "8"), ("j_max", "-1")],
                                 ["j_max"]),
@@ -645,6 +651,53 @@ def test_sample_table_bytes_are_pinned(tmp_path):
     run(plan, tmp_path)
     assert hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest() == \
         "d32f0c227325a93af4c38a9111e4548c200648ff0f5082cb681d5013c0e3073f"
+
+
+# one row of every kind of number a table holds, floats at the extremes
+_MIXED_ROW = [0, -7, np.int64(2 ** 62), 0.1, np.float64(-2.5e-300), np.float32(0.1),
+              float("nan"), np.float64("inf"), -np.inf, -0.0, 5e-324,
+              1.7976931348623157e308, np.float32(-np.inf), True]
+
+
+@pytest.mark.parametrize("rows", [
+    [_MIXED_ROW, _MIXED_ROW[::-1], [float(x) for x in _MIXED_ROW]],
+    [],
+], ids=["mixed_numbers", "header_only"])
+def test_table_writer_matches_the_csv_module(rows, tmp_path):
+    header = [f"col{i}" for i in range(len(_MIXED_ROW))]
+    cli._write_table(tmp_path / "one_pass.csv", header, rows)
+    write_table_csv(tmp_path / "csv_module.csv", header, rows)
+    one_pass = (tmp_path / "one_pass.csv").read_bytes()
+    assert one_pass == (tmp_path / "csv_module.csv").read_bytes()
+    assert one_pass.count(b"\r\n") == 1 + len(rows)
+
+
+def test_sample_table_writer_matches_the_csv_module(tmp_path):
+    # the sample runner hands over Python floats; the csv module writes the
+    # numpy float64 cells the runner handed over before, to the same bytes
+    plan = parse_config("n_particles = 8\nmode = energy-momentum\nu = 0.5,0,-0.25\n"
+                        "n_samples = 1250\nseed = 12\n", "sample")
+    tables, _ = plan.runner(np.random.default_rng(12))
+    header, rows = tables["samples"]
+    assert len(rows) == 1250
+    assert {type(x) for row in rows for x in row[1:]} == {float}
+    cli._write_table(tmp_path / "one_pass.csv", header, rows)
+    write_table_csv(tmp_path / "csv_module.csv", header,
+                    [[i, *map(np.float64, cells)] for i, *cells in rows])
+    assert (tmp_path / "one_pass.csv").read_bytes() == \
+        (tmp_path / "csv_module.csv").read_bytes()
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["a,b"], [[1]]), (['say "x"'], [[1]]), (["line\nbreak"], [[1]]),
+    (["cr\r"], [[1]]), ([""], [[1]]), (["a"], [["1,5"]]), (["a", "b"], [[1, ""]]),
+    (["a", "b"], [[1, 2], [3]]), (["a"], [[1, 2]]), ([], []),
+], ids=["comma", "quote", "lf", "cr", "empty_header", "comma_cell", "empty_cell",
+        "short_row", "long_row", "no_columns"])
+def test_table_writer_refuses_what_csv_would_quote_or_misalign(header, rows, tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_table(tmp_path / "t.csv", header, rows)
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_sample_on_energy_sphere_reports_no_momentum_error(tmp_path):

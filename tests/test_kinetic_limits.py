@@ -15,6 +15,7 @@ Moment-flow derivations under test (the oracles):
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from kinlab.kinetic_limits import (
     maxwellian_eval,
     relative_entropy,
     stationary_marginal_eval,
+    velocity_histogram3d,
 )
 from kinlab.spectral import eigenvalue_scaled, limit_eigenvalue
 
@@ -42,6 +44,7 @@ from oracles import (
     moment_energy,
     moment_second,
     stationary_radial_pdf,
+    velocity_histogram3d_histogramdd,
 )
 
 
@@ -185,6 +188,68 @@ def test_relative_entropy_empty_rejected():
         relative_entropy(np.zeros((1, 1, 1)), edges, p)
     with pytest.raises(ValueError, match="grid"):
         relative_entropy(np.ones((2, 1, 1)), edges, p)
+
+
+def _edge_points(edges, rng):
+    """(M, 3) velocities: on each axis every edge and one ulp either side of
+    it, points inside the grid, and NaN, +-inf and +-1e300; once with the
+    axes aligned, so that points sit on edges of all three at once, and once
+    with each axis shuffled."""
+    off = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+    cols = [np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                            rng.uniform(e[0], e[-1], 200), off]) for e in edges]
+    return np.concatenate([np.stack(cols, axis=1),
+                           np.stack([rng.permutation(c) for c in cols], axis=1)])
+
+
+def _assert_histogramdd_counts(velocities, edges):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = velocity_histogram3d(velocities, edges)
+    # equal masses over one set of kept samples are equal counts
+    assert np.array_equal(got, velocity_histogram3d_histogramdd(velocities, edges))
+
+
+@pytest.mark.parametrize("bins", [1, 2, 20, 128])
+@pytest.mark.parametrize("eps0", [1e-3, 0.37, 1e3])
+@pytest.mark.parametrize("u", [(0.0, 0.0, 0.0), (0.5, -1.25, 3.0)])
+def test_histogram3d_counts_match_histogramdd(bins, eps0, u):
+    edges = entropy_grid_edges(LimitParams(eps0=eps0, u=np.array(u)), bins=bins)
+    _assert_histogramdd_counts(_edge_points(edges, np.random.default_rng(bins)), edges)
+
+
+@pytest.mark.parametrize("start", [-3.0, 1.0, 1e-300, 5e-324, 1e300])
+@pytest.mark.parametrize("ulps_per_bin", [1, 2, 3, 5])
+def test_histogram3d_counts_match_histogramdd_on_bins_a_few_ulps_wide(start, ulps_per_bin):
+    # every float from one ulp below the grid to two above it, where the
+    # index arithmetic is most often one bin off before its correction
+    values = [np.nextafter(start, -np.inf), start]
+    while len(values) < 16 * ulps_per_bin + 4:
+        values.append(np.nextafter(values[-1], np.inf))
+    x = np.array(values)
+    edges = (np.linspace(start, x[16 * ulps_per_bin + 1], 17),) * 3
+    _assert_histogramdd_counts(np.stack([x, x[::-1], np.roll(x, 5)], axis=1), edges)
+
+
+def test_histogram3d_refuses_grids_it_cannot_bin_by_index():
+    vel = np.zeros((4, 3))
+    even = np.linspace(-1.0, 1.0, 5)
+    for bad in ([0.0, 1.0, 3.0], [1.0, 0.0], [0.0, np.nan, 1.0], [0.0, np.inf], [0.0],
+                even[::-1]):
+        with pytest.raises(ValueError, match="evenly spaced"):
+            velocity_histogram3d(vel, (even, np.asarray(bad), even))
+    with pytest.raises(ValueError, match="3 velocity axes"):
+        velocity_histogram3d(vel, (even, even))
+    # 10 sigma = 3e-50 is below the spacing of floats at u = 1: one edge
+    with pytest.raises(ValueError, match="evenly spaced"):
+        entropy_grid_edges(LimitParams(eps0=1e-100, u=np.array([1.0, 0.0, 0.0])), bins=4)
+
+
+def test_entropy_grid_cell_cap():
+    p = LimitParams(eps0=1.0)
+    assert len(entropy_grid_edges(p, bins=128)[0]) == 129
+    with pytest.raises(ValueError, match="cells exceed"):
+        entropy_grid_edges(p, bins=129)
 
 
 def test_fpe_moment_flow_identity_and_halving():

@@ -10,6 +10,7 @@ from kinlab.master_sim import SimConfig, run_ensemble
 from kinlab.observables import (
     ObservableSeries,
     _pooled_speeds,
+    check_marginal_args,
     chaos_distance,
     decay_rate_fit,
     get_observable,
@@ -89,6 +90,18 @@ def test_histogram_arguments_checked(spec_c1, rng):
     for n_pairs in (0, -1):
         with pytest.raises(ValueError, match="pair"):
             pair_marginal(vel, edges, 0, n_pairs, rng)
+
+
+def test_pair_grid_cell_cap(spec_c1, rng):
+    vel = sample_uniform_batch(spec_c1, 4, rng)
+    check_marginal_args(pair_bins=4096)
+    with pytest.raises(ValueError, match="cells exceed"):
+        check_marginal_args(pair_bins=4097)
+    # refused before the draws, so the stream is untouched
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="cells exceed"):
+        pair_marginal(vel, np.linspace(-4, 4, 4098), 0, 10, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_histogram_two_pooled_points(rng):

@@ -170,7 +170,7 @@ _SIM = {**_MANIFOLD, "n_replicas": (_ints(1, 8), _bad("0")),
                  _bad("bogus")),
         "init_strength": (_floats(-1.0, 1.0), _bad("inf")),
         "fit_observable": (_OBSERVABLE, _bad("nope")),
-        "entropy_bins": (_ints(1, 6), _bad("0")), "seed": _SEED}
+        "entropy_bins": (_ints(1, 6), _bad("0", "129")), "seed": _SEED}
 _SIM_RUN = (st.floats(1e-3, 0.05) | st.just(1e-12), _bad("0", "-0.01"), 6, ["entropy_times"])
 _COV = {"s0_diag": (_vec3(0.5, 2.0), _bad("-1,1,1")),
         "s0_offdiag": (_vec3(-0.2, 0.2), _bad("2,0,0"))}
@@ -202,7 +202,7 @@ SCHEMAS = {
                      "seed": _SEED}, (), None),
     "chaos": ({"n_list": (_list(_ints(2, 8)), _bad("1,8")), "eps": _EPS, "gamma": _GAMMA,
                "pair_samples": (_ints(1, 400), _bad("0")),
-               "bins": (_ints(1, 8), _bad("0")), "seed": _SEED},
+               "bins": (_ints(1, 8), _bad("0", "4097")), "seed": _SEED},
               ("n_list", "pair_samples", "dt", "t_end"),
               (st.sampled_from([0.005, 0.01]), _bad("0"), 4, [])),
 }

@@ -199,6 +199,21 @@ def test_one_component_sum():
                            for node in ast.walk(ms)}
 
 
+def test_one_table_writer_and_one_3d_binning():
+    # cli._write_table writes every table and kinetic_limits.velocity_histogram3d
+    # bins every 3-D histogram: no module imports csv or calls np.histogramdd
+    found = []
+    for path in sorted((ROOT / "src" / "kinlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.stem, a.name) for a in node.names if a.name == "csv"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+                found.append((path.stem, "csv"))
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "histogramdd":
+                found.append((path.stem, "histogramdd"))
+    assert found == []
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # scipy.special takes a large share of a fresh import's time and memory;
     # only the functions that evaluate its special functions import it
