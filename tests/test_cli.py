@@ -24,6 +24,11 @@ j_max = 4
 """
 
 
+def _state_json(state):
+    # a bit generator's state as text; SFC64's holds a numpy array
+    return json.dumps(state, sort_keys=True, default=lambda a: a.tolist())
+
+
 def _flags_of_main(command, capsys):
     with pytest.raises(SystemExit):
         main([command, "--help"])
@@ -116,6 +121,26 @@ def test_seed_override_changes_output(tmp_path):
         (tmp_path / "c/series.csv").read_bytes()
 
 
+def test_run_draws_from_the_sfc64_stream_of_its_seed(tmp_path):
+    # cli.run hands its runner Generator(SFC64(SeedSequence(seed))), before
+    # any draw, and the manifest names that bit generator
+    plan = parse_config("n_particles = 4\nmode = energy\neps = 1.0\n"
+                        "n_samples = 3\nseed = 29\n", "sample")
+    handed = []
+
+    def capturing(rng):
+        handed.append((rng, rng.bit_generator.state))
+        return runner(rng)
+
+    runner, plan.runner = plan.runner, capturing
+    manifest = run(plan, tmp_path)
+    [(rng, state)] = handed
+    assert isinstance(rng.bit_generator, np.random.SFC64)
+    expected = np.random.SFC64(np.random.SeedSequence(29)).state
+    assert _state_json(state) == _state_json(expected)
+    assert manifest["bit_generator"] == "SFC64"
+
+
 def test_negative_seed_to_run_raises_before_output(tmp_path):
     plan = parse_config(SPECTRUM_CFG, "spectrum")
     plan.params["seed"] = -1
@@ -136,8 +161,8 @@ def test_seed_flag_is_recorded_in_the_plan(tmp_path):
                  "--out", str(tmp_path / "config")]) == 0
     manifest = json.loads((tmp_path / "flag/manifest.json").read_text())
     assert manifest["seed"] == manifest["plan"]["params"]["seed"] == 9
-    assert sorted(manifest) == ["command", "extras", "outputs", "plan", "seed",
-                                "version"]
+    assert sorted(manifest) == ["bit_generator", "command", "extras", "outputs",
+                                "plan", "seed", "version"]
     assert (tmp_path / "flag/series.csv").read_bytes() == \
         (tmp_path / "config/series.csv").read_bytes()
 
@@ -479,7 +504,7 @@ def test_chaos_draws_from_one_stream(tmp_path, monkeypatch):
         def call(*args, **kwargs):
             rng = kwargs.get("rng")
             calls.append((name, None if rng is None else
-                          json.dumps(rng.bit_generator.state, sort_keys=True)))
+                          _state_json(rng.bit_generator.state)))
             return fn(*args, **kwargs)
         return call
 
@@ -643,14 +668,15 @@ def test_sample_table_is_independent_of_block_size(monkeypatch, tmp_path):
 
 
 def test_sample_table_bytes_are_pinned(tmp_path):
-    # two blocks (341 + 59 states) of the sampler and the pair scan, written
-    # by the CSV writer: any change to one of them changes this digest and
-    # must say so by updating it
+    # two blocks (341 + 59 states) of the sampler and the pair scan, drawn
+    # from cli.run's SFC64 stream and written by the CSV writer: any change
+    # to one of them or to the stream changes this digest and must say so
+    # by updating it
     plan = parse_config("n_particles = 64\nmode = energy-momentum\neps = 1.0\n"
                         "u = 0.5,-0.25,0\nn_samples = 400\nseed = 29\n", "sample")
     run(plan, tmp_path)
     assert hashlib.sha256((tmp_path / "samples.csv").read_bytes()).hexdigest() == \
-        "d32f0c227325a93af4c38a9111e4548c200648ff0f5082cb681d5013c0e3073f"
+        "9795816819a11e749956862533b5fcdcccc8e16442dc03e15a0768505c779b7e"
 
 
 # one row of every kind of number a table holds, floats at the extremes
