@@ -55,7 +55,8 @@ def block_states(n_particles: int) -> int:
     return max(1, STATE_BLOCK_ENTRIES // (3 * n_particles))
 
 
-def dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def dot3(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None,
+         tmp: np.ndarray | None = None) -> np.ndarray:
     """x[0] y[0] + x[1] y[1] + x[2] y[2], summed in that order.
 
     x and y are component-first, shape (3, ...): ``g.T`` of an (m, 3)
@@ -63,10 +64,14 @@ def dot3(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     cost a fraction of numpy's reduction over a length-3 last axis, which
     adds a row in the same order, (a0 + a1) + a2 (numpy 2.4), so
     ``dot3(x.T, x.T)`` equals ``(x * x).sum(-1)`` bit for bit.
+
+    The sum is written into ``out`` and the second and third products
+    into ``tmp``, planes of the result's shape that overlap neither x nor
+    y; a plane not given is allocated, so with both given nothing is.
     """
-    out = x[0] * y[0]
-    out += x[1] * y[1]
-    out += x[2] * y[2]
+    out = np.multiply(x[0], y[0], out=out)
+    out += np.multiply(x[1], y[1], out=tmp)
+    out += np.multiply(x[2], y[2], out=tmp)
     return out
 
 

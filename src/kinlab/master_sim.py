@@ -25,12 +25,22 @@ circle, with no per-replica index; a sweep is one full turn, so the
 relabeling that gathers the states also scatters them back.
 
 Each process's draw order is written once, as a generator of the run's
-draws (``_sphere_draws``, ``_pair_draws``), each a new array.
-``run_ensemble`` iterates it on a producer thread (``_drawn_ahead``), so
-that the next block's or round's normals are drawn while the current one is
-stepped; the stream and the results are those of the serial steppers,
-``step_sphere_diffusion`` on the run's normals and ``step_pair_diffusion``,
-bit for bit.
+draws (``_sphere_draws``, ``_pair_draws``), each a new array; the pair
+draws hand each step's relabeling over already sorted into the sweep's
+gather index. ``run_ensemble`` iterates it on a producer thread
+(``_drawn_ahead``), so that the next block's or round's normals are drawn
+while the current one is stepped; the stream and the results are those of
+the serial steppers, ``step_sphere_diffusion`` on the run's normals and
+``step_pair_diffusion``, bit for bit.
+
+A pair run sweeps in memory it allocates once (``_PairBuffers``): the
+component-major work array, its spare for the rotation, and the kick's
+scratch (``_KickScratch``, its largest planes lent by the spare, which is
+free while the kick runs), into which every kick operation writes through
+``out=``. The sweep gathers the states into the work array and scatters
+them back through the step's index, with no copy in between, so a sweep
+allocates nothing of the states' size. ``step_pair_diffusion``, the serial
+reference, allocates its own buffers per call.
 
 `generator_apply` evaluates the pairwise generator exactly on a catalog of
 test polynomials and is the oracle for the weak-consistency tests.
@@ -43,7 +53,7 @@ import queue
 import threading
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -252,8 +262,22 @@ def _n_rounds(n: int) -> int:
     return n - 1 + n % 2
 
 
+class _KickScratch(NamedTuple):
+    """The planes one round's kick writes through ``out=``: the separation
+    d and its direction, (3, P, R) each; beta, the amplitude and a
+    component sum, (P, R) each; and the skip mask."""
+
+    d: np.ndarray
+    nhat: np.ndarray
+    beta: np.ndarray
+    amp: np.ndarray
+    total: np.ndarray
+    ok: np.ndarray
+
+
 def _pair_round_kick(work: np.ndarray, eta: np.ndarray, gamma: float,
-                     cutoff: float, diff_scale: float, dt: float) -> None:
+                     cutoff: float, diff_scale: float, dt: float,
+                     scratch: _KickScratch) -> None:
     """Kick one round of disjoint pairs in place.
 
     ``work`` (3, N, R) holds the replicas component-major in the round's
@@ -264,24 +288,67 @@ def _pair_round_kick(work: np.ndarray, eta: np.ndarray, gamma: float,
     rescale the separation back to beta exactly. Pair momentum is conserved
     identically. A pair below the cutoff runs the same arithmetic with beta
     capped at the cutoff, and its move is scaled by 0.
+
+    Every operation writes through ``out=`` into ``scratch``
+    (``_PairBuffers.scratch``), so the kick allocates nothing of its
+    own. A plane that is free at the time is the scratch of each component
+    sum: a plane of ``nhat`` before ``nhat`` is set and after its last
+    use, ``amp`` before the amplitude.
     """
     p = eta.shape[1]
+    d, nhat, beta, amp, total, ok = scratch
     vk = work[:, :p]
     vl = work[:, p:2 * p]
-    d = vk - vl
-    beta = np.sqrt(dot3(d, d))
-    ok = beta >= cutoff
+    # the strided k and l sides go one plane at a time: numpy copies a
+    # small strided (3, P, R) operand into buffers of its size
+    for c in range(3):
+        np.subtract(vk[c], vl[c], out=d[c])
+    np.sqrt(dot3(d, d, out=beta, tmp=nhat[0]), out=beta)
+    np.greater_equal(beta, cutoff, out=ok)
     np.maximum(beta, cutoff, out=beta)
-    amp = np.sqrt(diff_scale * dt * beta ** (2.0 + gamma))
-    nhat = d / beta
-    eta -= nhat * dot3(nhat, eta)           # P_perp eta
-    eta *= 2.0 * amp
+    np.divide(d, beta, out=nhat)
+    eta -= np.multiply(nhat, dot3(nhat, eta, out=total, tmp=amp), out=nhat)  # P_perp eta
+    np.power(beta, 2.0 + gamma, out=amp)
+    np.multiply(diff_scale * dt, amp, out=amp)
+    np.sqrt(amp, out=amp)
+    eta *= np.multiply(2.0, amp, out=amp)
     eta += d                                # kicked separation
-    eta *= beta / np.sqrt(dot3(eta, eta))   # restored to length beta
+    np.sqrt(dot3(eta, eta, out=total, tmp=nhat[0]), out=total)
+    eta *= np.divide(beta, total, out=total)   # restored to length beta
     eta -= d
     eta *= np.multiply(ok, 0.5, out=amp)    # half move, 0 below the cutoff
-    vk += eta
-    vl -= eta
+    for c in range(3):
+        vk[c] += eta[c]
+        vl[c] -= eta[c]
+
+
+class _PairBuffers(NamedTuple):
+    """The memory a pair sweep of R replicas of N particles works in: the
+    component-major (3, N, R) work array and its spare for the rotation,
+    and the kick's scratch for a round whose work array is ``work``
+    (``scratch[0]``) or ``spare`` (``scratch[1]``).
+
+    A kick runs while the round's spare is free, so its two (3, P, R)
+    planes are the spare's first 6 P R entries (3 N R >= 6 P R); only the
+    (P, R) planes and the skip mask, shared by the two, are memory of
+    their own. The buffers come to about 2.5 times the states."""
+
+    work: np.ndarray
+    spare: np.ndarray
+    scratch: tuple[_KickScratch, _KickScratch]
+
+    @classmethod
+    def new(cls, r: int, n: int) -> "_PairBuffers":
+        p = n // 2
+        work, spare = np.empty((3, n, r)), np.empty((3, n, r))
+        planes = np.empty((p, r)), np.empty((p, r)), np.empty((p, r)), np.empty((p, r), bool)
+
+        def kick_scratch(free: np.ndarray) -> _KickScratch:
+            flat = free.reshape(-1)
+            return _KickScratch(flat[:3 * p * r].reshape(3, p, r),
+                                flat[3 * p * r:6 * p * r].reshape(3, p, r), *planes)
+
+        return cls(work, spare, (kick_scratch(spare), kick_scratch(work)))
 
 
 def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
@@ -310,45 +377,77 @@ def step_pair_diffusion(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSp
     copy's rows, a few slice copies, follows each round, with no
     per-replica index; the sweep is one full turn of the circle, so the
     copy is scattered back once, through the relabeling itself.
+
+    This is the serial reference of ``run_ensemble``'s sweeps: it
+    allocates the buffers of one sweep (``_PairBuffers``) itself, where a
+    run allocates them once. A ``states`` array that is not C-contiguous
+    is swept in a contiguous copy, written back into it.
     """
     r, n, _ = states.shape
-    draws = _pair_draws(rng, r, n, n_steps=1)
-    return _sweep_pairs(spec, states, kernel, dt, draws)
+    swept = np.ascontiguousarray(states, dtype=float)
+    _sweep_pairs(spec, swept, kernel, dt, _pair_draws(rng, r, n, n_steps=1),
+                 _PairBuffers.new(r, n))
+    if swept is not states:
+        states[...] = swept
+    return states
 
 
 def _pair_draws(rng, r: int, n: int, n_steps: int) -> Iterator[np.ndarray]:
     """The draws of ``n_steps`` pair sweeps of R replicas of N particles,
-    in the order ``step_pair_diffusion`` documents.
+    in the order ``step_pair_diffusion`` documents, each a new array.
 
-    Per step: the relabeling uniforms (R, N), then per round the (R, P, 3)
-    normals, copied component-major into a new (3, P, R) array, which the
-    sweep kicks in place. Calls nothing but ``rng`` and numpy, so it can
-    run on a producer thread.
+    Per step: the relabeling, drawn as the uniforms (R, N) and yielded as
+    the (N, R) gather index of the sweep's work array. Entry (j, q) is the
+    offset, in the flattened C-contiguous (R, N, 3) states, of component 0
+    of particle perm[q, j] of replica q, with perm the uniforms' argsort
+    along each replica. Then per round the (R, P, 3) normals, copied
+    component-major into a new (3, P, R) array, which the sweep kicks in
+    place. Calls nothing but ``rng`` and numpy, so it can run on a
+    producer thread, the argsort included.
     """
     p = n // 2
+    # the offset of each replica's first coordinate
+    start = np.arange(0, 3 * r * n, 3 * n)
     for _ in range(n_steps):
-        yield rng.random((r, n))
+        # sorting the transposed uniforms down each column gives perm.T
+        # C-contiguous, with no transposing copy
+        at = np.argsort(rng.random((r, n)).T, axis=0)
+        at *= 3
+        at += start
+        yield at
         for _ in range(_n_rounds(n)):
             yield rng.standard_normal((r, p, 3)).transpose(2, 1, 0).copy()
 
 
-def _sweep_pairs(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec,
-                 dt: float, draws: Iterator[np.ndarray]) -> np.ndarray:
-    """``step_pair_diffusion`` with its draws taken from ``draws``
-    (``_pair_draws``): exactly one sweep's worth, 1 + n_rounds items."""
-    r, n, _ = states.shape
-    perm = np.argsort(next(draws), axis=1)
-    diff_scale = 2.0 / (n - 1)
-    replica = np.arange(r)[:, None]
+def _sweep_pairs(spec: ManifoldSpec, states: np.ndarray, kernel: KernelSpec, dt: float,
+                 draws: Iterator[np.ndarray], buffers: _PairBuffers) -> np.ndarray:
+    """``step_pair_diffusion`` of the C-contiguous (R, N, 3) ``states``
+    with its draws taken from ``draws`` (``_pair_draws``): exactly one
+    sweep's worth, 1 + n_rounds items.
+
+    The sweep works in ``buffers`` (``_PairBuffers.new(R, N)``),
+    overwritten: each velocity component is gathered through the step's
+    index with one ``np.take`` straight into its plane of the work array,
+    and scattered back through the same index, so the sweep allocates
+    nothing of the states' size.
+    """
+    n = states.shape[1]
+    work, spare, scratch = buffers
+    at = next(draws)
+    flat = states.reshape(-1)
     # row j of replica q holds particle perm[q, j] in round 0, and again
-    # after the last round's rotation
-    work = np.ascontiguousarray(states[replica, perm].transpose(2, 1, 0))
-    spare = np.empty_like(work)
-    for _ in range(_n_rounds(n)):
-        _pair_round_kick(work, next(draws), kernel.gamma, spec.cutoff, diff_scale, dt)
+    # after the last round's rotation; take's default mode "raise" would
+    # gather into a copy of ``out``
+    for c in range(3):
+        np.take(flat[c:], at, out=work[c], mode="clip")
+    diff_scale = 2.0 / (n - 1)
+    for i in range(_n_rounds(n)):
+        _pair_round_kick(work, next(draws), kernel.gamma, spec.cutoff, diff_scale, dt,
+                         scratch[i % 2])
         _rotate_rows(work, spare)
         work, spare = spare, work
-    states[replica, perm] = work.transpose(2, 1, 0)
+    for c in range(3):
+        flat[c:][at] = work[c]
     return renormalize_batch(spec, states)
 
 
@@ -616,7 +715,11 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     is a writable C-contiguous float array that owns its data, else a copy
     (of a read-only or borrowed array, such as a ``broadcast_to`` view).
     Every step overwrites it in place. A pair step sweeps the whole array
-    (``_sweep_pairs``); a sphere step (``_sweep_sphere``) runs
+    (``_sweep_pairs``) in the buffers the run allocates once, after the
+    initial sample (``_PairBuffers``, about 2.5 times the state array),
+    and frees after the last sweep, before that step's record and
+    snapshot, so that these do not add to the sweeps' peak memory; a
+    sphere step (``_sweep_sphere``) runs
     ``step_sphere_diffusion`` in place on blocks of as many replicas as
     each noise array holds, half ``block_states`` as ``_sphere_draws``
     alone picks (the two drawn at once hold one block), so their arrays
@@ -663,7 +766,8 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
     else:
         lead = 4
         draws = _pair_draws(rng, r, n, n_steps)
-        sweep = partial(_sweep_pairs, spec, states, config.kernel, config.dt)
+        sweep = partial(_sweep_pairs, spec, states, config.kernel, config.dt,
+                        buffers=_PairBuffers.new(r, n))
     draws = _drawn_ahead(draws, lead)
     try:
         for step in range(1, n_steps + 1):
@@ -671,6 +775,8 @@ def run_ensemble(spec: ManifoldSpec, config: SimConfig,
                 sweep(draws)
             except NonFiniteStateError as exc:
                 raise NonFiniteStateError(exc.replicas, step=step) from None
+            if step == n_steps:
+                del sweep  # a pair run's buffers go before the last record
             if step % config.record_every == 0 or step == n_steps:
                 record(step)
             maybe_snapshot(step)

@@ -204,6 +204,13 @@ def _ks_terms(i: np.ndarray, cdf: np.ndarray, m: int) -> np.ndarray:
     return np.maximum((i + 1) / m - cdf, cdf - i / m)
 
 
+def _ks_ends(m: int) -> np.ndarray:
+    """The sorted positions of m >= 1 points at which the KS scan first
+    evaluates the CDF: every ``_KS_STRIDE``-th one, and the last."""
+    ends = np.arange(0, m, _KS_STRIDE)
+    return ends if ends[-1] == m - 1 else np.append(ends, m - 1)
+
+
 def radial_ks_statistic(velocities: np.ndarray, spec: ManifoldSpec) -> tuple[float, int]:
     """KS distance between the pooled speeds |v - u| of all particles and
     replicas and the exact stationary radial law.
@@ -229,7 +236,7 @@ def radial_ks_statistic(velocities: np.ndarray, spec: ManifoldSpec) -> tuple[flo
     s = np.clip(r ** 2 / (2.0 * n * spec.eps0), 0.0, 1.0)
     m = len(r)
     a, b = 1.5, 1.5 * (n - 1)
-    ends = np.unique(np.append(np.arange(0, m, _KS_STRIDE), m - 1))
+    ends = _ks_ends(m)
     cdf = betainc(a, b, s[ends])
     best = _ks_terms(ends, cdf, m).max()
     lo, hi = ends[:-1], ends[1:]

@@ -8,12 +8,15 @@ stationary radial law and its KS statistic over every point, the
 eigenfunction catalog and its decay rates, the trial function, the quadratic
 form on conserved quantities, and the Rayleigh estimator over whole
 N-particle states), which the library itself does not need. It also holds
-the antithetic Generator stand-in of the weak-order tests, the capture of
-the arrays handed to the in-place restoration, each length-3 component
-sum of the library as numpy's last-axis reduction that ``geometry.dot3``
-must equal bit for bit, the table writer as the ``csv`` module and the 3-D
-velocity histogram as ``np.histogramdd``, which the library's one-pass
-versions must equal byte for byte and count for count.
+the pair sweep as it was before it owned its buffers (allocating every
+array it works in, per round and per sweep), which the sweep in buffers
+allocated once per run must equal bit for bit, the antithetic Generator
+stand-in of the weak-order tests, the capture of the arrays handed to the
+in-place restoration, each length-3 component sum of the library as
+numpy's last-axis reduction that ``geometry.dot3`` must equal bit for bit,
+the table writer as the ``csv`` module and the 3-D velocity histogram as
+``np.histogramdd``, which the library's one-pass versions must equal byte
+for byte and count for count.
 """
 
 import csv
@@ -29,6 +32,7 @@ from kinlab.geometry import (
     DegenerateStateError,
     ManifoldSpec,
     NonFiniteStateError,
+    dot3,
     renormalize_batch,
     sample_uniform_batch,
     tangent_project_batch,
@@ -36,6 +40,8 @@ from kinlab.geometry import (
 from kinlab.kinetic_limits import stationary_marginal_eval
 from kinlab.master_sim import (
     TestPolynomial,
+    _n_rounds,
+    _rotate_rows,
     generator_apply,
     step_sphere_diffusion,
 )
@@ -632,6 +638,50 @@ def step_pair_diffusion_reference(spec, states, kernel, dt, rng):
         half = np.where(ok[..., None], 0.5 * (d_rest - d), 0.0)
         states[rows, k_idx] = vk + half
         states[rows, l_idx] = vl - half
+    return renormalize_batch(spec, states)
+
+
+def pair_round_kick_allocating(work, eta, gamma, cutoff, diff_scale, dt):
+    """``master_sim._pair_round_kick`` as it was before the kick wrote
+    through ``out=``: the same operations in the same order, each one
+    allocating its result."""
+    p = eta.shape[1]
+    vk = work[:, :p]
+    vl = work[:, p:2 * p]
+    d = vk - vl
+    beta = np.sqrt(dot3(d, d))
+    ok = beta >= cutoff
+    np.maximum(beta, cutoff, out=beta)
+    amp = np.sqrt(diff_scale * dt * beta ** (2.0 + gamma))
+    nhat = d / beta
+    eta -= nhat * dot3(nhat, eta)
+    eta *= 2.0 * amp
+    eta += d
+    eta *= beta / np.sqrt(dot3(eta, eta))
+    eta -= d
+    eta *= np.multiply(ok, 0.5, out=amp)
+    vk += eta
+    vl -= eta
+
+
+def step_pair_diffusion_allocating(spec, states, kernel, dt, rng):
+    """``master_sim.step_pair_diffusion`` as it was before the sweep owned
+    its buffers: the relabeling's argsort on the stepping thread, a 2-D
+    fancy-index gather into a new (R, N, 3) array and its component-major
+    copy, a new spare per sweep, the allocating kick above, and a scatter
+    through the same fancy index."""
+    r, n, _ = states.shape
+    perm = np.argsort(rng.random((r, n)), axis=1)
+    diff_scale = 2.0 / (n - 1)
+    replica = np.arange(r)[:, None]
+    work = np.ascontiguousarray(states[replica, perm].transpose(2, 1, 0))
+    spare = np.empty_like(work)
+    for _ in range(_n_rounds(n)):
+        eta = rng.standard_normal((r, n // 2, 3)).transpose(2, 1, 0).copy()
+        pair_round_kick_allocating(work, eta, kernel.gamma, spec.cutoff, diff_scale, dt)
+        _rotate_rows(work, spare)
+        work, spare = spare, work
+    states[replica, perm] = work.transpose(2, 1, 0)
     return renormalize_batch(spec, states)
 
 

@@ -265,6 +265,29 @@ def test_dot3_matches_numpy_last_axis_sum(shape, layout, rng):
     assert ((sq > 0) & (sq < np.finfo(float).tiny)).any()   # a subnormal sum
 
 
+@pytest.mark.parametrize("layout", ["contiguous", "component_major", "strided"])
+@pytest.mark.parametrize("shape", [(400, 3), (16, 9, 3)])
+def test_dot3_into_given_planes_equals_the_allocating_form(shape, layout, rng):
+    # the out= form writes the allocating form's bits into the planes it is
+    # given, whatever they held: signed zeros, NaN, +-inf, overflowing and
+    # subnormal sums alike
+    x = _component_rows(rng, shape)
+    y = _component_rows(rng, shape)
+    x.reshape(-1, 3)[6:8] = [(-0.0, -0.0, -0.0), (0.0, -0.0, 0.0)]
+    y.reshape(-1, 3)[6:8] = [(1.0, 2.0, 3.0), (-0.0, 1.0, -0.0)]
+    cx, cy = (np.moveaxis(_layout(a, layout), -1, 0) for a in (x, y))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for a, b in ((cx, cx), (cx, cy)):
+            want = dot3(a, b)
+            out, tmp = np.full(want.shape, np.nan), np.full(want.shape, -7.0)
+            assert dot3(a, b, out=out, tmp=tmp) is out
+            assert out.tobytes() == want.tobytes()
+    zero = want == 0.0
+    assert (zero & np.signbit(want)).any() and (zero & ~np.signbit(want)).any()
+    assert np.isnan(want).any() and np.isinf(want).any()
+    assert ((np.abs(want) > 0) & (np.abs(want) < np.finfo(float).tiny)).any()
+
+
 @pytest.mark.parametrize("layout", ["single", "batch", "component_major"])
 @pytest.mark.parametrize("n", [2, 8, 64])
 @pytest.mark.parametrize("mode", list(ConservationMode))

@@ -9,6 +9,7 @@ from kinlab.kinetic_limits import velocity_histogram3d
 from kinlab.master_sim import SimConfig, run_ensemble
 from kinlab.observables import (
     ObservableSeries,
+    _ks_ends,
     _pooled_speeds,
     check_marginal_args,
     chaos_distance,
@@ -172,6 +173,15 @@ def test_radial_ks_bracketing_is_exact(n):
     ks, m = radial_ks_statistic(1.05 * pooled, spec)
     assert ks > 5 * ks_quantile_99(m)
     assert (ks, m) == radial_ks_statistic_full(1.05 * pooled, spec)
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 17, 100000])
+def test_ks_block_ends_are_the_stride_points_and_the_last(m):
+    # the deduplicated stride points with m - 1 appended, built without a sort
+    want = np.unique(np.append(np.arange(0, m, 16), m - 1))
+    got = _ks_ends(m)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "transposed_copy"])
